@@ -18,118 +18,19 @@ expanded in the region |z| > |w|.
 from __future__ import annotations
 
 from .rationals import double_factorial, odd_double_factorial, rat
-from .series import LaurentSeries
+from .series import LaurentSeries, SparsePoly, _strip, add_into
 
 
-def _strip(mono: tuple) -> tuple:
-    k = len(mono)
-    while k and mono[k - 1] == 0:
-        k -= 1
-    return mono[:k]
-
-
-class DiffPoly:
+class DiffPoly(SparsePoly):
     """Sparse differential polynomial: {jet exponent tuple: rational}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[_strip(tuple(mono))] = c
-
-    @classmethod
-    def const(cls, c) -> "DiffPoly":
-        return cls({(): c})
+    __slots__ = ()
+    _var = "u"
 
     @classmethod
     def jet(cls, j: int, power: int = 1, coeff=1) -> "DiffPoly":
         mono = tuple(0 if i < j else power for i in range(j + 1))
         return cls({mono: coeff})
-
-    def _coerce(self, other) -> "DiffPoly | None":
-        if isinstance(other, DiffPoly):
-            return other
-        try:
-            return DiffPoly.const(rat(other))
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, DiffPoly):
-            terms: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    big, small = (m1, m2) if len(m1) >= len(m2) else (m2, m1)
-                    mono = _strip(
-                        tuple(
-                            (big[i] + small[i]) if i < len(small) else big[i]
-                            for i in range(len(big))
-                        )
-                    )
-                    s = terms.get(mono, 0) + c1 * c2
-                    if s:
-                        terms[mono] = s
-                    else:
-                        terms.pop(mono, None)
-            out = DiffPoly.__new__(DiffPoly)
-            out.terms = terms
-            return out
-        if isinstance(other, LaurentSeries):
-            return NotImplemented
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = {m: c * other for m, c in self.terms.items()} if other else {}
-        return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def coefficient(self, mono: tuple):
-        return self.terms.get(_strip(tuple(mono)), 0)
 
     def max_jet(self) -> int:
         """Largest jet index appearing, -1 for a constant."""
@@ -142,12 +43,8 @@ class DiffPoly:
             if j < len(mono) and mono[j]:
                 e = mono[j]
                 new = _strip(tuple(x - 1 if i == j else x for i, x in enumerate(mono)))
-                s = terms.get(new, 0) + e * c
-                if s:
-                    terms[new] = s
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = terms
-        return out
+                add_into(terms, new, e * c)
+        return self._make(terms)
 
     def d_x(self) -> "DiffPoly":
         """Total x-derivative: sum_k u_{k+1} d/du_k."""
@@ -156,18 +53,12 @@ class DiffPoly:
             for j, e in enumerate(mono):
                 if not e:
                     continue
+                # u_{j+1} gains a power, so the result ends in a nonzero entry
                 new = list(mono) + [0] * (j + 2 - len(mono))
                 new[j] -= 1
                 new[j + 1] += 1
-                key = _strip(tuple(new))
-                s = terms.get(key, 0) + e * c
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = terms
-        return out
+                add_into(terms, tuple(new), e * c)
+        return self._make(terms)
 
     def d_x_pow(self, k: int) -> "DiffPoly":
         out = self
@@ -190,27 +81,6 @@ class DiffPoly:
                 val = val * base**e
             total = total + val
         return total
-
-    def gradation_degrees(self) -> set[int]:
-        """Degrees present under deg(u_k) = k + 2."""
-        return {sum(e * (j + 2) for j, e in enumerate(m)) for m in self.terms}
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def mono_str(m):
-            if not m:
-                return "1"
-            return "*".join(
-                f"u{j}" + (f"^{e}" if e > 1 else "")
-                for j, e in enumerate(m)
-                if e
-            )
-
-        return " + ".join(
-            f"({c})*{mono_str(m)}" for m, c in sorted(self.terms.items())
-        )
 
 
 def formal_antiderivative(f: DiffPoly) -> DiffPoly:

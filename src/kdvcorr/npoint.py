@@ -29,6 +29,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
+from .series import add_into
+
 
 class TruncationInstability(RuntimeError):
     """Recomputation with widened truncation budgets changed a coefficient."""
@@ -211,12 +213,7 @@ def _class_term(cycle, mats, geo_items, windows, n):
                 _prune(entry, bound, windows, total_lo, total_hi)
     out = P[0][0]
     for key, c in P[1][1].items():
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_into(out, key, c)
     return out
 
 
@@ -250,25 +247,14 @@ def _compute(n, windows, mats, exports, workers=1):
     acc: dict = {}
     for (cyc, weight), term in zip(classes, terms):
         for key, c in term.items():
-            add = -weight * c
-            s = acc.get(key)
-            s = add if s is None else s + add
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+            add_into(acc, key, -weight * c)
     if n == 2:
         # subtract the expansion of (y_1+y_2)/(y_1-y_2)^2
         lo0, hi0 = windows[0]
         lo1, hi1 = windows[1]
         for m in range(max(0, lo1), hi1 + 1):
             if lo0 <= -m - 1 <= hi0:
-                key = (-m - 1, m)
-                s = acc.get(key, 0) - (2 * m + 1)
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                add_into(acc, (-m - 1, m), -(2 * m + 1))
     return acc
 
 

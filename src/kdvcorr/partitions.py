@@ -24,6 +24,7 @@ from itertools import product as _iproduct
 from math import factorial
 
 from .rationals import rat
+from .series import SparsePoly
 
 
 def partitions_of(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
@@ -158,28 +159,14 @@ def monomial_to_partition(mono: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _strip(mono: tuple) -> tuple:
-    k = len(mono)
-    while k and mono[k - 1] == 0:
-        k -= 1
-    return mono[:k]
+class SPoly(SparsePoly):
+    """Sparse polynomial in s_1, s_2, ... with exact rational coefficients;
+    products truncate at the installed `weight_cap`."""
 
-
-class SPoly:
-    """Sparse polynomial in s_1, s_2, ... with exact rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[_strip(tuple(mono))] = c
-
-    @classmethod
-    def const(cls, c) -> "SPoly":
-        return cls({(): c})
+    __slots__ = ()
+    _var = "s"
+    _first_index = 1
+    _weight = staticmethod(monomial_weight)
 
     @classmethod
     def var(cls, j: int, coeff=1) -> "SPoly":
@@ -188,89 +175,8 @@ class SPoly:
             raise ValueError("s-variables are indexed from 1")
         return cls({tuple(0 if i < j - 1 else 1 for i in range(j)): coeff})
 
-    def _coerce(self, other) -> "SPoly | None":
-        if isinstance(other, SPoly):
-            return other
-        try:
-            return SPoly.const(rat(other))
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        out = SPoly.__new__(SPoly)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        out = SPoly.__new__(SPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, SPoly):
-            cap = _WEIGHT_CAP
-            terms: dict = {}
-            for m1, c1 in self.terms.items():
-                w1 = monomial_weight(m1)
-                for m2, c2 in other.terms.items():
-                    if cap is not None and w1 + monomial_weight(m2) > cap:
-                        continue
-                    big, small = (m1, m2) if len(m1) >= len(m2) else (m2, m1)
-                    mono = tuple(
-                        (big[i] + small[i]) if i < len(small) else big[i]
-                        for i in range(len(big))
-                    )
-                    s = terms.get(mono, 0) + c1 * c2
-                    if s:
-                        terms[mono] = s
-                    else:
-                        terms.pop(mono, None)
-            out = SPoly.__new__(SPoly)
-            out.terms = terms
-            return out
-        if other.__class__.__name__ == "LaurentSeries":
-            return NotImplemented
-        out = SPoly.__new__(SPoly)
-        out.terms = {m: c * other for m, c in self.terms.items()} if other else {}
-        return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def coefficient(self, mono: tuple[int, ...]):
-        return self.terms.get(_strip(tuple(mono)), 0)
+    def _product_cap(self) -> int | None:
+        return _WEIGHT_CAP
 
     def coefficient_of_partition(self, lam: tuple[int, ...]):
         return self.coefficient(partition_to_monomial(lam))
@@ -282,23 +188,6 @@ class SPoly:
 
     def max_weight(self) -> int:
         return max((monomial_weight(m) for m in self.terms), default=0)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def mono_str(m):
-            if not m:
-                return "1"
-            return "*".join(
-                f"s{j + 1}" + (f"^{e}" if e > 1 else "")
-                for j, e in enumerate(m)
-                if e
-            )
-
-        return " + ".join(
-            f"({c})*{mono_str(m)}" for m, c in sorted(self.terms.items())
-        )
 
 
 def h_polynomials(K: int) -> list[SPoly]:

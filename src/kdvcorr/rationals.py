@@ -37,10 +37,6 @@ def rat(num, den=1):
     return _Rat(num, den)
 
 
-def is_rational(x) -> bool:
-    return isinstance(x, (int, _Rat, Fraction))
-
-
 def rat_str(x) -> str:
     """Canonical text form: "num/den", or just "num" for integers."""
     x = _Rat(x)
@@ -72,7 +68,6 @@ def odd_double_factorial(k: int) -> int:
 __all__ = [
     "BACKEND",
     "rat",
-    "is_rational",
     "rat_str",
     "num_den",
     "factorial",

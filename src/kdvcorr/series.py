@@ -17,10 +17,30 @@ knowledge below it.
 Coefficients may live in any commutative ring whose elements support +, -, *
 and truth testing and absorb the integer 0 (rationals, differential
 polynomials, s-polynomials); mixed int/ring arithmetic is used for zero.
+
+The module also holds the shared sparse-polynomial core: `SparsePoly`, the
+{exponent tuple: coefficient} ring behind the differential polynomials and
+the s-polynomials, and `add_into`, the one accumulate-and-drop-zeros step
+used by every sparse dict in the package.
 """
 from __future__ import annotations
 
+from operator import add
+
 from .rationals import rat
+
+
+def add_into(acc: dict, key, c) -> None:
+    """acc[key] += c, dropping the key when the sum vanishes.
+
+    A missing key takes c itself, so no `0 + ring element` is ever formed.
+    """
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 class LaurentSeries:
@@ -95,11 +115,7 @@ class LaurentSeries:
         low = _max_floor(self.low, other.low)
         coeffs = dict(self.coefficients)
         for e, c in other.coefficients.items():
-            s = coeffs.get(e, 0) + c
-            if s:
-                coeffs[e] = s
-            else:
-                coeffs.pop(e, None)
+            add_into(coeffs, e, c)
         if low is not None:
             coeffs = {e: c for e, c in coeffs.items() if e >= low}
         return LaurentSeries(self.variable, coeffs, low)
@@ -128,13 +144,8 @@ class LaurentSeries:
         for e1, c1 in self.coefficients.items():
             for e2, c2 in other.coefficients.items():
                 e = e1 + e2
-                if low is not None and e < low:
-                    continue
-                s = coeffs.get(e, 0) + c1 * c2
-                if s:
-                    coeffs[e] = s
-                else:
-                    coeffs.pop(e, None)
+                if low is None or e >= low:
+                    add_into(coeffs, e, c1 * c2)
         return LaurentSeries(self.variable, coeffs, low)
 
     def __rmul__(self, other):
@@ -260,4 +271,138 @@ def _product_floor(f: LaurentSeries, g: LaurentSeries):
     return max(bounds) if bounds else None
 
 
-__all__ = ["LaurentSeries"]
+def _strip(mono: tuple) -> tuple:
+    """Normal form of an exponent tuple: no trailing zeros."""
+    k = len(mono)
+    while k and mono[k - 1] == 0:
+        k -= 1
+    return mono[:k]
+
+
+class SparsePoly:
+    """Sparse polynomial {exponent tuple: nonzero coefficient} over the exact
+    rationals, in variables x_0, x_1, ...; exponent tuples never end in zero.
+
+    Subclasses name their variables (`_var`, `_first_index`, used by repr) and
+    may truncate products: `_product_cap()` returns a weight cap, or None to
+    keep every term, and a subclass returning a cap also defines `_weight`.
+    Both operands of a ring operation must be of the same subclass; anything
+    else is coerced as a rational constant.
+    """
+
+    __slots__ = ("terms",)
+    _var = "x"
+    _first_index = 0
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {}
+        if terms:
+            for mono, c in terms.items():
+                if c:
+                    self.terms[_strip(tuple(mono))] = c
+
+    def _make(self, terms: dict):
+        """Wrap an already normal terms dict without re-checking it."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    @classmethod
+    def const(cls, c):
+        return cls({(): c})
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        try:
+            return self.const(rat(other))
+        except TypeError:
+            return None
+
+    def _product_cap(self) -> int | None:
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            add_into(terms, mono, c)
+        return self._make(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._make({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            cap = self._product_cap()
+            if cap is not None:
+                weight = self._weight
+                weighted = [(weight(m), m, c) for m, c in other.terms.items()]
+            terms: dict = {}
+            for m1, c1 in self.terms.items():
+                if cap is None:
+                    row = other.terms.items()
+                else:
+                    room = cap - weight(m1)
+                    row = [(m, c) for w, m, c in weighted if w <= room]
+                for m2, c2 in row:
+                    # the longer factor's tail survives, so no trailing zero
+                    mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
+                    add_into(terms, mono, c1 * c2)
+            return self._make(terms)
+        if isinstance(other, LaurentSeries):
+            return NotImplemented
+        if not other:
+            return self._make({})
+        return self._make({m: c * other for m, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        # through self.__mul__, so a wrapper installed on the class sees it
+        return self.__mul__(other)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def coefficient(self, mono: tuple):
+        return self.terms.get(_strip(tuple(mono)), 0)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+
+        def mono_str(m):
+            if not m:
+                return "1"
+            return "*".join(
+                f"{self._var}{j + self._first_index}" + (f"^{e}" if e > 1 else "")
+                for j, e in enumerate(m)
+                if e
+            )
+
+        return " + ".join(
+            f"({c})*{mono_str(m)}" for m, c in sorted(self.terms.items())
+        )
+
+
+__all__ = ["LaurentSeries", "SparsePoly", "add_into"]

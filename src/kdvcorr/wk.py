@@ -147,30 +147,6 @@ def product_qc(low: int, variable: str = "z") -> LaurentSeries:
     return LaurentSeries(variable, coeffs, low=low)
 
 
-def resolvent_origin(low: int, variable: str = "z") -> list[LaurentSeries]:
-    """Initial values (R, R_x, R_xx) of the resolvent at t = 0.
-
-    R = sum a_g z^{-6g}, R_x = sum_{g>=1} P_g z^{-6g+4},
-    R_xx = sum_{g>=1} (6g-3) P_g z^{-6g+2}.
-    """
-    r = {}
-    rx = {}
-    rxx = {}
-    for g in range(0, (4 - low) // 6 + 2):
-        if -6 * g >= low:
-            r[-6 * g] = _a_coeff(g)
-        if g >= 1:
-            if -6 * g + 4 >= low:
-                rx[-6 * g + 4] = _p_coeff(g)
-            if -6 * g + 2 >= low:
-                rxx[-6 * g + 2] = (6 * g - 3) * _p_coeff(g)
-    return [
-        LaurentSeries(variable, r, low=low),
-        LaurentSeries(variable, rx, low=low),
-        LaurentSeries(variable, rxx, low=low),
-    ]
-
-
 def one_point_series(low: int, variable: str = "z") -> LaurentSeries:
     """F_1(z) = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2} down to `low`."""
     coeffs = {}
@@ -313,5 +289,4 @@ __all__ = [
     "product_cq",
     "product_qc",
     "product_qq",
-    "resolvent_origin",
 ]

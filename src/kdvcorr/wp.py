@@ -70,46 +70,11 @@ from .partitions import (
     weight_cap,
 )
 from .rationals import factorial, odd_double_factorial, rat
-from .series import LaurentSeries
+from .series import LaurentSeries, add_into
 
 # ---------------------------------------------------------------------------
-# wave-pair flow machinery: states are pairs of {z-exponent: DiffPoly} dicts
-
-
-def _poly_add(d1: dict, d2: dict) -> dict:
-    out = dict(d1)
-    for e, c in d2.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _poly_mul(d1: dict, d2: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            e = e1 + e2
-            p = c1 * c2
-            s = out.get(e)
-            s = p if s is None else s + p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _poly_scale(d: dict, c) -> dict:
-    out = {}
-    for e, v in d.items():
-        p = c * v
-        if p:
-            out[e] = p
-    return out
+# wave-pair flow machinery: states are pairs of {z-exponent: DiffPoly} dicts,
+# multiplied as exact Laurent polynomials (LaurentSeries with no floor)
 
 
 def _flow_coefficients(k: int) -> tuple[dict, dict, dict, dict]:
@@ -122,40 +87,31 @@ def _flow_coefficients(k: int) -> tuple[dict, dict, dict, dict]:
     for j in range(k):
         r = odd_double_factorial(j) * omega(j)
         e = 2 * (k - 1 - j)
-        alpha = _poly_add(alpha, {e: (-nf / 2) * r.d_x()})
-        beta = _poly_add(beta, {e: nf * r})
-        gamma = _poly_add(
-            gamma,
-            {
-                e + 2: nf * r,
-                e: (-nf / 2) * r.d_x_pow(2) - (2 * nf) * (u * r),
-            },
-        )
+        add_into(alpha, e, (-nf / 2) * r.d_x())
+        add_into(beta, e, nf * r)
+        add_into(gamma, e + 2, nf * r)
+        add_into(gamma, e, (-nf / 2) * r.d_x_pow(2) - (2 * nf) * (u * r))
     delta = {e: -c for e, c in alpha.items()}
     return alpha, beta, gamma, delta
 
 
 def flow_apply(state: tuple[dict, dict], k: int) -> tuple[dict, dict]:
     """d/dt_k of a state (a, b) representing a psi + b psi_x."""
-    a, b = state
-    alpha, beta, gamma, delta = _flow_coefficients(k)
-    new_a = {e: flow_derivative(c, k) for e, c in a.items()}
-    new_a = {e: c for e, c in new_a.items() if c}
-    new_b = {e: flow_derivative(c, k) for e, c in b.items()}
-    new_b = {e: c for e, c in new_b.items() if c}
-    new_a = _poly_add(new_a, _poly_add(_poly_mul(a, alpha), _poly_mul(b, gamma)))
-    new_b = _poly_add(new_b, _poly_add(_poly_mul(a, beta), _poly_mul(b, delta)))
-    return new_a, new_b
+    a, b = (LaurentSeries("z", d) for d in state)
+    da, db = (
+        LaurentSeries("z", {e: flow_derivative(c, k) for e, c in d.items()})
+        for d in state
+    )
+    alpha, beta, gamma, delta = (
+        LaurentSeries("z", d) for d in _flow_coefficients(k)
+    )
+    new_a = da + (a * alpha + b * gamma)
+    new_b = db + (a * beta + b * delta)
+    return new_a.coefficients, new_b.coefficients
 
 
-_WK_JETS = None
-
-
-def _wk_jets():
-    global _WK_JETS
-    if _WK_JETS is None:
-        _WK_JETS = [rat(0), rat(1)]
-    return _WK_JETS
+# the topological point t = 0: u = 0, u_x = 1, all higher jets 0
+WK_JETS = (rat(0), rat(1))
 
 
 def _evaluate_pair(state: tuple[dict, dict]) -> tuple[dict, dict]:
@@ -165,17 +121,8 @@ def _evaluate_pair(state: tuple[dict, dict]) -> tuple[dict, dict]:
     power of z.
     """
     a, b = state
-    jets = _wk_jets()
-    p = {}
-    for e, c in a.items():
-        v = c.evaluate_at_jets(jets)
-        if v:
-            p[e] = v
-    q = {}
-    for e, c in b.items():
-        v = c.evaluate_at_jets(jets)
-        if v:
-            q[e + 1] = v
+    p = {e: v for e, c in a.items() if (v := c.evaluate_at_jets(WK_JETS))}
+    q = {e + 1: v for e, c in b.items() if (v := c.evaluate_at_jets(WK_JETS))}
     return p, q
 
 
@@ -209,13 +156,13 @@ def ks_pair(p: dict, q: dict) -> tuple[dict, dict]:
     new_q: dict = {}
     for e, c in p.items():
         if e:
-            new_p = _poly_add(new_p, {e - 2: e * c})
-        new_q = _poly_add(new_q, {e + 1: -c})
+            add_into(new_p, e - 2, e * c)
+        add_into(new_q, e + 1, -c)
     for e, c in q.items():
         if e:
-            new_q = _poly_add(new_q, {e - 2: e * c})
-        new_p = _poly_add(new_p, {e + 1: -c})
-        new_q = _poly_add(new_q, {e - 2: -c})
+            add_into(new_q, e - 2, e * c)
+        add_into(new_p, e + 1, -c)
+        add_into(new_q, e - 2, -c)
     return new_p, new_q
 
 
@@ -243,21 +190,22 @@ class DeformedWave:
         return cp, cq
 
 
-def _exp_prefactor(cap: int) -> dict:
+def _exp_prefactor(cap: int) -> LaurentSeries:
     """E(z;s) = exp(sum h_k(-s) z^{2k+3}/(2k+3)!!) to total s-weight cap."""
     hs = h_polynomials(cap)
-    t: dict = {}
-    for k in range(1, cap + 1):
-        hk = negate_variables(hs[k])
-        if hk:
-            t[2 * k + 3] = hk * rat(1, odd_double_factorial(k + 1))
-    acc = {0: SPoly.const(1)}
-    power = {0: SPoly.const(1)}
+    t = LaurentSeries(
+        "z",
+        {
+            2 * k + 3: negate_variables(hs[k]) * rat(1, odd_double_factorial(k + 1))
+            for k in range(1, cap + 1)
+        },
+    )
+    acc = power = LaurentSeries("z", {0: SPoly.const(1)})
     for m in range(1, cap + 1):
-        power = _poly_mul(power, t)
-        if not power:
+        power = power * t
+        if power.is_zero_to_truncation():
             break
-        acc = _poly_add(acc, _poly_scale(power, rat(1, factorial(m))))
+        acc = acc + power * rat(1, factorial(m))
     return acc
 
 
@@ -266,10 +214,8 @@ def deformed_wave(cap: int) -> DeformedWave:
     if cap < 0:
         raise ValueError("negative weight cap")
     with weight_cap(cap):
-        a_p: dict = {0: SPoly.const(1)}
-        a_q: dict = {}
-        b_p: dict = {}
-        b_q: dict = {1: SPoly.const(1)}
+        # a_p, a_q, b_p, b_q before the exponential prefactor
+        parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
         for w in range(1, cap + 1):
             for lam in partitions_of(w):
                 front = rat(
@@ -280,24 +226,14 @@ def deformed_wave(cap: int) -> DeformedWave:
                     lcoef = l_entry(lam, mu)
                     if not lcoef:
                         continue
-                    scale = rat(
-                        (-1) ** len(mu) * lcoef,
-                        mult_factorial(mu),
-                    )
-                    factor = s_mono * scale
-                    pa, qa = wave_flow_pair(mu)
-                    a_p = _poly_add(a_p, _poly_scale(pa, factor))
-                    a_q = _poly_add(a_q, _poly_scale(qa, factor))
-                    pb, qb = wave_flow_pair(mu, with_x=True)
-                    b_p = _poly_add(b_p, _poly_scale(pb, factor))
-                    b_q = _poly_add(b_q, _poly_scale(qb, factor))
+                    factor = s_mono * rat((-1) ** len(mu) * lcoef, mult_factorial(mu))
+                    flows = wave_flow_pair(mu) + wave_flow_pair(mu, with_x=True)
+                    for part, flow in zip(parts, flows):
+                        for e, v in flow.items():
+                            add_into(part, e, factor * v)
         e = _exp_prefactor(cap)
         return DeformedWave(
-            cap=cap,
-            a_p=_poly_mul(e, a_p),
-            a_q=_poly_mul(e, a_q),
-            b_p=_poly_mul(e, b_p),
-            b_q=_poly_mul(e, b_q),
+            cap, *((e * LaurentSeries("z", part)).coefficients for part in parts)
         )
 
 
@@ -355,14 +291,14 @@ def f_kappa_1(cap: int, low: int) -> dict:
         return {e: c for e, c in f.coefficients.items() if e >= low and c}
 
 
-def m_kappa_matrix(cap: int, floor: int) -> list[list[dict]]:
-    """M with kappa couplings as {y-exponent: s-polynomial} dicts.
+def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
+    """M with kappa couplings as {y-exponent: s-polynomial} dicts, from the
+    deformed wave `dw` and exact to its weight cap.
 
     Entries are built from the 2x2 quadratic form in A, B using the closed
     hypergeometric product series for c c-bar, c q-bar, q c-bar, q q-bar.
     """
-    with weight_cap(cap):
-        dw = deformed_wave(cap)
+    with weight_cap(dw.cap):
         top = max(
             [e for d in (dw.a_p, dw.a_q, dw.b_p, dw.b_q) for e in d] + [0]
         )
@@ -422,10 +358,11 @@ def f_kappa_n(
     if n < 2:
         raise ValueError("use f_kappa_1 for the one-point function")
     with weight_cap(cap):
+        dw = deformed_wave(cap)
         return npoint_window(
             n,
             windows,
-            lambda fl: m_kappa_matrix(cap, fl),
+            lambda fl: m_kappa_matrix(dw, fl),
             verify=verify,
             workers=workers,
             floor=floor,

@@ -348,3 +348,18 @@ def test_validation_errors():
         wp.kappa_linear(0, 1)
     with pytest.raises(ValueError):
         wp.deformed_wave(-1)
+
+
+def test_f_kappa_n_builds_the_deformed_wave_once(monkeypatch):
+    calls = []
+    build = wp.deformed_wave
+
+    def counted(cap):
+        calls.append(cap)
+        return build(cap)
+
+    monkeypatch.setattr(wp, "deformed_wave", counted)
+    box = wp.f_kappa_n(2, [(-3, -1), (-3, -1)], 1, verify=True)
+    assert calls == [1]
+    monkeypatch.undo()
+    assert box == wp.f_kappa_n(2, [(-3, -1), (-3, -1)], 1)
