@@ -22,13 +22,21 @@ expansion caps under which every retained coefficient is exact;
 verify=True recomputes with widened budgets and insists on equality.
 
 The coefficient ring only needs +, *, unary minus and truth testing, so the
-same engine drives plain rationals and s-polynomial coefficients.
+same engine drives plain rationals and s-polynomial coefficients.  Rationals
+are the hot case, and there `_compute` clears denominators before tracing:
+every matrix coefficient is multiplied by L, the lcm of all denominators of
+the n matrices, so the trace runs over Python ints with no gcd per product,
+and each accumulated key is divided by L^n once (the trace is linear in each
+of its n matrix factors).  Coefficients without numerator/denominator, such
+as s-polynomials, pass through unscaled; the engine itself stays generic.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
+from math import lcm
 
+from .rationals import rat
 from .series import add_into
 
 
@@ -221,21 +229,44 @@ def _flat(mat):
     return [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
 
 
-def _geo_expansions(n, exports, windows):
+def _geo_expansions(n, exports):
     """Edge expansions sum_m y_small^m y_big^{-m-1} as (e_big, e_small, m)."""
     out = {}
     for big in range(n):
         for small in range(big + 1, n):
             cap = exports[big]
-            # a single edge cannot push the big variable below what its own
-            # floor-to-window travel allows
             out[(big, small)] = [(-m - 1, m, m) for m in range(cap + 1)]
     return out
 
 
+def _clear_denominators(mats):
+    """(L, mats times L as ints) when every coefficient is a rational, with L
+    the lcm of all denominators; (None, mats) otherwise."""
+    scale = 1
+    for mat in mats:
+        for it in _flat(mat):
+            for _, c in it:
+                try:
+                    scale = lcm(scale, int(c.denominator))
+                except AttributeError:
+                    return None, mats
+    scaled = [
+        [
+            [
+                [(e, int(c.numerator) * (scale // int(c.denominator))) for e, c in it]
+                for it in row
+            ]
+            for row in mat
+        ]
+        for mat in mats
+    ]
+    return scale, scaled
+
+
 def _compute(n, windows, mats, exports, workers=1):
     classes = cycle_classes(n)
-    geo_items = _geo_expansions(n, exports, windows)
+    geo_items = _geo_expansions(n, exports)
+    scale, mats = _clear_denominators(mats)
     if workers > 1 and len(classes) > 1:
         payloads = [
             (cyc, mats, geo_items, windows, n) for cyc, _ in classes
@@ -248,6 +279,9 @@ def _compute(n, windows, mats, exports, workers=1):
     for (cyc, weight), term in zip(classes, terms):
         for key, c in term.items():
             add_into(acc, key, -weight * c)
+    if scale is not None:
+        den = scale**n
+        acc = {key: rat(c, den) for key, c in acc.items()}
     if n == 2:
         # subtract the expansion of (y_1+y_2)/(y_1-y_2)^2
         lo0, hi0 = windows[0]

@@ -27,6 +27,7 @@ F_1 = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .npoint import npoint_window
 from .rationals import double_factorial, factorial, odd_double_factorial, rat
@@ -61,14 +62,17 @@ def fz_q(low: int, variable: str = "z") -> LaurentSeries:
     return LaurentSeries(variable, coeffs, low=low)
 
 
+@cache
 def _p_coeff(g: int):
     return rat(double_factorial(6 * g - 5), 24 ** (g - 1) * factorial(g - 1))
 
 
+@cache
 def _a_coeff(g: int):
     return rat(double_factorial(6 * g - 1), 24**g * factorial(g))
 
 
+@cache
 def _b_coeff(g: int):
     return rat(6 * g + 1) / rat(6 * g - 1) * _a_coeff(g)
 

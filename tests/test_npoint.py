@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import pytest
 
-from kdvcorr import wk
+from kdvcorr import npoint, wk
 from kdvcorr.npoint import (
     TruncationInstability,
+    _build_mats,
+    _class_term,
+    _geo_expansions,
     budgets,
     cycle_classes,
     npoint_window,
 )
+from kdvcorr.partitions import SPoly
 from kdvcorr.rationals import odd_double_factorial, rat
 
 
@@ -99,3 +103,96 @@ def test_results_only_contain_window_keys():
     for key in box:
         for e, (lo, hi) in zip(key, windows):
             assert lo <= e <= hi
+
+
+@pytest.mark.parametrize("n, windows", [(4, [(-5, -1)] * 4), (5, [(-4, -1)] * 5)])
+def test_process_pool_matches_serial(monkeypatch, n, windows):
+    # n = 4 and 5 have 3 and 12 cycle classes, so workers > 1 starts a pool
+    # that receives the integer-scaled matrices
+    pools = []
+
+    class CountingPool(npoint.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(npoint, "ProcessPoolExecutor", CountingPool)
+    serial = npoint_window(n, windows, wk.m_matrix, workers=1)
+    assert pools == []
+    pooled = npoint_window(n, windows, wk.m_matrix, workers=2)
+    assert pools == [2]
+    assert pooled == serial
+    assert serial
+
+
+def _unscaled_window(n, windows, mat_factory, correct=True):
+    """npoint_window rebuilt by hand from _class_term on the factory's own
+    (unscaled) coefficients: same budgets, classes summed with their
+    multiplicities, and the two-point correction added here."""
+    probe = mat_factory(-1)
+    mat_top = max(max(ent) for row in probe for ent in row if ent)
+    floors, exports = budgets(windows, mat_top)
+    mats = _build_mats(mat_factory, floors)
+    geo_items = _geo_expansions(n, exports)
+    acc = {}
+    for cyc, weight in cycle_classes(n):
+        for key, c in _class_term(cyc, mats, geo_items, windows, n).items():
+            acc[key] = acc.get(key, 0) - weight * c
+    if n == 2 and correct:
+        # -(y_1 + y_2)/(y_1 - y_2)^2 = -sum_m (2m+1) y_2^m y_1^{-m-1}
+        (lo0, hi0), (lo1, hi1) = windows
+        for m in range(max(0, lo1), hi1 + 1):
+            if lo0 <= -m - 1 <= hi0:
+                acc[(-m - 1, m)] = acc.get((-m - 1, m), 0) - (2 * m + 1)
+    return {key: c for key, c in acc.items() if c}
+
+
+def _mixed_m_matrix(floor):
+    """wk.m_matrix with its integral coefficients given as plain ints."""
+    return [
+        [
+            {e: int(c) if c.denominator == 1 else c for e, c in ent.items()}
+            for ent in row
+        ]
+        for row in wk.m_matrix(floor)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, windows",
+    [
+        (2, [(-7, 1), (-7, 2)]),  # reaches the two-point correction
+        (3, [(-6, -1)] * 3),
+        (4, [(-4, -1)] * 4),
+    ],
+)
+@pytest.mark.parametrize("factory", [wk.m_matrix, _mixed_m_matrix])
+def test_scaled_trace_matches_unscaled(n, windows, factory):
+    expected = _unscaled_window(n, windows, factory)
+    got = npoint_window(n, windows, factory)
+    assert got == expected
+    assert expected
+    if n == 2:
+        # the window reaches keys where the correction term matters
+        assert _unscaled_window(n, windows, factory, correct=False) != expected
+
+
+def test_mixed_factory_really_mixes():
+    ent = [c for row in _mixed_m_matrix(-9) for d in row for c in d.values()]
+    assert any(type(c) is int for c in ent)
+    assert any(c.denominator > 1 for c in ent)
+
+
+def test_spoly_coefficients_stay_spoly():
+    def spoly_m_matrix(floor):
+        return [
+            [{e: SPoly.const(c) for e, c in ent.items()} for ent in row]
+            for row in wk.m_matrix(floor)
+        ]
+
+    windows = [(-6, -1)] * 3
+    got = npoint_window(3, windows, spoly_m_matrix)
+    plain = npoint_window(3, windows, wk.m_matrix)
+    assert got.keys() == plain.keys()
+    assert all(isinstance(c, SPoly) for c in got.values())
+    assert all(got[key] == plain[key] for key in plain)
