@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -49,16 +50,6 @@ def _parse_indices(text: str, what: str, minimum: int = 0) -> tuple[int, ...]:
             raise _UsageError(f"{what} must be >= {minimum}, got {value}")
         out.append(value)
     return tuple(out)
-
-
-def _floor(args) -> int | None:
-    """Map --depth to a deepen-only exponent floor for the engines."""
-    depth = getattr(args, "depth", None)
-    if depth is None:
-        return None
-    if depth < 1:
-        raise _UsageError("--depth must be a positive order count")
-    return -depth
 
 
 def _json_value(v) -> dict:
@@ -121,7 +112,7 @@ def _cmd_tau(args) -> int:
     ks = _parse_indices(args.indices, "tau index")
     if not ks:
         raise _UsageError("need at least one tau index")
-    value = wk.correlator(ks, verify=args.verify, floor=_floor(args))
+    value = wk.correlator(ks, verify=args.verify)
     g = wk.genus(ks)
     names = [f"tau_{k}" for k in ks]
     if args.format == "json":
@@ -147,11 +138,7 @@ def _cmd_table(args) -> int:
     if args.k_max < 0:
         raise _UsageError("k_max must be nonnegative")
     table = wk.n_point_table(
-        args.n,
-        args.k_max,
-        verify=args.verify,
-        workers=args.workers,
-        floor=_floor(args),
+        args.n, args.k_max, verify=args.verify, workers=args.workers
     )
     items = table.sorted_items()
     if args.format == "json":
@@ -188,7 +175,7 @@ def _cmd_kappa(args) -> int:
     taus = _parse_indices(args.tau, "tau index")
     if not lam:
         raise _UsageError("need at least one kappa index")
-    value = wp.mixed_correlator(lam, taus, verify=args.verify, floor=_floor(args))
+    value = wp.mixed_correlator(lam, taus, verify=args.verify)
     g = wp.mixed_genus(lam, taus)
     lam = tuple(sorted(lam, reverse=True))
     names = [f"kappa_{j}" for j in lam] + [f"tau_{k}" for k in taus]
@@ -224,13 +211,7 @@ def _cmd_wp(args) -> int:
         raise _UsageError("need genus >= 0 and at least one point")
     if 3 * args.g - 3 + args.n < 0:
         raise _UsageError("the moduli space is empty for this (g, n)")
-    vol = wp.wp_volume(
-        args.g,
-        args.n,
-        verify=args.verify,
-        workers=args.workers,
-        floor=_floor(args),
-    )
+    vol = wp.wp_volume(args.g, args.n, verify=args.verify, workers=args.workers)
     items = vol.sorted_items()
     if args.format == "json":
         text = _dump_json(
@@ -280,7 +261,7 @@ def _cmd_wp(args) -> int:
 def _cmd_wave(args) -> int:
     lam = _parse_indices(args.lam, "kappa index", minimum=1)
     lam = tuple(sorted(lam, reverse=True))
-    depth = args.depth if args.depth is not None else 12
+    depth = args.depth
     if depth < 1:
         raise _UsageError("--depth must be a positive order count")
     dw = wp.deformed_wave(sum(lam))
@@ -338,7 +319,7 @@ def _cmd_wave(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    depth = args.depth if args.depth is not None else 12
+    depth = args.depth
     if depth < 6:
         raise _UsageError("selftest depth must be at least 6")
     results = run_selftest(
@@ -382,13 +363,6 @@ def _add_common(sub, *, workers: bool = False) -> None:
     )
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="deepen internal truncation budgets to at least this many orders"
-        " (never relaxes the computed minimum)",
-    )
-    sub.add_argument(
         "--verify",
         action="store_true",
         help="recompute under widened truncation budgets and compare",
@@ -399,6 +373,8 @@ def _add_common(sub, *, workers: bool = False) -> None:
         )
 
 
+# parse_args leaves the parser unchanged, so one instance serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdvcorr",
@@ -445,10 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of kappa indices (empty for the undeformed wave)",
     )
     _add_common(p)
+    p.add_argument(
+        "--depth",
+        type=int,
+        default=12,
+        help="expansion order: expand each component down to z^-DEPTH"
+        " (default 12)",
+    )
     p.set_defaults(func=_cmd_wave)
 
     p = subs.add_parser("selftest", help="internal identity sweep")
     _add_common(p)
+    p.add_argument(
+        "--depth",
+        type=int,
+        default=12,
+        help="check depth: compare series down to z^-DEPTH, at least 6"
+        " (default 12)",
+    )
     p.add_argument(
         "--inject-fault",
         action="store_true",
@@ -466,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

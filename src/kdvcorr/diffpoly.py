@@ -211,10 +211,6 @@ def mat2_mul(a, b):
     ]
 
 
-def mat2_trace(a):
-    return a[0][0] + a[1][1]
-
-
 def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     """<<tau_p tau_q>> as a differential polynomial, from the two-point series
     quoted in the module docstring, expanded in |z| > |w|.
@@ -265,5 +261,4 @@ __all__ = [
     "theta_matrix",
     "two_point_general",
     "mat2_mul",
-    "mat2_trace",
 ]

@@ -303,16 +303,13 @@ def npoint_window(
     *,
     verify: bool = False,
     workers: int = 1,
-    floor: int | None = None,
 ):
     """Coefficients of the n-point function over a target exponent box.
 
     windows: per-variable [lo, hi] ranges of y-exponents, one per variable in
     decreasing magnitude order.  mat_factory(floor) must return the 2x2 matrix
     M as {exponent: coefficient} dicts in y, complete down to `floor`.
-    `floor` forces matrix budgets at least that deep; it can only deepen the
-    computed minimum, never relax it.  Returns {(e_1, ..., e_n): coefficient}
-    including only nonzero entries.
+    Returns {(e_1, ..., e_n): coefficient} including only nonzero entries.
     """
     windows = [tuple(w) for w in windows]
     if any(lo > hi for lo, hi in windows):
@@ -320,8 +317,6 @@ def npoint_window(
     probe = mat_factory(-1)
     mat_top = max(max(e for e in ent) for row in probe for ent in row if ent)
     floors, exports = budgets(windows, mat_top)
-    if floor is not None:
-        floors = [min(f, floor) for f in floors]
     mats = _build_mats(mat_factory, floors)
     result = _compute(n, windows, mats, exports, workers=workers)
     if verify:

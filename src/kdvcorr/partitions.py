@@ -87,23 +87,6 @@ def l_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def kappa_matrix(d: int) -> list[list[int]]:
-    """Rows and columns over partitions_of(d) in reverse lexicographic order;
-    entry [lam][mu] = L[lam, mu] / m(mu)!, always an integer."""
-    parts = partitions_of(d)
-    rows = []
-    for lam in parts:
-        row = []
-        for mu in parts:
-            l = l_entry(lam, mu)
-            mf = mult_factorial(mu)
-            if l % mf:
-                raise ArithmeticError(f"non-integer kappa entry at {lam}, {mu}")
-            row.append(l // mf)
-        rows.append(row)
-    return rows
-
-
 def bell_number(k: int) -> int:
     """Number of set partitions of k elements, by the Bell triangle."""
     if k < 0:
@@ -134,10 +117,6 @@ def weight_cap(cap: int | None):
         _WEIGHT_CAP = old
 
 
-def current_weight_cap() -> int | None:
-    return _WEIGHT_CAP
-
-
 def monomial_weight(mono: tuple[int, ...]) -> int:
     """Weight of s_1^{e_1} s_2^{e_2} ...: sum of j * e_j."""
     return sum((j + 1) * e for j, e in enumerate(mono))
@@ -150,13 +129,6 @@ def partition_to_monomial(lam: tuple[int, ...]) -> tuple[int, ...]:
     mult = multiplicities(lam)
     top = max(mult)
     return tuple(mult.get(j + 1, 0) for j in range(top))
-
-
-def monomial_to_partition(mono: tuple[int, ...]) -> tuple[int, ...]:
-    parts = []
-    for j, e in enumerate(mono):
-        parts.extend([j + 1] * e)
-    return tuple(sorted(parts, reverse=True))
 
 
 class SPoly(SparsePoly):
@@ -186,9 +158,6 @@ class SPoly(SparsePoly):
             {m: c for m, c in self.terms.items() if monomial_weight(m) <= cap}
         )
 
-    def max_weight(self) -> int:
-        return max((monomial_weight(m) for m in self.terms), default=0)
-
 
 def h_polynomials(K: int) -> list[SPoly]:
     """h_0..h_K with sum_k h_k(s) x^k = exp(sum_j s_j x^j), via
@@ -215,13 +184,10 @@ __all__ = [
     "mult_factorial",
     "multinomial",
     "l_entry",
-    "kappa_matrix",
     "bell_number",
     "weight_cap",
-    "current_weight_cap",
     "monomial_weight",
     "partition_to_monomial",
-    "monomial_to_partition",
     "SPoly",
     "h_polynomials",
     "negate_variables",

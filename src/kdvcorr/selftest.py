@@ -139,8 +139,8 @@ def _check_one_point_forms(depth: int) -> None:
 
 
 def _check_bell_rows(depth: int) -> None:
-    """sum_mu L_{(1^n) mu} / m(mu)! = Bell(n)."""
-    for n in range(1, min(depth, 8)):
+    """sum_mu L_{(1^n) mu} / m(mu)! = Bell(n) for weights n <= 8."""
+    for n in range(1, 9):
         lam = (1,) * n
         total = sum(
             rat(l_entry(lam, mu), mult_factorial(mu)) for mu in partitions_of(n)

@@ -80,10 +80,6 @@ class LaurentSeries:
             )
         return self.coefficients.get(exponent, 0)
 
-    def top(self) -> int | None:
-        """Largest exponent with a known nonzero coefficient, None if none."""
-        return max(self.coefficients) if self.coefficients else None
-
     def _eff_top(self) -> int | None:
         # Largest exponent that may carry a nonzero coefficient: the largest
         # stored one, or just below the floor when nothing is stored.  None
@@ -186,35 +182,6 @@ class LaurentSeries:
             {e: c for e, c in self.coefficients.items() if e >= low},
             low,
         )
-
-    def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse; the leading coefficient must be a unit
-        rational (it is 1 for every series inverted in this package)."""
-        top = self.top()
-        if top is None:
-            raise ValueError("cannot invert zero series")
-        lead = self.coefficients[top]
-        try:
-            lead_inv = rat(1) / rat(lead)
-        except TypeError:
-            raise ValueError("leading coefficient is not a unit rational")
-        out_low = None if self.low is None else self.low - 2 * top
-        if self.low is None and len(self.coefficients) > 1:
-            raise ValueError("inverse of an exact multi-term series is not exact")
-        coeffs = {-top: lead_inv}
-        if out_low is not None:
-            for e in range(-top - 1, out_low - 1, -1):
-                # convolution of self and the partial inverse must vanish at e+top
-                acc = 0
-                for e1, c1 in self.coefficients.items():
-                    if e1 == top:
-                        continue
-                    c2 = coeffs.get(e + top - e1)
-                    if c2 is not None:
-                        acc = acc + c1 * c2
-                if acc:
-                    coeffs[e] = -lead_inv * acc
-        return LaurentSeries(self.variable, coeffs, out_low)
 
     def residue_at_infinity(self):
         """Minus the coefficient of the first negative power."""

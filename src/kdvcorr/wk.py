@@ -171,12 +171,8 @@ def one_point(k: int):
     return rat(1, 24**g * factorial(g))
 
 
-def correlator(ks, *, verify: bool = False, floor: int | None = None):
-    """<tau_{k_1} ... tau_{k_n}> as an exact rational.
-
-    `floor` optionally deepens the internal matrix truncation budget; it can
-    never relax the computed minimum, so the value is unaffected.
-    """
+def correlator(ks, *, verify: bool = False):
+    """<tau_{k_1} ... tau_{k_n}> as an exact rational."""
     ks = tuple(int(k) for k in ks)
     if not ks:
         raise ValueError("need at least one index")
@@ -188,7 +184,7 @@ def correlator(ks, *, verify: bool = False, floor: int | None = None):
         return one_point(ks[0])
     ordered = sorted(ks, reverse=True)
     windows = [(-k - 1, -k - 1) for k in ordered]
-    coeffs = npoint_window(len(ks), windows, m_matrix, verify=verify, floor=floor)
+    coeffs = npoint_window(len(ks), windows, m_matrix, verify=verify)
     target = tuple(-k - 1 for k in ordered)
     value = coeffs.get(target, 0)
     for k in ks:
@@ -217,7 +213,6 @@ def n_point_table(
     *,
     verify: bool = False,
     workers: int = 1,
-    floor: int | None = None,
 ) -> CorrelatorTable:
     """Every width-n correlator with all indices in [k_min, k_max]."""
     if n < 1:
@@ -232,9 +227,7 @@ def n_point_table(
                 table.entries[(k,)] = v
         return table
     windows = [(-k_max - 1, -k_min - 1)] * n
-    coeffs = npoint_window(
-        n, windows, m_matrix, verify=verify, workers=workers, floor=floor
-    )
+    coeffs = npoint_window(n, windows, m_matrix, verify=verify, workers=workers)
     for key, c in coeffs.items():
         ks = tuple(sorted(-e - 1 for e in key))
         if tuple(-k - 1 for k in sorted(ks, reverse=True)) != key:

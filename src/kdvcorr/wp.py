@@ -349,7 +349,6 @@ def f_kappa_n(
     *,
     verify: bool = False,
     workers: int = 1,
-    floor: int | None = None,
 ) -> dict:
     """n-point function with kappa couplings over a target exponent box.
 
@@ -365,7 +364,6 @@ def f_kappa_n(
             lambda fl: m_kappa_matrix(dw, fl),
             verify=verify,
             workers=workers,
-            floor=floor,
         )
 
 
@@ -381,7 +379,7 @@ def mixed_genus(lam, ks) -> int | None:
     return num // 3
 
 
-def mixed_correlator(lam, ks, *, verify: bool = False, floor: int | None = None):
+def mixed_correlator(lam, ks, *, verify: bool = False):
     """<kappa_{lam_1} ... kappa_{lam_l} tau_{k_1} ... tau_{k_n}> exactly.
 
     lam is a partition of kappa indices (possibly empty), ks the tau indices.
@@ -398,7 +396,7 @@ def mixed_correlator(lam, ks, *, verify: bool = False, floor: int | None = None)
     if not lam:
         if not ks:
             raise ValueError("need at least one insertion")
-        return wk.correlator(ks, verify=verify, floor=floor)
+        return wk.correlator(ks, verify=verify)
     if mixed_genus(lam, ks) is None:
         return rat(0)
     total = rat(0)
@@ -418,9 +416,7 @@ def mixed_correlator(lam, ks, *, verify: bool = False, floor: int | None = None)
             windows = [(-m - 2, -m - 2) for m in mu] + [
                 (-k - 1, -k - 1) for k in zs
             ]
-            box = npoint_window(
-                nvars, windows, wk.m_matrix, verify=verify, floor=floor
-            )
+            box = npoint_window(nvars, windows, wk.m_matrix, verify=verify)
             coeff = box.get(tuple(lo for lo, _ in windows), 0)
         for m in mu:
             coeff = coeff / odd_double_factorial(m + 1)
@@ -516,7 +512,6 @@ def wp_volume(
     *,
     verify: bool = False,
     workers: int = 1,
-    floor: int | None = None,
 ) -> WpVolume:
     """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n."""
     if g < 0 or n < 1:
@@ -526,10 +521,7 @@ def wp_volume(
     if dim < 0:
         return out
     if n == 1:
-        low = -2 * dim - 2
-        if floor is not None:
-            low = min(low, floor)
-        coeffs = f_kappa_1(dim, low)
+        coeffs = f_kappa_1(dim, -2 * dim - 2)
         for k in range(dim + 1):
             d = dim - k
             sp = coeffs.get(-2 * k - 2)
@@ -542,7 +534,7 @@ def wp_volume(
                 )
         return out
     windows = [(-dim - 1, -1)] * n
-    box = f_kappa_n(n, windows, dim, verify=verify, workers=workers, floor=floor)
+    box = f_kappa_n(n, windows, dim, verify=verify, workers=workers)
     for key, sp in box.items():
         ks = tuple(sorted(-e - 1 for e in key))
         if tuple(-k - 1 for k in sorted(ks, reverse=True)) != key:

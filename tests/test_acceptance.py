@@ -14,21 +14,9 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from kdvcorr import wk, wp
-from kdvcorr.diffpoly import (
-    DiffPoly,
-    mat2_mul,
-    resolvent,
-    riccati_chi,
-    theta_matrix,
-    two_point_general,
-)
-from kdvcorr.partitions import (
-    bell_number,
-    l_entry,
-    mult_factorial,
-    partitions_of,
-)
+from kdvcorr import selftest, wk, wp
+from kdvcorr.diffpoly import DiffPoly, resolvent, two_point_general
+from kdvcorr.partitions import partitions_of
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 from kdvcorr.series import LaurentSeries
 
@@ -314,30 +302,19 @@ def _dx(series: LaurentSeries) -> LaurentSeries:
 
 def test_criterion_08_identity_suite():
     with criterion(8, "identity suite at release depths (z^-60 / z^-40 / z^-20)"):
-        # M(z)^2 = z^2 I through z^-60
-        m = wk.m_matrix_z(-60)
-        sq = mat2_mul(m, m)
-        ident = LaurentSeries("z", {2: rat(1)})
-        zero = LaurentSeries.zero("z")
-        for i in range(2):
-            for j in range(2):
-                assert sq[i][j] == (ident if i == j else zero), (i, j)
-
-        # c(z) q(-z) + c(-z) q(z) = 2 through z^-60
-        assert wk.product_cq(-60) + wk.product_qc(-60) == LaurentSeries(
-            "z", {0: rat(2)}
-        )
-
-        # the four closed product series against direct multiplication
-        half = -60 // 2 - 1
-        c = wk.fz_c(half)
-        q = wk.fz_q(half)
-        cb = c.substitute_negate()
-        qb = q.substitute_negate()
-        assert wk.product_cc(-60) == c * cb
-        assert wk.product_qq(-60) == q * qb
-        assert wk.product_cq(-60) == c * qb
-        assert wk.product_qc(-60) == q * cb
+        # the selftest identities at release depths; each check raises
+        # AssertionError at the first mismatch
+        checks = dict(selftest._CHECKS)
+        for name, depth in (
+            ("matrix-involution", 60),  # M(z)^2 = z^2 I
+            ("wave-wronskian", 60),  # c(z) q(-z) + c(-z) q(z) = 2
+            ("closed-products", 60),  # closed products vs fz_c(-31) products
+            ("riccati-residual", 20),  # riccati_chi(20)
+            ("chi-from-resolvent", 20),  # resolvent(11), riccati_chi(26)
+            ("theta-at-origin", 40),  # theta_matrix(21) at the WK jets
+            ("bell-rows", 60),  # Bell row sums for weights <= 8
+        ):
+            checks[name](depth)
 
         # R''' + 4(2u - z^2) R' + 4 u_x R = 0 for resolvent(10)
         u = DiffPoly.jet(0)
@@ -347,49 +324,6 @@ def test_criterion_08_identity_suite():
         z2 = LaurentSeries.monomial("z", 2, DiffPoly.const(1))
         residual = _dx(_dx(rx)) + 4 * ((2 * u) * rx) - 4 * (z2 * rx) + 4 * (ux * r)
         assert residual.is_zero_to_truncation()
-
-        # chi_x + chi^2 + 2u - z^2 = 0 for riccati_chi(20)
-        chi = riccati_chi(20)
-        resid = (
-            _dx(chi)
-            + chi * chi
-            + LaurentSeries("z", {0: 2 * u, 2: DiffPoly.const(-1)})
-        )
-        assert resid.is_zero_to_truncation()
-
-        # chi = (log R)_x / 2 + z / R through z^-20, as chi R = R_x / 2 + z
-        r = resolvent(11)
-        chi = riccati_chi(26)
-        lhs = chi * r
-        rhs = _dx(r) * rat(1, 2) + LaurentSeries("z", {1: DiffPoly.const(1)})
-        for e in range(-20, 2):
-            assert lhs.coefficient(e) == rhs.coefficient(e), e
-
-        # Bell row sums of the kappa transition matrix for weights <= 8
-        for n in range(1, 9):
-            lam = (1,) * n
-            total = sum(
-                rat(l_entry(lam, mu), mult_factorial(mu))
-                for mu in partitions_of(n)
-            )
-            assert total == bell_number(n), n
-
-        # Theta at the topological jet values equals M through z^-40
-        theta = theta_matrix(21)
-        m = wk.m_matrix_z(-40)
-        for i in range(2):
-            for j in range(2):
-                ent = theta[i][j]
-                got = LaurentSeries(
-                    "z",
-                    {
-                        e: c.evaluate_at_jets(WK_JETS)
-                        for e, c in ent.coefficients.items()
-                    },
-                    ent.low,
-                )
-                for e in range(-40, 5):
-                    assert got.coefficient(e) == m[i][j].coefficient(e), (i, j, e)
 
 
 def test_criterion_09_cross_pipeline_consistency():

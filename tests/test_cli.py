@@ -187,7 +187,7 @@ def test_selftest_shallow_truncation_fails(capsys):
     [
         ["tau", "3,x"],
         ["tau", "-1"],
-        ["tau", "3,2", "--depth", "0"],
+        ["wave", "1", "--depth", "0"],
         ["table", "1", "5"],
         ["table", "2", "-1"],
         ["kappa", "0"],
@@ -202,6 +202,24 @@ def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "3,2"],
+        ["table", "3", "4"],
+        ["kappa", "1,1", "5"],
+        ["wp", "1", "1"],
+    ],
+)
+def test_depth_is_rejected_off_wave_and_selftest(capsys, argv):
+    # --depth changes the output of wave and selftest only; elsewhere the
+    # truncation budgets are derived exactly and --verify is the check
+    with pytest.raises(SystemExit) as fail:
+        main(argv + ["--depth", "40"])
+    assert fail.value.code == 2
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -82,12 +82,6 @@ def test_verify_flags_half_depth_matrices():
         npoint_window(2, [(-8, -1), (-8, -1)], clipped, verify=True)
 
 
-def test_floor_override_only_deepens():
-    base = npoint_window(2, [(-5, -1), (-5, -1)], wk.m_matrix)
-    deep = npoint_window(2, [(-5, -1), (-5, -1)], wk.m_matrix, floor=-40)
-    assert base == deep
-
-
 def test_worker_counts_agree():
     base = npoint_window(3, [(-5, -1)] * 3, wk.m_matrix)
     for workers in (2, 4):

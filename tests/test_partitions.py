@@ -7,9 +7,7 @@ from kdvcorr.partitions import (
     SPoly,
     bell_number,
     h_polynomials,
-    kappa_matrix,
     l_entry,
-    monomial_to_partition,
     monomial_weight,
     mult_factorial,
     multinomial,
@@ -78,16 +76,6 @@ def test_l_entry_weight_three():
     assert l_entry((1, 1, 1), (1, 1, 1)) == 6
 
 
-def test_kappa_matrix_is_integral_with_unit_diagonal_blocks():
-    for d in range(1, 6):
-        parts = partitions_of(d)
-        mat = kappa_matrix(d)
-        for i, lam in enumerate(parts):
-            # the single-row partition (d) appears once in every lam row
-            assert mat[i][parts.index((d,))] >= 0
-        assert mat[0][0] == 1  # lam = mu = (d)
-
-
 def test_bell_numbers():
     assert [bell_number(k) for k in range(8)] == [
         1, 1, 2, 5, 15, 52, 203, 877,
@@ -115,7 +103,8 @@ def test_partition_monomial_round_trip():
     for n in range(7):
         for lam in partitions_of(n):
             mono = partition_to_monomial(lam)
-            assert monomial_to_partition(mono) == lam
+            # exponent e_j of s_j is the multiplicity of the part j
+            assert {j + 1: e for j, e in enumerate(mono) if e} == multiplicities(lam)
             assert monomial_weight(mono) == n
 
 
@@ -150,21 +139,27 @@ def test_weight_cap_truncates_products():
 
 
 def test_weight_cap_nests_and_restores():
-    from kdvcorr.partitions import current_weight_cap
+    s1 = SPoly.var(1)
 
-    assert current_weight_cap() is None
+    def kept(w):
+        # does the weight-w product s_1^w survive the installed cap?
+        p = SPoly.const(1)
+        for _ in range(w):
+            p = p * s1
+        return bool(p)
+
+    assert kept(6)
     with weight_cap(5):
-        assert current_weight_cap() == 5
+        assert kept(5) and not kept(6)
         with weight_cap(2):
-            assert current_weight_cap() == 2
-        assert current_weight_cap() == 5
-    assert current_weight_cap() is None
+            assert kept(2) and not kept(3)
+        assert kept(5) and not kept(6)
+    assert kept(6)
 
 
-def test_truncate_weight_and_max_weight():
+def test_truncate_weight():
     s1, s3 = SPoly.var(1), SPoly.var(3)
     f = s1 * s3 + s1
-    assert f.max_weight() == 4
     g = f.truncate_weight(2)
     assert g == s1
 

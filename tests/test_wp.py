@@ -327,14 +327,6 @@ def test_volume_workers_and_verify_agree():
     assert wp.wp_volume(1, 2, workers=4).entries == base.entries
 
 
-def test_floor_override_only_deepens():
-    assert wp.mixed_correlator((1, 1), (2,), floor=-40) == rat(139, 11520)
-    base = wp.wp_volume(1, 2)
-    assert wp.wp_volume(1, 2, floor=-30).entries == base.entries
-    # a shallow request must not relax the computed budget
-    assert wp.wp_volume(1, 2, floor=-1).entries == base.entries
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         wp.mixed_correlator((0,), (0,))
