@@ -137,6 +137,8 @@ def _cmd_table(args) -> int:
         raise _UsageError("table width must be at least 2")
     if args.k_max < 0:
         raise _UsageError("k_max must be nonnegative")
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
     table = wk.n_point_table(
         args.n, args.k_max, verify=args.verify, workers=args.workers
     )
@@ -211,6 +213,8 @@ def _cmd_wp(args) -> int:
         raise _UsageError("need genus >= 0 and at least one point")
     if 3 * args.g - 3 + args.n < 0:
         raise _UsageError("the moduli space is empty for this (g, n)")
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
     vol = wp.wp_volume(args.g, args.n, verify=args.verify, workers=args.workers)
     items = vol.sorted_items()
     if args.format == "json":
@@ -357,16 +361,17 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
-def _add_common(sub, *, workers: bool = False) -> None:
+def _add_common(sub, *, verify: bool = False, workers: bool = False) -> None:
     sub.add_argument(
         "--format", choices=_FORMATS, default="text", help="output format"
     )
     sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument(
-        "--verify",
-        action="store_true",
-        help="recompute under widened truncation budgets and compare",
-    )
+    if verify:
+        sub.add_argument(
+            "--verify",
+            action="store_true",
+            help="recompute under widened truncation budgets and compare",
+        )
     if workers:
         sub.add_argument(
             "--workers", type=int, default=1, help="parallel table workers"
@@ -385,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tau", help="one psi-class correlator")
     p.add_argument("indices", help="comma list of tau indices, e.g. 3,2")
-    _add_common(p)
+    _add_common(p, verify=True)
     p.set_defaults(func=_cmd_tau)
 
     p = subs.add_parser("table", help="all nonzero correlators of one width")
     p.add_argument("n", type=int, help="number of insertions")
     p.add_argument("k_max", type=int, help="largest tau index")
-    _add_common(p, workers=True)
+    _add_common(p, verify=True, workers=True)
     p.set_defaults(func=_cmd_table)
 
     p = subs.add_parser("kappa", help="one mixed kappa-tau correlator")
@@ -402,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma list of tau indices (may be omitted)",
     )
-    _add_common(p)
+    _add_common(p, verify=True)
     p.set_defaults(func=_cmd_kappa)
 
     p = subs.add_parser("wp", help="Weil-Petersson volume coefficients")
     p.add_argument("g", type=int, help="genus")
     p.add_argument("n", type=int, help="number of marked points")
-    _add_common(p, workers=True)
+    _add_common(p, verify=True, workers=True)
     p.set_defaults(func=_cmd_wp)
 
     p = subs.add_parser(

@@ -93,30 +93,13 @@ def _suffix_bounds(factors, n):
     return out
 
 
-def _prune(entry, bound, windows, total_lo, total_hi):
-    rlo, rhi, rtlo, rthi = bound
-    bad = []
-    for key in entry:
-        tot = 0
-        for v in range(len(key)):
-            kv = key[v]
-            tot += kv
-            if kv + rhi[v] < windows[v][0] or kv + rlo[v] > windows[v][1]:
-                bad.append(key)
-                break
-        else:
-            if tot + rthi < total_lo or tot + rtlo > total_hi:
-                bad.append(key)
-    for key in bad:
-        del entry[key]
-
-
 def _class_term(cycle, mats, geo_items, windows, n):
     """Coefficient dict of one cyclic ordering's trace over the target box."""
     total_lo = sum(lo for lo, _ in windows)
     total_hi = sum(hi for _, hi in windows)
     # ordered factor list: matrix then edge expansion for each cycle position;
-    # each carries its per-variable exponent intervals for pruning
+    # each carries its per-variable exponent intervals, whose suffix sums
+    # bound what later factors can still add to a partial key
     factors = []
     for j, v in enumerate(cycle):
         ent = mats[v]
@@ -136,8 +119,7 @@ def _class_term(cycle, mats, geo_items, windows, n):
     zero_key = (0,) * n
     P = [[{zero_key: 1}, {}], [{}, {zero_key: 1}]]
     for idx, fac in enumerate(factors):
-        bound = bounds[idx + 1]
-        rlo, rhi, rtlo, rthi = bound
+        rlo, rhi, rtlo, rthi = bounds[idx + 1]
         if fac[0] == "mat":
             v = fac[1]
             mat = mats[v]
@@ -216,9 +198,6 @@ def _class_term(cycle, mats, geo_items, windows, n):
                             else:
                                 dst.pop(nk, None)
             P = new
-        for row in P:
-            for entry in row:
-                _prune(entry, bound, windows, total_lo, total_hi)
     out = P[0][0]
     for key, c in P[1][1].items():
         add_into(out, key, c)
@@ -247,13 +226,13 @@ def _clear_denominators(mats):
         for it in _flat(mat):
             for _, c in it:
                 try:
-                    scale = lcm(scale, int(c.denominator))
+                    scale = lcm(scale, c.denominator)
                 except AttributeError:
                     return None, mats
     scaled = [
         [
             [
-                [(e, int(c.numerator) * (scale // int(c.denominator))) for e, c in it]
+                [(e, c.numerator * (scale // c.denominator)) for e, c in it]
                 for it in row
             ]
             for row in mat
@@ -271,7 +250,10 @@ def _compute(n, windows, mats, exports, workers=1):
         payloads = [
             (cyc, mats, geo_items, windows, n) for cyc, _ in classes
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool may start all its workers at once; any beyond one per
+        # class would only idle
+        pool_size = min(workers, len(classes))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             terms = list(pool.map(_class_term_payload, payloads))
     else:
         terms = [_class_term(cyc, mats, geo_items, windows, n) for cyc, _ in classes]
@@ -337,13 +319,16 @@ def npoint_window(
 
 
 def _build_mats(mat_factory, floors):
-    mats = []
-    for fl in floors:
-        ent = mat_factory(fl)
-        mats.append(
-            [[sorted(ent[i][k].items()) for k in range(2)] for i in range(2)]
-        )
-    return mats
+    """Each variable's matrix as sorted (exponent, coefficient) lists, cut at
+    its own floor.  One factory call at the deepest floor serves them all:
+    the factory is complete down to the floor it is given, so each slice
+    equals the matrix the factory would build at that variable's floor."""
+    ent = mat_factory(min(floors))
+    full = [[sorted(ent[i][k].items()) for k in range(2)] for i in range(2)]
+    return [
+        [[[(e, c) for e, c in it if e >= fl] for it in row] for row in full]
+        for fl in floors
+    ]
 
 
 __all__ = [

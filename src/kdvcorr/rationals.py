@@ -1,52 +1,31 @@
-"""Exact rational scalars with a selectable backend.
+"""Exact rational scalars: every coefficient is a fractions.Fraction.
 
-The default backend is gmpy2.mpq; setting KDVCORR_BACKEND=fraction (or running
-without gmpy2 installed) selects fractions.Fraction instead.  Both keep values
-in lowest terms with a positive denominator and never round, so every result
-in the package is exact whichever backend is active.
+Fractions stay in lowest terms with a positive denominator and never round,
+so every result in the package is exact.
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import factorial
 
-_BACKEND_ENV = "KDVCORR_BACKEND"
+# the one coefficient type, named in benchmark run records
+BACKEND = "fraction"
 
 
-def _pick_backend() -> tuple[str, type]:
-    choice = os.environ.get(_BACKEND_ENV, "").strip().lower()
-    if choice in ("", "gmpy2"):
-        try:
-            from gmpy2 import mpq
-
-            return "gmpy2", mpq
-        except ImportError:
-            if choice == "gmpy2":
-                raise
-    elif choice != "fraction":
-        raise ValueError(f"unknown {_BACKEND_ENV} value {choice!r}")
-    return "fraction", Fraction
-
-
-BACKEND, _Rat = _pick_backend()
-
-
-def rat(num, den=1):
+def rat(num, den=1) -> Fraction:
     """Exact rational num/den."""
-    return _Rat(num, den)
+    return Fraction(num, den)
 
 
 def rat_str(x) -> str:
     """Canonical text form: "num/den", or just "num" for integers."""
-    x = _Rat(x)
-    num, den = x.numerator, x.denominator
+    num, den = num_den(x)
     return str(num) if den == 1 else f"{num}/{den}"
 
 
 def num_den(x) -> tuple[int, int]:
-    x = _Rat(x)
-    return int(x.numerator), int(x.denominator)
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def double_factorial(n: int) -> int:

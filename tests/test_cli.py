@@ -196,6 +196,8 @@ def test_selftest_shallow_truncation_fails(capsys):
         ["wp", "1", "0"],
         ["wp", "0", "2"],
         ["selftest", "--depth", "5"],
+        ["table", "3", "5", "--workers", "0"],
+        ["wp", "1", "2", "--workers", "-1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -220,6 +222,15 @@ def test_depth_is_rejected_off_wave_and_selftest(capsys, argv):
         main(argv + ["--depth", "40"])
     assert fail.value.code == 2
     assert "--depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["wave", "1"], ["selftest"]])
+def test_verify_is_rejected_where_nothing_reads_it(capsys, argv):
+    # --verify is offered only where a truncation check runs
+    with pytest.raises(SystemExit) as fail:
+        main(argv + ["--verify"])
+    assert fail.value.code == 2
+    assert "--verify" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):

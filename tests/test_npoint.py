@@ -92,11 +92,56 @@ def test_worker_counts_agree():
 
 
 def test_results_only_contain_window_keys():
-    windows = [(-4, -1), (-6, -2)]
-    box = npoint_window(2, windows, wk.m_matrix)
-    for key in box:
-        for e, (lo, hi) in zip(key, windows):
-            assert lo <= e <= hi
+    # unequal windows, so each variable is held to its own range
+    for windows in (
+        [(-4, -1), (-6, -2)],
+        [(-5, -1), (-7, -3), (-4, -2)],
+        [(-4, -1), (-5, -2), (-3, -1), (-6, -3)],
+    ):
+        box = npoint_window(len(windows), windows, wk.m_matrix)
+        assert box
+        for key in box:
+            for e, (lo, hi) in zip(key, windows):
+                assert lo <= e <= hi
+
+
+@pytest.mark.parametrize("verify, calls", [(False, 2), (True, 3)])
+def test_factory_called_once_per_pass(verify, calls):
+    # the top-exponent probe, then one call per pass at its deepest floor
+    floors = []
+
+    def counting(floor):
+        floors.append(floor)
+        return wk.m_matrix(floor)
+
+    windows = [(-4, -1), (-5, -2), (-3, -1), (-6, -3)]
+    got = npoint_window(4, windows, counting, verify=verify)
+    assert len(floors) == calls
+    assert got == npoint_window(4, windows, wk.m_matrix)
+
+
+def test_pool_never_larger_than_class_count(monkeypatch):
+    # stands in for the pool and runs map in-process, so no worker starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(npoint, "ProcessPoolExecutor", InlinePool)
+    windows = [(-4, -1)] * 4
+    got = npoint_window(4, windows, wk.m_matrix, workers=64)
+    assert sizes == [3]  # n = 4 has 3 cycle classes
+    assert got == npoint_window(4, windows, wk.m_matrix)
 
 
 @pytest.mark.parametrize("n, windows", [(4, [(-5, -1)] * 4), (5, [(-4, -1)] * 5)])

@@ -1,4 +1,4 @@
-"""Backend-independent behavior of the exact rational scalar layer."""
+"""The exact rational scalar layer: Fraction helpers and factorials."""
 from __future__ import annotations
 
 import os
@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from kdvcorr.rationals import (
-    BACKEND,
     double_factorial,
     factorial,
     num_den,
@@ -72,14 +71,16 @@ def test_factorial_reexported_from_math():
     assert factorial(6) == 720
 
 
-def test_fraction_backend_selected_by_env():
+def test_fraction_is_the_one_type_whatever_the_environment():
+    # the retired backend switch is ignored, even with a value it rejected
     code = (
-        "from kdvcorr.rationals import BACKEND, rat, rat_str;"
-        "assert BACKEND == 'fraction', BACKEND;"
-        "assert rat_str(rat(1, 3) + rat(1, 6)) == '1/2';"
+        "import kdvcorr;"
+        "from fractions import Fraction;"
+        "assert type(kdvcorr.rat(1, 3)) is Fraction, type(kdvcorr.rat(1, 3));"
+        "assert kdvcorr.BACKEND == 'fraction', kdvcorr.BACKEND;"
         "print('ok')"
     )
-    env = dict(os.environ, KDVCORR_BACKEND="fraction")
+    env = dict(os.environ, KDVCORR_BACKEND="decimal")
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -88,27 +89,3 @@ def test_fraction_backend_selected_by_env():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
-
-
-def test_unknown_backend_rejected():
-    code = "import kdvcorr.rationals"
-    env = dict(os.environ, KDVCORR_BACKEND="decimal")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "KDVCORR_BACKEND" in out.stderr
-
-
-def test_default_backend_is_gmpy2_when_available():
-    assert BACKEND in ("gmpy2", "fraction")
-    try:
-        import gmpy2  # noqa: F401
-    except ImportError:
-        assert BACKEND == "fraction"
-    else:
-        if not os.environ.get("KDVCORR_BACKEND"):
-            assert BACKEND == "gmpy2"
