@@ -43,8 +43,6 @@ from .wk import (
     correlator,
     genus,
     n_point_table,
-    normalization_convert,
-    normalization_factor,
     one_point,
 )
 from .wp import (
@@ -86,8 +84,6 @@ __all__ = [
     "mult_factorial",
     "multiplicities",
     "n_point_table",
-    "normalization_convert",
-    "normalization_factor",
     "npoint_window",
     "num_den",
     "odd_double_factorial",

@@ -74,7 +74,7 @@ def _bracket(ks) -> str:
     return "<" + " ".join(ks) + ">"
 
 
-def _poly_str(coeffs: dict, variable: str = "z") -> str:
+def _poly_str(coeffs: dict) -> str:
     """One-line polynomial/series rendering, largest exponent first."""
     if not coeffs:
         return "0"
@@ -87,7 +87,7 @@ def _poly_str(coeffs: dict, variable: str = "z") -> str:
         if e == 0:
             term = c
         else:
-            power = variable if e == 1 else f"{variable}^{e}"
+            power = "z" if e == 1 else f"z^{e}"
             term = power if c == "1" else f"{c} {power}"
         if not parts:
             parts.append("-" + term if neg else term)
@@ -273,8 +273,7 @@ def _cmd_wave(args) -> int:
     for which in ("A", "B"):
         p, q = dw.component(lam, which)
         series = wp.wave_component_series(dw, lam, which, -depth)
-        expansion = {e: series.coefficient(e) for e in series.support()}
-        blocks.append((which, p, q, expansion))
+        blocks.append((which, p.coefficients, q.coefficients, series.coefficients))
     label = "s_(" + ",".join(str(j) for j in lam) + ")" if lam else "s-independent part"
     if args.format == "json":
         text = _dump_json(

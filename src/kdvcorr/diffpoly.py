@@ -17,7 +17,9 @@ expanded in the region |z| > |w|.
 """
 from __future__ import annotations
 
-from .rationals import double_factorial, odd_double_factorial, rat
+from functools import cache
+
+from .rationals import odd_double_factorial, rat
 from .series import LaurentSeries, SparsePoly, _strip, add_into
 
 
@@ -28,9 +30,9 @@ class DiffPoly(SparsePoly):
     _var = "u"
 
     @classmethod
-    def jet(cls, j: int, power: int = 1, coeff=1) -> "DiffPoly":
-        mono = tuple(0 if i < j else power for i in range(j + 1))
-        return cls({mono: coeff})
+    def jet(cls, j: int) -> "DiffPoly":
+        """The jet variable u_j."""
+        return cls({(0,) * j + (1,): 1})
 
     def max_jet(self) -> int:
         """Largest jet index appearing, -1 for a constant."""
@@ -120,9 +122,7 @@ def formal_antiderivative(f: DiffPoly) -> DiffPoly:
 _U = DiffPoly.jet(0)
 _UX = DiffPoly.jet(1)
 
-_omega_cache: dict[int, DiffPoly] = {}
-
-
+@cache
 def omega(p: int) -> DiffPoly:
     """KdV Hamiltonian density Omega_p via the Lenard-Magri recursion
 
@@ -134,12 +134,11 @@ def omega(p: int) -> DiffPoly:
         raise ValueError("omega defined for p >= -1")
     if p == -1:
         return DiffPoly.const(1)
-    got = _omega_cache.get(p)
-    if got is None:
-        prev = omega(p - 1)
-        rhs = 2 * _U * prev.d_x() + _UX * prev + rat(1, 4) * prev.d_x_pow(3)
-        got = _omega_cache[p] = formal_antiderivative(rat(1, 2 * p + 1) * rhs)
-    return got
+    # through the module-level name, so a wrapper installed there sees the
+    # recursion too
+    prev = omega(p - 1)
+    rhs = 2 * _U * prev.d_x() + _UX * prev + rat(1, 4) * prev.d_x_pow(3)
+    return formal_antiderivative(rat(1, 2 * p + 1) * rhs)
 
 
 def flow_derivative(f: DiffPoly, k: int) -> DiffPoly:
@@ -161,15 +160,15 @@ def flow_derivative(f: DiffPoly, k: int) -> DiffPoly:
 # -- series built over the jet ring -----------------------------------------
 
 
-def resolvent(K: int, variable: str = "z") -> LaurentSeries:
+def resolvent(K: int) -> LaurentSeries:
     """R(z) = 1 + sum_{k=0}^{K} (2k+1)!! Omega_k z^{-2k-2}, floor -(2K+2)."""
     coeffs: dict = {0: DiffPoly.const(1)}
     for k in range(K + 1):
         coeffs[-2 * k - 2] = odd_double_factorial(k) * omega(k)
-    return LaurentSeries(variable, coeffs, low=-2 * K - 2)
+    return LaurentSeries(coeffs, low=-2 * K - 2)
 
 
-def riccati_chi(K: int, variable: str = "z") -> LaurentSeries:
+def riccati_chi(K: int) -> LaurentSeries:
     """chi(z) = z + sum_{k=1}^{K} chi_k z^{-k} solving
     chi_x + chi^2 + 2u - z^2 = 0, with chi_1 = -u."""
     chis: list[DiffPoly] = [DiffPoly()]  # chi_0 = 0
@@ -183,13 +182,13 @@ def riccati_chi(K: int, variable: str = "z") -> LaurentSeries:
     coeffs: dict = {1: DiffPoly.const(1)}
     for k in range(1, K + 1):
         coeffs[-k] = chis[k]
-    return LaurentSeries(variable, coeffs, low=-K)
+    return LaurentSeries(coeffs, low=-K)
 
 
-def theta_matrix(K: int, variable: str = "z") -> list[list[LaurentSeries]]:
+def theta_matrix(K: int) -> list[list[LaurentSeries]]:
     """Theta(z) = [[-R_x/2, -R], [R_xx/2 - (z^2 - 2u)R, R_x/2]]: traceless
     with Theta^2 = z^2 on retained orders."""
-    r = resolvent(K, variable)
+    r = resolvent(K)
     rx = _map_dx(r)
     rxx = _map_dx(rx)
     half = rat(1, 2)
@@ -199,9 +198,7 @@ def theta_matrix(K: int, variable: str = "z") -> list[list[LaurentSeries]]:
 
 def _map_dx(s: LaurentSeries) -> LaurentSeries:
     """Apply d_x to every jet-ring coefficient."""
-    return LaurentSeries(
-        s.variable, {e: c.d_x() for e, c in s.coefficients.items()}, s.low
-    )
+    return LaurentSeries({e: c.d_x() for e, c in s.coefficients.items()}, s.low)
 
 
 def mat2_mul(a, b):
@@ -218,12 +215,12 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     Requires p + q <= K - 2; insufficient truncation raises the below-floor
     error from the underlying series.
     """
-    r = resolvent(K, "z")
+    r = resolvent(K)
     rx = _map_dx(r)
-    chi = riccati_chi(2 * K, "z")
+    chi = riccati_chi(2 * K)
     rcc = r * (chi * chi.substitute_negate())
-    one = LaurentSeries.one("z")
-    zsq = LaurentSeries.monomial("z", 2, DiffPoly.const(1))
+    one = LaurentSeries.one()
+    zsq = LaurentSeries.monomial(2, DiffPoly.const(1))
     # even pair list: F2 numerator as sum of f(z) * g(w) with w-series read
     # off the same univariate expansions
     pairs = [

@@ -13,6 +13,7 @@ from . import wk, wp
 from .npoint import TruncationInstability, npoint_window
 from .diffpoly import (
     DiffPoly,
+    _map_dx,
     mat2_mul,
     omega,
     resolvent,
@@ -23,7 +24,6 @@ from .partitions import (
     bell_number,
     l_entry,
     mult_factorial,
-    partition_to_monomial,
     partitions_of,
     weight_cap,
 )
@@ -42,8 +42,8 @@ def _check_matrix_involution(depth: int) -> None:
     """M(z)^2 = z^2 I on every retained order."""
     m = wk.m_matrix_z(-depth)
     sq = mat2_mul(m, m)
-    ident = LaurentSeries("z", {2: rat(1)})
-    zero = LaurentSeries.zero("z")
+    ident = LaurentSeries.monomial(2, rat(1))
+    zero = LaurentSeries.zero()
     for i in range(2):
         for j in range(2):
             want = ident if i == j else zero
@@ -54,7 +54,7 @@ def _check_matrix_involution(depth: int) -> None:
 def _check_wronskian(depth: int) -> None:
     """c(z) q(-z) + c(-z) q(z) = 2."""
     total = wk.product_cq(-depth) + wk.product_qc(-depth)
-    if total != LaurentSeries("z", {0: rat(2)}):
+    if total != LaurentSeries.monomial(0, rat(2)):
         raise AssertionError(f"c qbar + cbar q = {total}")
 
 
@@ -81,11 +81,7 @@ def _check_riccati(depth: int) -> None:
     """chi_x + chi^2 + 2u - z^2 = 0 termwise in differential polynomials."""
     chi = riccati_chi(depth)
     u = DiffPoly.jet(0)
-    resid = (
-        LaurentSeries("z", {e: c.d_x() for e, c in chi.coefficients.items()}, chi.low)
-        + chi * chi
-        + LaurentSeries("z", {0: 2 * u, 2: DiffPoly.const(-1)})
-    )
+    resid = _map_dx(chi) + chi * chi + LaurentSeries({0: 2 * u, 2: DiffPoly.const(-1)})
     if not all(not c for e, c in resid.coefficients.items() if e >= resid.low):
         raise AssertionError(f"Riccati residual {resid}")
 
@@ -94,12 +90,10 @@ def _check_chi_from_resolvent(depth: int) -> None:
     """chi = (log R)_x / 2 + z / R, checked as chi R = R_x / 2 + z."""
     k = depth // 2 + 1
     r = resolvent(k)
-    r_x = LaurentSeries(
-        "z", {e: c.d_x() for e, c in r.coefficients.items()}, r.low
-    )
+    r_x = _map_dx(r)
     chi = riccati_chi(2 * k + 4)
     lhs = chi * r
-    rhs = r_x * rat(1, 2) + LaurentSeries("z", {1: DiffPoly.const(1)})
+    rhs = r_x * rat(1, 2) + LaurentSeries.monomial(1, DiffPoly.const(1))
     low = max(lhs.low, r_x.low, -depth)
     for e in range(low, 2):
         if lhs.coefficient(e) != rhs.coefficient(e):
@@ -115,7 +109,6 @@ def _check_theta_at_origin(depth: int) -> None:
         for j in range(2):
             ent = theta[i][j]
             got = LaurentSeries(
-                "z",
                 {
                     e: c.evaluate_at_jets(wp.WK_JETS)
                     for e, c in ent.coefficients.items()
@@ -133,7 +126,7 @@ def _check_one_point_forms(depth: int) -> None:
     low = -depth
     direct = wk.one_point_series(low)
     quad = (wk.product_cc(low - 2) + wk.product_qq(low - 2)) * rat(-1, 2)
-    alt = (LaurentSeries("z", {2: rat(1)}) + quad.shift(2)).truncate(low)
+    alt = (LaurentSeries.monomial(2, rat(1)) + quad.shift(2)).truncate(low)
     if direct != alt:
         raise AssertionError("one-point series disagrees with wave-pair form")
 
@@ -152,7 +145,7 @@ def _check_bell_rows(depth: int) -> None:
 def _check_flow_commutation(depth: int) -> None:
     """Applying commuting flows in either order gives the same wave pair."""
     a = wp.wave_flow_pair((2, 1))
-    state = ({0: DiffPoly.const(1)}, {})
+    state = (LaurentSeries.monomial(0, DiffPoly.const(1)), LaurentSeries.zero())
     state = wp.flow_apply(state, 2)
     state = wp.flow_apply(state, 3)
     b = wp._evaluate_pair(state)
@@ -180,8 +173,7 @@ def _check_deformed_negative_powers(depth: int) -> None:
     with weight_cap(2):
         dw = wp.deformed_wave(2)
         for lam in ((1,), (2,), (1, 1)):
-            p, q = dw.component(lam, "A")
-            series = wp._pair_series(p, q, -depth)
+            series = wp.wave_component_series(dw, lam, "A", -depth)
             bad = [e for e in series.coefficients if e >= 0]
             if bad:
                 raise AssertionError(f"A^{lam} has non-negative powers {bad}")
@@ -189,18 +181,16 @@ def _check_deformed_negative_powers(depth: int) -> None:
 
 def _check_deformed_ks_relations(depth: int) -> None:
     """The lambda=(1) pair satisfies the inhomogeneous operator relations."""
-    def pair(p, q):
-        return LaurentSeries("z", p), LaurentSeries("z", q)
-
     dw = wp.deformed_wave(1)
-    ap, aq = pair(*dw.component((1,), "A"))
-    bp, bq = pair(*dw.component((1,), "B"))
-    sp, sq = pair(*wp.ks_pair(ap.coefficients, aq.coefficients))
-    if (sp + bp, sq + bq) != pair({0: rat(-1, 6), 3: rat(-1, 3)}, {3: rat(1, 3)}):
+    ap, aq = dw.component((1,), "A")
+    bp, bq = dw.component((1,), "B")
+    sp, sq = wp.ks_pair(ap, aq)
+    want = LaurentSeries({0: rat(-1, 6), 3: rat(-1, 3)}), LaurentSeries({3: rat(1, 3)})
+    if (sp + bp, sq + bq) != want:
         raise AssertionError("first deformed operator relation fails")
-    sp, sq = pair(*wp.ks_pair(bp.coefficients, bq.coefficients))
-    lhs = (sp + ap.shift(2), sq + aq.shift(2))
-    if lhs != pair({4: rat(1, 3)}, {1: rat(1, 6), 4: rat(-1, 3)}):
+    sp, sq = wp.ks_pair(bp, bq)
+    want = LaurentSeries({4: rat(1, 3)}), LaurentSeries({1: rat(1, 6), 4: rat(-1, 3)})
+    if (sp + ap.shift(2), sq + aq.shift(2)) != want:
         raise AssertionError("second deformed operator relation fails")
 
 

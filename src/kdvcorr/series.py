@@ -1,9 +1,13 @@
-"""Truncated Laurent series over an exact coefficient ring.
+"""Truncated Laurent series in the one spectral variable z over an exact
+coefficient ring.
 
-A series carries a truncation floor `low`: coefficients at exponents >= low
-are stored (absent means exactly zero), coefficients below the floor are
-*unknown*, not zero, and reading one raises ValueError.  `low=None` marks an
-exact series (a Laurent polynomial), known at every exponent.
+Every series in the package is a series in z: M(z), the resolvent R(z),
+Theta(z) and the wave pairs P c + Q q.  (The squared variable y = z^2 lives
+only inside the trace engine's own dicts.)  A series carries a truncation
+floor `low`: coefficients at exponents >= low are stored (absent means
+exactly zero), coefficients below the floor are *unknown*, not zero, and
+reading one raises ValueError.  `low=None` is the exact-polynomial form: a
+Laurent polynomial, known at every exponent.
 
 Arithmetic propagates the tightest floor for which every retained coefficient
 is fully determined by retained inputs.  For a product this is
@@ -44,10 +48,9 @@ def add_into(acc: dict, key, c) -> None:
 
 
 class LaurentSeries:
-    __slots__ = ("variable", "coefficients", "low")
+    __slots__ = ("coefficients", "low")
 
-    def __init__(self, variable: str, coefficients: dict, low: int | None = None):
-        self.variable = variable
+    def __init__(self, coefficients: dict, low: int | None = None):
         self.coefficients = {e: c for e, c in coefficients.items() if c}
         if low is not None:
             for e in self.coefficients:
@@ -58,16 +61,16 @@ class LaurentSeries:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def monomial(cls, variable: str, exponent: int, coeff=1) -> "LaurentSeries":
-        return cls(variable, {exponent: coeff})
+    def monomial(cls, exponent: int, coeff=1) -> "LaurentSeries":
+        return cls({exponent: coeff})
 
     @classmethod
-    def zero(cls, variable: str) -> "LaurentSeries":
-        return cls(variable, {})
+    def zero(cls) -> "LaurentSeries":
+        return cls({})
 
     @classmethod
-    def one(cls, variable: str) -> "LaurentSeries":
-        return cls(variable, {0: 1})
+    def one(cls) -> "LaurentSeries":
+        return cls({0: 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -75,8 +78,7 @@ class LaurentSeries:
         """Coefficient at `exponent`; error below the truncation floor."""
         if self.low is not None and exponent < self.low:
             raise ValueError(
-                f"exponent {exponent} below truncation floor {self.low} "
-                f"in variable {self.variable}"
+                f"exponent {exponent} below truncation floor {self.low} in z"
             )
         return self.coefficients.get(exponent, 0)
 
@@ -98,63 +100,48 @@ class LaurentSeries:
 
     # -- ring operations -----------------------------------------------------
 
-    def _check_var(self, other: "LaurentSeries") -> None:
-        if self.variable != other.variable:
-            raise ValueError(
-                f"variable mismatch: {self.variable} vs {other.variable}"
-            )
-
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        self._check_var(other)
         low = _max_floor(self.low, other.low)
         coeffs = dict(self.coefficients)
         for e, c in other.coefficients.items():
             add_into(coeffs, e, c)
         if low is not None:
             coeffs = {e: c for e, c in coeffs.items() if e >= low}
-        return LaurentSeries(self.variable, coeffs, low)
+        return LaurentSeries(coeffs, low)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentSeries(
-            self.variable, {e: -c for e, c in self.coefficients.items()}, self.low
-        )
+        return LaurentSeries({e: -c for e, c in self.coefficients.items()}, self.low)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             # ring scalar
             return LaurentSeries(
-                self.variable,
-                {e: c * other for e, c in self.coefficients.items()},
-                self.low,
+                {e: c * other for e, c in self.coefficients.items()}, self.low
             )
-        self._check_var(other)
         low = _product_floor(self, other)
         if low == "zero":
-            return LaurentSeries.zero(self.variable)
+            return LaurentSeries.zero()
         coeffs: dict = {}
         for e1, c1 in self.coefficients.items():
             for e2, c2 in other.coefficients.items():
                 e = e1 + e2
                 if low is None or e >= low:
                     add_into(coeffs, e, c1 * c2)
-        return LaurentSeries(self.variable, coeffs, low)
+        return LaurentSeries(coeffs, low)
 
     def __rmul__(self, other):
         return LaurentSeries(
-            self.variable,
-            {e: other * c for e, c in self.coefficients.items()},
-            self.low,
+            {e: other * c for e, c in self.coefficients.items()}, self.low
         )
 
     def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by variable**k."""
+        """Multiply by z**k."""
         return LaurentSeries(
-            self.variable,
             {e + k: c for e, c in self.coefficients.items()},
             None if self.low is None else self.low + k,
         )
@@ -162,30 +149,20 @@ class LaurentSeries:
     def substitute_negate(self) -> "LaurentSeries":
         """Substitute z -> -z: flip signs of odd-exponent coefficients."""
         return LaurentSeries(
-            self.variable,
-            {e: (-c if e % 2 else c) for e, c in self.coefficients.items()},
-            self.low,
+            {e: (-c if e % 2 else c) for e, c in self.coefficients.items()}, self.low
         )
 
     def derivative(self) -> "LaurentSeries":
         """d/dz."""
         coeffs = {e - 1: e * c for e, c in self.coefficients.items() if e != 0}
-        return LaurentSeries(
-            self.variable, coeffs, None if self.low is None else self.low - 1
-        )
+        return LaurentSeries(coeffs, None if self.low is None else self.low - 1)
 
     def truncate(self, new_low: int) -> "LaurentSeries":
         """Forget coefficients below new_low (floors only ever rise)."""
         low = new_low if self.low is None else max(self.low, new_low)
         return LaurentSeries(
-            self.variable,
-            {e: c for e, c in self.coefficients.items() if e >= low},
-            low,
+            {e: c for e, c in self.coefficients.items() if e >= low}, low
         )
-
-    def residue_at_infinity(self):
-        """Minus the coefficient of the first negative power."""
-        return -self.coefficient(-1)
 
     # -- comparison ----------------------------------------------------------
 
@@ -194,8 +171,6 @@ class LaurentSeries:
         larger of the two truncation floors."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.variable != other.variable:
-            return False
         low = _max_floor(self.low, other.low)
         exps = set(self.coefficients) | set(other.coefficients)
         if low is not None:
@@ -212,9 +187,9 @@ class LaurentSeries:
         else:
             parts = []
             for e in sorted(self.coefficients, reverse=True):
-                parts.append(f"({self.coefficients[e]})*{self.variable}^{e}")
+                parts.append(f"({self.coefficients[e]})*z^{e}")
             body = " + ".join(parts)
-        tail = "" if self.low is None else f" + O({self.variable}^{self.low - 1})"
+        tail = "" if self.low is None else f" + O(z^{self.low - 1})"
         return body + tail
 
 

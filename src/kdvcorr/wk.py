@@ -43,23 +43,23 @@ def genus(ks) -> int | None:
     return num // 3
 
 
-def fz_c(low: int, variable: str = "z") -> LaurentSeries:
+def fz_c(low: int) -> LaurentSeries:
     """c(z) = sum C_k z^{-3k} down to exponent floor `low`."""
     coeffs = {}
     for k in range(0, (-low) // 3 + 1):
         if -3 * k >= low:
             c = rat((-1) ** k * factorial(6 * k), 288**k)
             coeffs[-3 * k] = c / (factorial(3 * k) * factorial(2 * k))
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
-def fz_q(low: int, variable: str = "z") -> LaurentSeries:
+def fz_q(low: int) -> LaurentSeries:
     """q(z) = sum (1+6k)/(1-6k) C_k z^{-3k} down to exponent floor `low`."""
-    c = fz_c(low, variable)
+    c = fz_c(low)
     coeffs = {
         e: rat(1 - 2 * e) / rat(1 + 2 * e) * v for e, v in c.coefficients.items()
     }
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
 @cache
@@ -97,68 +97,61 @@ def m_matrix(floor: int) -> list[list[dict]]:
     return [[h, f], [ee, {k: -v for k, v in h.items()}]]
 
 
-def m_matrix_z(low: int, variable: str = "z") -> list[list[LaurentSeries]]:
+def m_matrix_z(low: int) -> list[list[LaurentSeries]]:
     """M as Laurent series in z (exponents doubled from the y form)."""
-    ent = m_matrix(low // 2 if low % 2 == 0 else (low - 1) // 2)
-    out = []
-    for row in ent:
-        out.append(
-            [
-                LaurentSeries(
-                    variable, {2 * e: c for e, c in d.items() if 2 * e >= low}, low=low
-                )
-                for d in row
-            ]
-        )
-    return out
+    return [
+        [LaurentSeries({2 * e: c for e, c in d.items() if 2 * e >= low}, low)
+         for d in row]
+        for row in m_matrix(low // 2)
+    ]
 
 
-def product_cc(low: int, variable: str = "z") -> LaurentSeries:
+def product_cc(low: int) -> LaurentSeries:
     """Closed form of c(z) c(-z) = sum a_g z^{-6g}."""
     coeffs = {}
     for g in range(0, -low // 6 + 1):
         if -6 * g >= low:
             coeffs[-6 * g] = _a_coeff(g)
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
-def product_qq(low: int, variable: str = "z") -> LaurentSeries:
+def product_qq(low: int) -> LaurentSeries:
     """Closed form of q(z) q(-z) = -sum b_g z^{-6g}."""
     coeffs = {}
     for g in range(0, -low // 6 + 1):
         if -6 * g >= low:
             coeffs[-6 * g] = -_b_coeff(g)
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
-def product_cq(low: int, variable: str = "z") -> LaurentSeries:
+def product_cq(low: int) -> LaurentSeries:
     """Closed form of c(z) q(-z) = 1 - (1/2) sum P_g z^{-6g+3}."""
     coeffs = {0: rat(1)}
     for g in range(1, (3 - low) // 6 + 1):
         e = -6 * g + 3
         if e >= low:
             coeffs[e] = -_p_coeff(g) / 2
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
-def product_qc(low: int, variable: str = "z") -> LaurentSeries:
+def product_qc(low: int) -> LaurentSeries:
     """Closed form of q(z) c(-z) = 1 + (1/2) sum P_g z^{-6g+3}."""
     coeffs = {0: rat(1)}
     for g in range(1, (3 - low) // 6 + 1):
         e = -6 * g + 3
         if e >= low:
             coeffs[e] = _p_coeff(g) / 2
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
-def one_point_series(low: int, variable: str = "z") -> LaurentSeries:
+def one_point_series(low: int) -> LaurentSeries:
     """F_1(z) = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2} down to `low`."""
     coeffs = {}
     g = 1
     while -6 * g + 2 >= low:
         coeffs[-6 * g + 2] = rat(double_factorial(6 * g - 3), 24**g * factorial(g))
         g += 1
-    return LaurentSeries(variable, coeffs, low=low)
+    return LaurentSeries(coeffs, low=low)
 
 
 def one_point(k: int):
@@ -199,7 +192,6 @@ class CorrelatorTable:
     n: int
     k_min: int
     k_max: int
-    mode: str = "plain"
     entries: dict = field(default_factory=dict)
 
     def sorted_items(self):
@@ -242,33 +234,6 @@ def n_point_table(
     return table
 
 
-def normalization_factor(ks, mode: str):
-    """Multiplier converting a plain correlator to the requested convention."""
-    if mode == "plain":
-        return rat(1)
-    if mode == "witten":
-        f = rat(1)
-        for k in ks:
-            f = f * odd_double_factorial(k)
-        return f
-    if mode == "kontsevich":
-        f = rat(1)
-        for k in ks:
-            f = f * double_factorial(2 * k - 1)
-        return f
-    raise ValueError(f"unknown normalization mode: {mode}")
-
-
-def normalization_convert(table: CorrelatorTable, mode: str) -> CorrelatorTable:
-    """Re-normalized copy of a plain-mode table."""
-    if table.mode != "plain":
-        raise ValueError("can only convert tables in plain mode")
-    out = CorrelatorTable(n=table.n, k_min=table.k_min, k_max=table.k_max, mode=mode)
-    for ks, v in table.entries.items():
-        out.entries[ks] = v * normalization_factor(ks, mode)
-    return out
-
-
 __all__ = [
     "CorrelatorTable",
     "correlator",
@@ -278,8 +243,6 @@ __all__ = [
     "m_matrix",
     "m_matrix_z",
     "n_point_table",
-    "normalization_convert",
-    "normalization_factor",
     "one_point",
     "one_point_series",
     "product_cc",

@@ -46,7 +46,9 @@ span{psi, psi_x} over differential polynomials:
 with r_j = (2j+1)!! Omega_j.  Everything is an exact finite Laurent
 polynomial in z over differential polynomials; evaluating at the jet values
 u = 0, u_x = 1 (all higher zero) and writing the result against the basis
-(c(z), q(z)) with psi|_0 = c and psi_x|_0 = z q gives exact pairs (P, Q).
+(c(z), q(z)) with psi|_0 = c and psi_x|_0 = z q gives exact pairs (P, Q):
+every wave pair in this module, flow states included, is a pair of exact
+LaurentSeries in z (low=None).
 
 The Kac-Schwarz operator S = (1/z) d_z - 1/(2 z^2) - z acts on such pairs by
 S(P c + Q q) = ((1/z) P' - z Q) c + ((1/z) Q' - z P - Q/z^2) q, since
@@ -55,6 +57,7 @@ S c = -z q and S(z q) = -z^2 c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import wk
 from .diffpoly import DiffPoly, flow_derivative, omega
@@ -73,12 +76,12 @@ from .rationals import factorial, odd_double_factorial, rat
 from .series import LaurentSeries, add_into
 
 # ---------------------------------------------------------------------------
-# wave-pair flow machinery: states are pairs of {z-exponent: DiffPoly} dicts,
-# multiplied as exact Laurent polynomials (LaurentSeries with no floor)
+# wave-pair flow machinery: a state (a, b) stands for a psi + b psi_x, with a
+# and b exact Laurent series in z over differential polynomials
 
 
-def _flow_coefficients(k: int) -> tuple[dict, dict, dict, dict]:
-    """(alpha_k, beta_k, gamma_k, delta_k) as {z-exponent: DiffPoly}."""
+def _flow_coefficients(k: int) -> tuple[LaurentSeries, ...]:
+    """(alpha_k, beta_k, gamma_k, delta_k) as exact series over DiffPoly."""
     nf = rat(1, odd_double_factorial(k))
     u = DiffPoly.jet(0)
     alpha: dict = {}
@@ -91,45 +94,43 @@ def _flow_coefficients(k: int) -> tuple[dict, dict, dict, dict]:
         add_into(beta, e, nf * r)
         add_into(gamma, e + 2, nf * r)
         add_into(gamma, e, (-nf / 2) * r.d_x_pow(2) - (2 * nf) * (u * r))
-    delta = {e: -c for e, c in alpha.items()}
-    return alpha, beta, gamma, delta
+    alpha = LaurentSeries(alpha)
+    return alpha, LaurentSeries(beta), LaurentSeries(gamma), -alpha
 
 
-def flow_apply(state: tuple[dict, dict], k: int) -> tuple[dict, dict]:
+def flow_apply(state: tuple, k: int) -> tuple[LaurentSeries, LaurentSeries]:
     """d/dt_k of a state (a, b) representing a psi + b psi_x."""
-    a, b = (LaurentSeries("z", d) for d in state)
+    a, b = state
     da, db = (
-        LaurentSeries("z", {e: flow_derivative(c, k) for e, c in d.items()})
-        for d in state
+        LaurentSeries(
+            {e: flow_derivative(c, k) for e, c in s.coefficients.items()}
+        )
+        for s in state
     )
-    alpha, beta, gamma, delta = (
-        LaurentSeries("z", d) for d in _flow_coefficients(k)
-    )
-    new_a = da + (a * alpha + b * gamma)
-    new_b = db + (a * beta + b * delta)
-    return new_a.coefficients, new_b.coefficients
+    alpha, beta, gamma, delta = _flow_coefficients(k)
+    return da + (a * alpha + b * gamma), db + (a * beta + b * delta)
 
 
 # the topological point t = 0: u = 0, u_x = 1, all higher jets 0
 WK_JETS = (rat(0), rat(1))
 
 
-def _evaluate_pair(state: tuple[dict, dict]) -> tuple[dict, dict]:
+def _evaluate_pair(state: tuple) -> tuple[LaurentSeries, LaurentSeries]:
     """Evaluate a wave-pair state at the origin, against the (c, q) basis.
 
     psi |_0 = c(z) and psi_x |_0 = z q(z), so the q-component picks up one
     power of z.
     """
-    a, b = state
-    p = {e: v for e, c in a.items() if (v := c.evaluate_at_jets(WK_JETS))}
-    q = {e + 1: v for e, c in b.items() if (v := c.evaluate_at_jets(WK_JETS))}
-    return p, q
+    p, q = (
+        LaurentSeries(
+            {e: c.evaluate_at_jets(WK_JETS) for e, c in s.coefficients.items()}
+        )
+        for s in state
+    )
+    return p, q.shift(1)
 
 
-_FLOW_CACHE: dict = {}
-
-
-def wave_flow_pair(mu, with_x: bool = False) -> tuple[dict, dict]:
+def wave_flow_pair(mu, with_x: bool = False) -> tuple[LaurentSeries, LaurentSeries]:
     """(P, Q) of d_{t_{mu_1+1}} ... d_{t_{mu_l+1}} psi |_{t=0} (= P c + Q q).
 
     with_x prepends one extra d_x (= d_{t_0}), giving the same derivative of
@@ -138,32 +139,26 @@ def wave_flow_pair(mu, with_x: bool = False) -> tuple[dict, dict]:
     mu = tuple(sorted(mu, reverse=True))
     if any(m < 0 for m in mu):
         raise ValueError("negative flow index")
-    key = (mu, with_x)
-    if key not in _FLOW_CACHE:
-        state = ({0: DiffPoly.const(1)}, {})
-        for part in mu:
-            state = flow_apply(state, part + 1)
-        if with_x:
-            state = flow_apply(state, 0)
-        _FLOW_CACHE[key] = _evaluate_pair(state)
-    p, q = _FLOW_CACHE[key]
-    return dict(p), dict(q)
+    return _flow_pair(mu, with_x)
 
 
-def ks_pair(p: dict, q: dict) -> tuple[dict, dict]:
+@cache
+def _flow_pair(mu: tuple, with_x: bool) -> tuple[LaurentSeries, LaurentSeries]:
+    # the pair is shared between callers: series are never changed in place
+    state = (LaurentSeries({0: DiffPoly.const(1)}), LaurentSeries.zero())
+    for part in mu:
+        state = flow_apply(state, part + 1)
+    if with_x:
+        state = flow_apply(state, 0)
+    return _evaluate_pair(state)
+
+
+def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
     """Kac-Schwarz operator on a (P, Q) pair against the (c, q) basis."""
-    new_p: dict = {}
-    new_q: dict = {}
-    for e, c in p.items():
-        if e:
-            add_into(new_p, e - 2, e * c)
-        add_into(new_q, e + 1, -c)
-    for e, c in q.items():
-        if e:
-            add_into(new_q, e - 2, e * c)
-        add_into(new_p, e + 1, -c)
-        add_into(new_q, e - 2, -c)
-    return new_p, new_q
+    return (
+        p.derivative().shift(-1) - q.shift(1),
+        q.derivative().shift(-1) - p.shift(1) - q.shift(-2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +170,32 @@ class DeformedWave:
     """(P, Q) pairs of A(z;s) and B(z;s) with s-polynomial coefficients."""
 
     cap: int
-    a_p: dict
-    a_q: dict
-    b_p: dict
-    b_q: dict
+    a: tuple[LaurentSeries, LaurentSeries]
+    b: tuple[LaurentSeries, LaurentSeries]
 
-    def component(self, lam, which: str = "A") -> tuple[dict, dict]:
-        """Laurent coefficients of the s_lam component, as rational dicts."""
-        lam = tuple(sorted(lam, reverse=True))
-        mono = partition_to_monomial(lam)
-        p, q = (self.a_p, self.a_q) if which == "A" else (self.b_p, self.b_q)
-        cp = {e: v for e, c in p.items() if (v := c.coefficient(mono))}
-        cq = {e: v for e, c in q.items() if (v := c.coefficient(mono))}
-        return cp, cq
+    def pair(self, which: str) -> tuple[LaurentSeries, LaurentSeries]:
+        """The (P, Q) pair of A (which = "A") or B (anything else)."""
+        return self.a if which == "A" else self.b
+
+    def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
+        """The (P, Q) pair of the s_lam component, with rational coefficients."""
+        mono = partition_to_monomial(tuple(sorted(lam, reverse=True)))
+        return tuple(
+            LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
+            for s in self.pair(which)
+        )
 
 
 def _exp_prefactor(cap: int) -> LaurentSeries:
     """E(z;s) = exp(sum h_k(-s) z^{2k+3}/(2k+3)!!) to total s-weight cap."""
     hs = h_polynomials(cap)
     t = LaurentSeries(
-        "z",
         {
             2 * k + 3: negate_variables(hs[k]) * rat(1, odd_double_factorial(k + 1))
             for k in range(1, cap + 1)
-        },
+        }
     )
-    acc = power = LaurentSeries("z", {0: SPoly.const(1)})
+    acc = power = LaurentSeries({0: SPoly.const(1)})
     for m in range(1, cap + 1):
         power = power * t
         if power.is_zero_to_truncation():
@@ -214,7 +209,7 @@ def deformed_wave(cap: int) -> DeformedWave:
     if cap < 0:
         raise ValueError("negative weight cap")
     with weight_cap(cap):
-        # a_p, a_q, b_p, b_q before the exponential prefactor
+        # P, Q of A and of B before the exponential prefactor
         parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
         for w in range(1, cap + 1):
             for lam in partitions_of(w):
@@ -229,39 +224,32 @@ def deformed_wave(cap: int) -> DeformedWave:
                     factor = s_mono * rat((-1) ** len(mu) * lcoef, mult_factorial(mu))
                     flows = wave_flow_pair(mu) + wave_flow_pair(mu, with_x=True)
                     for part, flow in zip(parts, flows):
-                        for e, v in flow.items():
+                        for e, v in flow.coefficients.items():
                             add_into(part, e, factor * v)
         e = _exp_prefactor(cap)
-        return DeformedWave(
-            cap, *((e * LaurentSeries("z", part)).coefficients for part in parts)
-        )
+        a_p, a_q, b_p, b_q = (e * LaurentSeries(part) for part in parts)
+        return DeformedWave(cap, (a_p, a_q), (b_p, b_q))
 
 
-def _pair_series(p: dict, q: dict, low: int, variable: str = "z") -> LaurentSeries:
+def _top(*series: LaurentSeries) -> int:
+    """Largest exponent stored in any of the exact series, at least 0."""
+    return max([0, *(e for s in series for e in s.coefficients)])
+
+
+def _pair_series(p: LaurentSeries, q: LaurentSeries, low: int) -> LaurentSeries:
     """Expand a (P, Q) pair into a truncated Laurent series P c + Q q."""
-    top = max([e for e in p] + [e for e in q] + [0])
-    base_low = low - top
-    c = wk.fz_c(base_low, variable)
-    qs = wk.fz_q(base_low, variable)
-    pc = LaurentSeries(variable, p, low=None) if p else LaurentSeries.zero(variable)
-    qc = LaurentSeries(variable, q, low=None) if q else LaurentSeries.zero(variable)
-    return (pc * c + qc * qs).truncate(low)
+    base_low = low - _top(p, q)
+    return (p * wk.fz_c(base_low) + q * wk.fz_q(base_low)).truncate(low)
 
 
-def wave_series(
-    dw: DeformedWave, which: str, low: int, variable: str = "z"
-) -> LaurentSeries:
+def wave_series(dw: DeformedWave, which: str, low: int) -> LaurentSeries:
     """A(z;s) or B(z;s) as a truncated Laurent series over s-polynomials."""
-    p, q = (dw.a_p, dw.a_q) if which == "A" else (dw.b_p, dw.b_q)
-    return _pair_series(p, q, low, variable)
+    return _pair_series(*dw.pair(which), low)
 
 
-def wave_component_series(
-    dw: DeformedWave, lam, which: str, low: int, variable: str = "z"
-) -> LaurentSeries:
+def wave_component_series(dw: DeformedWave, lam, which: str, low: int) -> LaurentSeries:
     """z-expansion of the s_lam component of A or B, rational coefficients."""
-    p, q = dw.component(lam, which)
-    return _pair_series(p, q, low, variable)
+    return _pair_series(*dw.component(lam, which), low)
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +287,23 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
     hypergeometric product series for c c-bar, c q-bar, q c-bar, q q-bar.
     """
     with weight_cap(dw.cap):
-        top = max(
-            [e for d in (dw.a_p, dw.a_q, dw.b_p, dw.b_q) for e in d] + [0]
-        )
-        zlow = 2 * floor - 2 * top - 2
+        zlow = 2 * floor - 2 * _top(*dw.a, *dw.b) - 2
         cc = wk.product_cc(zlow)
         qq = wk.product_qq(zlow)
         cq = wk.product_cq(zlow)
         qc = wk.product_qc(zlow)
 
-        def pair_product(p1, q1, p2, q2):
+        def pair_product(first, second):
             # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
-            s1p = LaurentSeries("z", p1, low=None)
-            s1q = LaurentSeries("z", q1, low=None)
-            s2p = LaurentSeries("z", p2, low=None).substitute_negate()
-            s2q = LaurentSeries("z", q2, low=None).substitute_negate()
-            return (
-                s1p * s2p * cc
-                + s1p * s2q * cq
-                + s1q * s2p * qc
-                + s1q * s2q * qq
-            )
+            p1, q1 = first
+            p2, q2 = (s.substitute_negate() for s in second)
+            return p1 * p2 * cc + p1 * q2 * cq + q1 * p2 * qc + q1 * q2 * qq
 
-        abb = pair_product(dw.a_p, dw.a_q, dw.b_p, dw.b_q)
-        bab = pair_product(dw.b_p, dw.b_q, dw.a_p, dw.a_q)
-        aab = pair_product(dw.a_p, dw.a_q, dw.a_p, dw.a_q)
-        bbb = pair_product(dw.b_p, dw.b_q, dw.b_p, dw.b_q)
-        m11 = (abb + bab) * rat(-1, 2)
+        abb = pair_product(dw.a, dw.b)
+        aab = pair_product(dw.a, dw.a)
+        bbb = pair_product(dw.b, dw.b)
+        # B(z) A(-z) is A(z) B(-z) with z -> -z
+        m11 = (abb + abb.substitute_negate()) * rat(-1, 2)
         m12 = aab * -1
         m21 = bbb
 
@@ -434,13 +412,11 @@ def kappa_linear_series(j: int, low: int) -> LaurentSeries:
     plus = [
         [
             LaurentSeries(
-                "z",
                 {
                     e + 2 * j: rat(e + 2 * j + 2, 2) * c
                     for e, c in ent.coefficients.items()
                     if e + 2 * j >= 0 and (e + 2 * j + 2) * c
-                },
-                low=None,
+                }
             )
             for ent in row
         ]
@@ -453,9 +429,7 @@ def kappa_linear_series(j: int, low: int) -> LaurentSeries:
         + plus[1][1] * m[1][1]
     )
     tr = tr * rat(1, odd_double_factorial(j + 1))
-    correction = LaurentSeries(
-        "z", {2 * j + 2: rat(-1, odd_double_factorial(j))}, low=None
-    )
+    correction = LaurentSeries.monomial(2 * j + 2, rat(-1, odd_double_factorial(j)))
     return (tr + correction).truncate(low)
 
 

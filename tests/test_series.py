@@ -8,7 +8,7 @@ from kdvcorr.series import LaurentSeries
 
 
 def series(coeffs, low=None):
-    return LaurentSeries("z", coeffs, low)
+    return LaurentSeries(coeffs, low)
 
 
 def test_zero_coefficients_are_dropped_on_construction():
@@ -106,24 +106,11 @@ def test_truncate_only_raises_floor():
     assert f.truncate(-10).low == -6
 
 
-def test_residue_at_infinity():
-    f = series({1: rat(2), -1: rat(7)}, low=-3)
-    assert f.residue_at_infinity() == rat(-7)
-
-
 def test_equality_compares_above_common_floor():
     f = series({0: rat(1), -5: rat(9)}, low=-6)
     g = series({0: rat(1)}, low=-3)
     assert f == g  # they agree at every exponent >= -3
     assert f != series({0: rat(2)}, low=-3)
-
-
-def test_variable_mismatch_rejected():
-    f = series({0: rat(1)})
-    g = LaurentSeries("w", {0: rat(1)})
-    with pytest.raises(ValueError):
-        f + g
-    assert f != g
 
 
 def test_ring_generic_coefficients():
@@ -144,7 +131,7 @@ def _random_series(rng) -> LaurentSeries:
         low = None  # exact polynomial, known at every order
     else:
         low = min(coeffs, default=0) - rng.randint(0, 3)
-    return LaurentSeries("z", coeffs, low)
+    return LaurentSeries(coeffs, low)
 
 
 def test_random_ring_axioms():

@@ -1,64 +1,14 @@
-"""Correlator engine against the frozen reference tables and closed forms.
+"""Correlator engine against closed forms and low-genus values.
 
-The frozen JSON files deliberately omit a few in-range entries; the engine
-must produce exactly the dimension-allowed key set, match the files entry by
-entry, and fill the gaps with the values frozen inline below.
+The frozen reference tables in tests/data are checked by the release gate,
+tests/test_acceptance.py (criteria 01-03).
 """
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
 from kdvcorr import wk
-from kdvcorr.rationals import (
-    factorial,
-    num_den,
-    odd_double_factorial,
-    rat,
-    rat_str,
-)
-
-DATA = Path(__file__).parent / "data"
-
-# dimension-allowed entries absent from the frozen files, with their values
-EXTRA_TWO = {
-    (29, 30): (
-        "3407724999327457789693/"
-        "2529644049864291428305601834483288359549576151040000"
-    ),
-}
-EXTRA_THREE = {
-    (21, 21, 21): (
-        "4323747973290026538874685683/"
-        "23731197685323904900696998376575228693310341120000"
-    ),
-    (22, 22, 22): (
-        "2152968390323774941566707789/"
-        "252706756257427139089429480876627282291064832000000"
-    ),
-}
-
-
-def load_frozen(name: str) -> dict:
-    raw = json.loads((DATA / f"{name}.json").read_text())
-    return {
-        tuple(int(x) for x in key.split(",")): rat(int(v[0]), int(v[1]))
-        for key, v in raw.items()
-    }
-
-
-def allowed_keys(n: int, k_min: int, k_max: int) -> set:
-    def rec(prefix, start):
-        if len(prefix) == n:
-            if (sum(prefix) - n + 3) % 3 == 0:
-                yield tuple(prefix)
-            return
-        for k in range(start, k_max + 1):
-            yield from rec(prefix + [k], k)
-
-    return set(rec([], k_min))
+from kdvcorr.rationals import factorial, odd_double_factorial, rat
 
 
 def test_genus():
@@ -116,36 +66,6 @@ def test_string_and_dilaton_relations_from_table():
         assert table.entries[(1, k - 1)] == (2 * g - 1) * wk.one_point(k - 1), g
 
 
-def test_two_point_table_matches_frozen():
-    table = wk.n_point_table(2, 30, k_min=2)
-    frozen = load_frozen("two_point")
-    for ks, v in frozen.items():
-        assert table.entries[ks] == v, ks
-    assert set(table.entries) == allowed_keys(2, 2, 30)
-    assert set(table.entries) - set(frozen) == set(EXTRA_TWO)
-    for ks, text in EXTRA_TWO.items():
-        assert rat_str(table.entries[ks]) == text
-
-
-def test_three_point_table_matches_frozen():
-    table = wk.n_point_table(3, 22, k_min=2)
-    frozen = load_frozen("three_point")
-    for ks, v in frozen.items():
-        assert table.entries[ks] == v, ks
-    assert set(table.entries) == allowed_keys(3, 2, 22)
-    assert set(table.entries) - set(frozen) == set(EXTRA_THREE)
-    for ks, text in EXTRA_THREE.items():
-        assert rat_str(table.entries[ks]) == text
-
-
-def test_four_point_table_matches_frozen():
-    table = wk.n_point_table(4, 9, k_min=2)
-    frozen = load_frozen("four_point")
-    assert set(table.entries) == set(frozen) == allowed_keys(4, 2, 9)
-    for ks, v in frozen.items():
-        assert table.entries[ks] == v, ks
-
-
 def test_table_input_validation():
     with pytest.raises(ValueError):
         wk.n_point_table(0, 5)
@@ -165,24 +85,6 @@ def test_one_point_table_width():
     table = wk.n_point_table(1, 13)
     assert set(table.entries) == {(1,), (4,), (7,), (10,), (13,)}
     assert table.entries[(4,)] == rat(1, 1152)
-
-
-def test_normalization_factors():
-    assert wk.normalization_factor((3, 2), "plain") == 1
-    assert wk.normalization_factor((3, 2), "witten") == 105 * 15
-    assert wk.normalization_factor((3, 2), "kontsevich") == 15 * 3
-    with pytest.raises(ValueError):
-        wk.normalization_factor((1,), "other")
-
-
-def test_normalization_convert():
-    table = wk.n_point_table(2, 8)
-    witten = wk.normalization_convert(table, "witten")
-    assert witten.mode == "witten"
-    ks = (2, 3)
-    assert witten.entries[ks] == table.entries[ks] * 105 * 15
-    with pytest.raises(ValueError):
-        wk.normalization_convert(witten, "plain")
 
 
 def test_correlator_order_invariance():
