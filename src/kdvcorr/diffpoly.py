@@ -14,6 +14,26 @@ the general two-point correlator extracted from
                  - R(z)R(w)chi(w)chi(-w) - z^2 - w^2] / (z^2 - w^2)^2
 
 expanded in the region |z| > |w|.
+
+The recursions run over Python ints.  Each works on a scaled object whose
+coefficients are integers, and divides by the known scale once, when a public
+function reads the result:
+
+    X_p = 4^p (2p+1)!! Omega_p:  X_0 = u,
+        d_x X_p = (8 u d_x + 4 u_x + d_x^3) X_{p-1}, every antiderivative
+        division exact; omega(p) divides X_p by 4^p (2p+1)!!.
+    Y_k = 2^k chi_k:  Y_1 = -2u,
+        Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}).
+
+X_p and Y_k are cached per index.  The public series are read off scaled
+series over the int ring, one division per coefficient:
+
+    resolvent(K)          4^K R(z) = 4^K + sum_k 4^{K-k} X_k z^{-2k-2}
+    riccati_chi(K)        2^K chi(z) = 2^K z + sum_k 2^{K-k} Y_k z^{-k}
+    theta_matrix(K)       2 * 4^K Theta(z), from 4^K R
+    two_point_general     the F_2 numerator at the scale 2 * 4^{4K}, from
+                          4^K R and 2^{2K} chi; each coefficient of the result
+                          is divided by 2 * 4^{4K} (2p+1)!! (2q+1)!!.
 """
 from __future__ import annotations
 
@@ -52,14 +72,16 @@ class DiffPoly(SparsePoly):
         """Total x-derivative: sum_k u_{k+1} d/du_k."""
         terms: dict = {}
         for mono, c in self.terms.items():
+            top = len(mono) - 1
             for j, e in enumerate(mono):
                 if not e:
                     continue
                 # u_{j+1} gains a power, so the result ends in a nonzero entry
-                new = list(mono) + [0] * (j + 2 - len(mono))
-                new[j] -= 1
-                new[j + 1] += 1
-                add_into(terms, tuple(new), e * c)
+                if j == top:
+                    new = mono[:j] + (e - 1, 1)
+                else:
+                    new = mono[:j] + (e - 1, mono[j + 1] + 1) + mono[j + 2:]
+                add_into(terms, new, e * c)
         return self._make(terms)
 
     def d_x_pow(self, k: int) -> "DiffPoly":
@@ -85,6 +107,13 @@ class DiffPoly(SparsePoly):
         return total
 
 
+def _exact_div(c, n: int):
+    """c / n exactly: an int when n divides the int c, else a Fraction."""
+    if type(c) is int and not c % n:
+        return c // n
+    return rat(c, n)
+
+
 def formal_antiderivative(f: DiffPoly) -> DiffPoly:
     """The g with d_x(g) = f and zero constant term, if one exists.
 
@@ -92,7 +121,8 @@ def formal_antiderivative(f: DiffPoly) -> DiffPoly:
     derivative must be linear in u_J with coefficient A free of u_J, and
     integrating A with respect to u_{J-1} removes the top layer.  A nonzero
     remainder in u alone (or a constant, or a higher power of the top jet)
-    means f is not an exact x-derivative.
+    means f is not an exact x-derivative.  Int coefficients stay ints where
+    the integration divides them exactly and become Fractions where not.
     """
     g = DiffPoly()
     work = f
@@ -100,27 +130,49 @@ def formal_antiderivative(f: DiffPoly) -> DiffPoly:
         top = work.max_jet()
         if top <= 0:
             raise ValueError("not an exact x-derivative")
-        a_terms: dict = {}
+        # integrate the coefficient of u_top with respect to u_{top-1}
+        c_terms: dict = {}
         for mono, c in work.terms.items():
             if len(mono) - 1 == top:
                 if mono[top] > 1:
                     raise ValueError("not an exact x-derivative")
-                a_terms[_strip(mono[:top])] = c
-        a = DiffPoly(a_terms)
-        # integrate a with respect to u_{top-1}
-        c_terms: dict = {}
-        for mono, c in a.terms.items():
-            new = list(mono) + [0] * (top - len(mono))
-            new[top - 1] += 1
-            c_terms[tuple(new)] = c * rat(1, new[top - 1])
+                e = mono[top - 1] + 1
+                c_terms[mono[: top - 1] + (e,)] = _exact_div(c, e)
         piece = DiffPoly(c_terms)
         g = g + piece
         work = work - piece.d_x()
     return g
 
 
+def _divide(f: DiffPoly, n: int) -> DiffPoly:
+    """f / n with Fraction coefficients: the one division of a scaled result."""
+    return f._make({m: rat(c, n) for m, c in f.terms.items()})
+
+
+def _read(s: LaurentSeries, scale: int) -> LaurentSeries:
+    """A series over the int jet ring, divided by its scale coefficientwise."""
+    return LaurentSeries({e: _divide(c, scale) for e, c in s.coefficients.items()}, s.low)
+
+
 _U = DiffPoly.jet(0)
-_UX = DiffPoly.jet(1)
+
+
+@cache
+def _omega_x(p: int) -> DiffPoly:
+    """X_p = 4^p (2p+1)!! Omega_p over the integers, p >= 0:
+
+        X_0 = u,   d_x X_p = (8 u d_x + 4 u_x + d_x^3) X_{p-1}.
+
+    The right-hand side is d_x(d_x^2 X + 4 u X) + 4 u d_x X, so only the last
+    term goes through the antiderivative.  It is integral, because X_p, d_x^2 X
+    and 4 u X are, so every division in formal_antiderivative is exact.
+    """
+    if p == 0:
+        return _U
+    prev = _omega_x(p - 1)
+    d = prev.d_x()
+    return d.d_x() + 4 * _U * prev + formal_antiderivative(4 * _U * d)
+
 
 @cache
 def omega(p: int) -> DiffPoly:
@@ -128,17 +180,14 @@ def omega(p: int) -> DiffPoly:
 
         (2p+1) d_x Omega_p = (2 u d_x + u_x + d_x^3 / 4) Omega_{p-1},
 
-    normalized by Omega_{-1} = 1 (so Omega_0 = u) and zero constant terms.
+    normalized by Omega_{-1} = 1 (so Omega_0 = u) and zero constant terms;
+    read off X_p = 4^p (2p+1)!! Omega_p.
     """
     if p < -1:
         raise ValueError("omega defined for p >= -1")
     if p == -1:
         return DiffPoly.const(1)
-    # through the module-level name, so a wrapper installed there sees the
-    # recursion too
-    prev = omega(p - 1)
-    rhs = 2 * _U * prev.d_x() + _UX * prev + rat(1, 4) * prev.d_x_pow(3)
-    return formal_antiderivative(rat(1, 2 * p + 1) * rhs)
+    return _divide(_omega_x(p), 4**p * odd_double_factorial(p))
 
 
 def flow_derivative(f: DiffPoly, k: int) -> DiffPoly:
@@ -157,43 +206,61 @@ def flow_derivative(f: DiffPoly, k: int) -> DiffPoly:
     return out
 
 
+@cache
+def _chi_y(k: int) -> DiffPoly:
+    """Y_k = 2^k chi_k over the integers, k >= 1:
+
+        Y_1 = -2u,   Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}).
+    """
+    if k == 1:
+        return -2 * _U
+    acc = _chi_y(k - 1).d_x()
+    for a in range(1, k - 1):
+        acc = acc + _chi_y(a) * _chi_y(k - 1 - a)
+    return -acc
+
+
 # -- series built over the jet ring -----------------------------------------
+
+
+def _scaled_resolvent(K: int) -> LaurentSeries:
+    """4^K R(z) = 4^K + sum_{k=0}^{K} 4^{K-k} X_k z^{-2k-2}, floor -(2K+2)."""
+    coeffs: dict = {0: DiffPoly.const(4**K)}
+    for k in range(K + 1):
+        coeffs[-2 * k - 2] = 4 ** (K - k) * _omega_x(k)
+    return LaurentSeries(coeffs, low=-2 * K - 2)
+
+
+def _scaled_chi(K: int) -> LaurentSeries:
+    """2^K chi(z) = 2^K z + sum_{k=1}^{K} 2^{K-k} Y_k z^{-k}, floor -K."""
+    coeffs: dict = {1: DiffPoly.const(2**K)}
+    for k in range(1, K + 1):
+        coeffs[-k] = 2 ** (K - k) * _chi_y(k)
+    return LaurentSeries(coeffs, low=-K)
 
 
 def resolvent(K: int) -> LaurentSeries:
     """R(z) = 1 + sum_{k=0}^{K} (2k+1)!! Omega_k z^{-2k-2}, floor -(2K+2)."""
-    coeffs: dict = {0: DiffPoly.const(1)}
-    for k in range(K + 1):
-        coeffs[-2 * k - 2] = odd_double_factorial(k) * omega(k)
-    return LaurentSeries(coeffs, low=-2 * K - 2)
+    return _read(_scaled_resolvent(K), 4**K)
 
 
 def riccati_chi(K: int) -> LaurentSeries:
     """chi(z) = z + sum_{k=1}^{K} chi_k z^{-k} solving
     chi_x + chi^2 + 2u - z^2 = 0, with chi_1 = -u."""
-    chis: list[DiffPoly] = [DiffPoly()]  # chi_0 = 0
-    for k in range(1, K + 1):
-        acc = chis[k - 1].d_x() if k >= 2 else DiffPoly()
-        for a in range(1, k - 1):
-            acc = acc + chis[a] * chis[k - 1 - a]
-        if k == 1:
-            acc = acc + 2 * _U
-        chis.append(rat(-1, 2) * acc)
-    coeffs: dict = {1: DiffPoly.const(1)}
-    for k in range(1, K + 1):
-        coeffs[-k] = chis[k]
-    return LaurentSeries(coeffs, low=-K)
+    return _read(_scaled_chi(K), 2**K)
 
 
 def theta_matrix(K: int) -> list[list[LaurentSeries]]:
     """Theta(z) = [[-R_x/2, -R], [R_xx/2 - (z^2 - 2u)R, R_x/2]]: traceless
-    with Theta^2 = z^2 on retained orders."""
-    r = resolvent(K)
-    rx = _map_dx(r)
-    rxx = _map_dx(rx)
-    half = rat(1, 2)
-    e21 = rxx * half - r.shift(2) + (2 * _U) * r
-    return [[-half * rx, -r], [e21, half * rx]]
+    with Theta^2 = z^2 on retained orders.  Built as 2 * 4^K Theta."""
+    s = _scaled_resolvent(K)
+    sx = _map_dx(s)
+    e21 = _map_dx(sx) - 2 * s.shift(2) + (4 * _U) * s
+    scale = 2 * 4**K
+    return [
+        [_read(-sx, scale), _read(-2 * s, scale)],
+        [_read(e21, scale), _read(sx, scale)],
+    ]
 
 
 def _map_dx(s: LaurentSeries) -> LaurentSeries:
@@ -215,25 +282,26 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     Requires p + q <= K - 2; insufficient truncation raises the below-floor
     error from the underlying series.
     """
-    r = resolvent(K)
-    rx = _map_dx(r)
-    chi = riccati_chi(2 * K)
-    rcc = r * (chi * chi.substitute_negate())
+    s = _scaled_resolvent(K)  # 4^K R
+    sx = _map_dx(s)
+    chi = _scaled_chi(2 * K)  # 4^K chi
+    scc = s * (chi * chi.substitute_negate())  # 4^{3K} R chi(z) chi(-z)
     one = LaurentSeries.one()
     zsq = LaurentSeries.monomial(2, DiffPoly.const(1))
-    # even pair list: F2 numerator as sum of f(z) * g(w) with w-series read
-    # off the same univariate expansions
+    # the F2 numerator times scale = 2 * 4^{4K}, as a sum of weight * f(z) g(w)
+    # with the w-series read off the same univariate expansions
+    scale = 2 * 4 ** (4 * K)
     pairs = [
-        (rat(1, 2) * rx, rx),
-        (-rcc, r),
-        (-r, rcc),
-        (-zsq, one),
-        (-one, zsq),
+        (4 ** (2 * K), sx, sx),
+        (-2, scc, s),
+        (-2, s, scc),
+        (-scale, zsq, one),
+        (-scale, one, zsq),
     ]
     a = -2 * p - 2
     b = -2 * q - 2
     acc = DiffPoly()
-    for fz, gw in pairs:
+    for weight, fz, gw in pairs:
         ft = fz._eff_top()
         if ft is None:
             continue
@@ -243,9 +311,9 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
             if cf:
                 cg = gw.coefficient(b - 2 * m)
                 if cg:
-                    acc = acc + (m + 1) * (cf * cg)
+                    acc = acc + (weight * (m + 1)) * (cf * cg)
             m += 1
-    return rat(1, odd_double_factorial(p) * odd_double_factorial(q)) * acc
+    return _divide(acc, scale * odd_double_factorial(p) * odd_double_factorial(q))
 
 
 __all__ = [

@@ -5,7 +5,9 @@ import pytest
 
 from kdvcorr.diffpoly import (
     DiffPoly,
+    _chi_y,
     _map_dx,
+    _omega_x,
     flow_derivative,
     formal_antiderivative,
     mat2_mul,
@@ -75,6 +77,20 @@ def test_formal_antiderivative_inverts_d_x():
         formal_antiderivative(U)  # u is not a total x-derivative
 
 
+def test_formal_antiderivative_divides_ints_exactly():
+    # int coefficients stay ints where the division is exact ...
+    g = formal_antiderivative(2 * U * UX)
+    assert g == U * U
+    assert type(g.coefficient((2,))) is int
+    # ... and become Fractions, never floored, where it is not
+    half = formal_antiderivative(U * UX)
+    assert half == rat(1, 2) * U * U
+    assert half.coefficient((2,)) == rat(1, 2)
+    for f in (U, UX * UX, 3 * U * U):
+        with pytest.raises(ValueError):
+            formal_antiderivative(f)
+
+
 def test_omega_first_densities():
     assert omega(-1) == DiffPoly.const(1)
     assert omega(0) == U
@@ -88,11 +104,25 @@ def test_omega_first_densities():
 def test_omega_recursion_residual():
     # (2p+1) d_x Omega_p = 2 u d_x Omega_{p-1} + u_x Omega_{p-1}
     #                      + d_x^3 Omega_{p-1} / 4
-    for p in range(1, 7):
+    for p in range(1, 13):
         prev = omega(p - 1)
         lhs = (2 * p + 1) * omega(p).d_x()
         rhs = 2 * U * prev.d_x() + UX * prev + rat(1, 4) * prev.d_x_pow(3)
         assert lhs == rhs, p
+
+
+def test_scaled_recursions_stay_integral():
+    # X_p = 4^p (2p+1)!! Omega_p and Y_k = 2^k chi_k have int coefficients;
+    # a Fraction here would keep the values but lose the integer arithmetic
+    for p in range(13):
+        assert all(type(c) is int for c in _omega_x(p).terms.values()), p
+    for k in range(1, 21):
+        assert all(type(c) is int for c in _chi_y(k).terms.values()), k
+    # d_x X_p = (8 u d_x + 4 u_x + d_x^3) X_{p-1}, over the integers
+    for p in range(1, 13):
+        prev = _omega_x(p - 1)
+        rhs = 8 * U * prev.d_x() + 4 * UX * prev + prev.d_x_pow(3)
+        assert _omega_x(p).d_x() == rhs, p
 
 
 def test_flow_derivative_is_a_derivation():
@@ -159,6 +189,20 @@ def test_two_point_general_symmetry():
         assert two_point_general(p, q, p + q + 3) == two_point_general(
             q, p, p + q + 3
         )
+
+
+def test_two_point_general_with_tau0_is_omega():
+    # <<tau_0 tau_q>> = Omega_q, monomial by monomial
+    for q in range(7):
+        assert two_point_general(0, q, q + 3) == omega(q), q
+
+
+def test_two_point_general_x_derivative_is_a_flow():
+    # d_x <<tau_p tau_q>> = d/dt_p Omega_q, monomial by monomial
+    for p in range(7):
+        for q in range(7 - p):
+            lhs = two_point_general(p, q, p + q + 3).d_x()
+            assert lhs == flow_derivative(omega(q), p), (p, q)
 
 
 def test_two_point_general_at_wk_jets_matches_correlators():
