@@ -29,7 +29,7 @@ used by every sparse dict in the package.
 """
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 
 from .rationals import rat
 
@@ -123,6 +123,11 @@ class LaurentSeries:
             return LaurentSeries(
                 {e: c * other for e, c in self.coefficients.items()}, self.low
             )
+        return self.product(other, mul)
+
+    def product(self, other: "LaurentSeries", cmul) -> "LaurentSeries":
+        """self * other with each coefficient product formed as cmul(c1, c2),
+        say a product that truncates in the coefficient ring."""
         low = _product_floor(self, other)
         if low == "zero":
             return LaurentSeries.zero()
@@ -131,7 +136,7 @@ class LaurentSeries:
             for e2, c2 in other.coefficients.items():
                 e = e1 + e2
                 if low is None or e >= low:
-                    add_into(coeffs, e, c1 * c2)
+                    add_into(coeffs, e, cmul(c1, c2))
         return LaurentSeries(coeffs, low)
 
     def __rmul__(self, other):
@@ -226,8 +231,9 @@ class SparsePoly:
     rationals, in variables x_0, x_1, ...; exponent tuples never end in zero.
 
     Subclasses name their variables (`_var`, `_first_index`, used by repr) and
-    may truncate products: `_product_cap()` returns a weight cap, or None to
-    keep every term, and a subclass returning a cap also defines `_weight`.
+    may weigh monomials by an additive `_weight`; `truncated_mul` drops the
+    product terms above a given weight, and `*` truncates at `_product_cap()`,
+    a weight cap or None to keep every term.
     Both operands of a ring operation must be of the same subclass; anything
     else is coerced as a rational constant.
     """
@@ -287,24 +293,30 @@ class SparsePoly:
     def __neg__(self):
         return self._make({m: -c for m, c in self.terms.items()})
 
+    def truncated_mul(self, other, cap: int | None):
+        """self * other (both of this subclass) keeping only the terms whose
+        `_weight` is at most cap; cap None keeps every term.  The weight must
+        add under products, so a pair of terms is skipped before it is formed.
+        """
+        if cap is not None:
+            weight = self._weight
+            weighted = [(weight(m), m, c) for m, c in other.terms.items()]
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            if cap is None:
+                row = other.terms.items()
+            else:
+                room = cap - weight(m1)
+                row = [(m, c) for w, m, c in weighted if w <= room]
+            for m2, c2 in row:
+                # the longer factor's tail survives, so no trailing zero
+                mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
+                add_into(terms, mono, c1 * c2)
+        return self._make(terms)
+
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            cap = self._product_cap()
-            if cap is not None:
-                weight = self._weight
-                weighted = [(weight(m), m, c) for m, c in other.terms.items()]
-            terms: dict = {}
-            for m1, c1 in self.terms.items():
-                if cap is None:
-                    row = other.terms.items()
-                else:
-                    room = cap - weight(m1)
-                    row = [(m, c) for w, m, c in weighted if w <= room]
-                for m2, c2 in row:
-                    # the longer factor's tail survives, so no trailing zero
-                    mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
-                    add_into(terms, mono, c1 * c2)
-            return self._make(terms)
+            return self.truncated_mul(other, self._product_cap())
         if isinstance(other, LaurentSeries):
             return NotImplemented
         if not other:

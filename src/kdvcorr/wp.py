@@ -50,6 +50,17 @@ u = 0, u_x = 1 (all higher zero) and writing the result against the basis
 every wave pair in this module, flow states included, is a pair of exact
 LaurentSeries in z (low=None).
 
+The flow chains are pruned by that evaluation point.  Let phi(m), the far
+degree of a jet monomial m, be its total degree minus its exponent of u_x;
+the evaluation keeps exactly the monomials with phi = 0.  A flow derivative
+is a derivation that replaces one factor u_j by d_x^{j+1} Omega_k, which has
+no constant term, so it lowers the least phi by at most one; the
+alpha..delta products never lower phi.  After step i of a chain of L flows a
+term with phi > L - i therefore vanishes at the end, and `_flow_pair` passes
+room = L - i to `flow_apply`, which keeps only phi <= room in every jet-ring
+product it forms: in `flow_derivative` and in the alpha..delta products,
+each truncated before its terms are summed.
+
 The Kac-Schwarz operator S = (1/z) d_z - 1/(2 z^2) - z acts on such pairs by
 S(P c + Q q) = ((1/z) P' - z Q) c + ((1/z) Q' - z P - Q/z^2) q, since
 S c = -z q and S(z q) = -z^2 c.
@@ -80,6 +91,7 @@ from .series import LaurentSeries, add_into
 # and b exact Laurent series in z over differential polynomials
 
 
+@cache
 def _flow_coefficients(k: int) -> tuple[LaurentSeries, ...]:
     """(alpha_k, beta_k, gamma_k, delta_k) as exact series over DiffPoly."""
     nf = rat(1, odd_double_factorial(k))
@@ -98,17 +110,30 @@ def _flow_coefficients(k: int) -> tuple[LaurentSeries, ...]:
     return alpha, LaurentSeries(beta), LaurentSeries(gamma), -alpha
 
 
-def flow_apply(state: tuple, k: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """d/dt_k of a state (a, b) representing a psi + b psi_x."""
+def flow_apply(
+    state: tuple, k: int, room: int | None = None
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """d/dt_k of a state (a, b) representing a psi + b psi_x.
+
+    With a `room`, every jet-ring product, in the flow derivatives and in the
+    alpha..delta products, keeps only its terms of far degree <= room.
+    """
     a, b = state
     da, db = (
         LaurentSeries(
-            {e: flow_derivative(c, k) for e, c in s.coefficients.items()}
+            {e: flow_derivative(c, k, room) for e, c in s.coefficients.items()}
         )
         for s in state
     )
     alpha, beta, gamma, delta = _flow_coefficients(k)
-    return da + (a * alpha + b * gamma), db + (a * beta + b * delta)
+
+    def cmul(c1, c2):
+        return c1.truncated_mul(c2, room)
+
+    return (
+        da + (a.product(alpha, cmul) + b.product(gamma, cmul)),
+        db + (a.product(beta, cmul) + b.product(delta, cmul)),
+    )
 
 
 # the topological point t = 0: u = 0, u_x = 1, all higher jets 0
@@ -145,11 +170,11 @@ def wave_flow_pair(mu, with_x: bool = False) -> tuple[LaurentSeries, LaurentSeri
 @cache
 def _flow_pair(mu: tuple, with_x: bool) -> tuple[LaurentSeries, LaurentSeries]:
     # the pair is shared between callers: series are never changed in place
+    flows = [part + 1 for part in mu] + [0] * with_x
     state = (LaurentSeries({0: DiffPoly.const(1)}), LaurentSeries.zero())
-    for part in mu:
-        state = flow_apply(state, part + 1)
-    if with_x:
-        state = flow_apply(state, 0)
+    for step, k in enumerate(flows, 1):
+        # only terms of far degree <= the steps still to come can survive
+        state = flow_apply(state, k, room=len(flows) - step)
     return _evaluate_pair(state)
 
 

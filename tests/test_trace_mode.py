@@ -48,5 +48,5 @@ def test_traced_cli_runs_and_counts():
     assert report["codes"] == [0, 0]
     metrics = report["metrics"]
     for name in ("wp.wave_flow_pair_calls", "wp.m_kappa_matrix_calls",
-                 "diffpoly.omega_terms"):
+                 "diffpoly.omega_terms", "diffpoly.flow_derivative_calls"):
         assert metrics.get(name, 0) > 0, (name, metrics.get(name))

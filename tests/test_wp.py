@@ -1,14 +1,19 @@
 """Kappa-class layer: deformed waves, mixed correlators, volume polynomials."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from kdvcorr import wp
+from kdvcorr.diffpoly import DiffPoly
+from kdvcorr.partitions import partitions_of
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 from kdvcorr.series import LaurentSeries
 from kdvcorr.wk import correlator
 
 ZERO = LaurentSeries.zero()
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_wave_flow_pair_base_cases():
@@ -25,6 +30,18 @@ def test_wave_flow_pair_first_flow():
     p, q = wp.wave_flow_pair((1,))
     assert p == LaurentSeries.monomial(2, rat(-1, 30))
     assert q == LaurentSeries.monomial(5, rat(1, 15))
+
+
+@pytest.mark.parametrize("with_x", [False, True])
+def test_pruned_flow_chain_equals_unbounded_chain(with_x):
+    # wave_flow_pair drops, after each flow, the jet terms of far degree above
+    # the steps still to come; the full chain evaluated at the end must agree
+    for w in range(6):
+        for mu in partitions_of(w):
+            state = (LaurentSeries({0: DiffPoly.const(1)}), ZERO)
+            for k in [m + 1 for m in mu] + [0] * with_x:
+                state = wp.flow_apply(state, k)
+            assert wp.wave_flow_pair(mu, with_x) == wp._evaluate_pair(state), mu
 
 
 def test_ks_operator_on_basis():
@@ -187,6 +204,22 @@ def test_volume_entries_match_repeated_kappa_route():
         vol = wp.wp_volume(g, n)
         for (d, ks), entry in vol.entries.items():
             assert entry == wp.mixed_correlator((1,) * d, ks) * factorial(d)
+
+
+def test_genus_three_one_point_volume_matches_dvv_oracle(monkeypatch):
+    # <kappa_1^d tau_k> on M_{3,1} by the set-partition pushforward over DVV,
+    # a route that shares no code with the deformed wave
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracles
+
+    psi = oracles.PsiNumbers()
+    want = {}
+    for k in range(8):
+        value = oracles.kappa_number(psi, [1] * (7 - k), (k,))
+        if value:
+            want[(7 - k, (k,))] = value
+    assert len(want) == 8
+    assert wp.wp_volume(3, 1).entries == want
 
 
 def test_volume_sorted_items():
