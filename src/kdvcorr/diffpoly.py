@@ -294,6 +294,15 @@ def mat2_mul(a, b):
     ]
 
 
+@cache
+def _two_point_series(K: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
+    """4^K R, its d_x and 4^{3K} R chi(z) chi(-z): the series behind every
+    two_point_general call at this K.  Shared, so only ever read."""
+    s = _scaled_resolvent(K)
+    chi = _scaled_chi(2 * K)  # 4^K chi
+    return s, _map_dx(s), s * (chi * chi.substitute_negate())
+
+
 def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     """<<tau_p tau_q>> as a differential polynomial, from the two-point series
     quoted in the module docstring, expanded in |z| > |w|.
@@ -301,10 +310,7 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     Requires p + q <= K - 2; insufficient truncation raises the below-floor
     error from the underlying series.
     """
-    s = _scaled_resolvent(K)  # 4^K R
-    sx = _map_dx(s)
-    chi = _scaled_chi(2 * K)  # 4^K chi
-    scc = s * (chi * chi.substitute_negate())  # 4^{3K} R chi(z) chi(-z)
+    s, sx, scc = _two_point_series(K)
     one = LaurentSeries.one()
     zsq = LaurentSeries.monomial(2, DiffPoly.const(1))
     # the F2 numerator times scale = 2 * 4^{4K}, as a sum of weight * f(z) g(w)

@@ -29,7 +29,7 @@ used by every sparse dict in the package.
 """
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .rationals import rat
 
@@ -296,19 +296,23 @@ class SparsePoly:
     def truncated_mul(self, other, cap: int | None):
         """self * other (both of this subclass) keeping only the terms whose
         `_weight` is at most cap; cap None keeps every term.  The weight must
-        add under products, so a pair of terms is skipped before it is formed.
+        add under products, so a pair of terms is skipped before it is formed:
+        `other`'s terms are sorted by weight once, and each term of self walks
+        only the prefix that fits its room.
         """
-        if cap is not None:
+        if cap is None:  # every weight and every room reads 0
+            weighted = [(0, m, c) for m, c in other.terms.items()]
+        else:
             weight = self._weight
-            weighted = [(weight(m), m, c) for m, c in other.terms.items()]
+            weighted = sorted(
+                ((weight(m), m, c) for m, c in other.terms.items()), key=itemgetter(0)
+            )
         terms: dict = {}
         for m1, c1 in self.terms.items():
-            if cap is None:
-                row = other.terms.items()
-            else:
-                room = cap - weight(m1)
-                row = [(m, c) for w, m, c in weighted if w <= room]
-            for m2, c2 in row:
+            room = 0 if cap is None else cap - weight(m1)
+            for w, m2, c2 in weighted:
+                if w > room:
+                    break
                 # the longer factor's tail survives, so no trailing zero
                 mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
                 add_into(terms, mono, c1 * c2)

@@ -23,6 +23,11 @@ all intersection numbers of a given width n at once:
 
 with the one-point values carried by the explicit series
 F_1 = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2}.
+
+A table of width n >= 2 (n_point_table) traces only the box with every
+index >= 2; its entries with a tau_0 or a tau_1 follow exactly from the
+width n-1 table by the string and dilaton equations.  A single correlator
+is still one direct trace.
 """
 from __future__ import annotations
 
@@ -206,7 +211,18 @@ def n_point_table(
     verify: bool = False,
     workers: int = 1,
 ) -> CorrelatorTable:
-    """Every width-n correlator with all indices in [k_min, k_max]."""
+    """Every width-n correlator with all indices in [k_min, k_max].
+
+    Only the box with every index >= 2 is traced.  The entries with a tau_0
+    or a tau_1 come from the width n-1 table over [k_min, k_max], built by
+    this same function with the same `verify` and `workers`, down to the
+    closed one_point at width 1:
+
+        <tau_0 tau_K>   = sum_i <tau_K with k_i lowered by 1>   (string)
+        <tau_1 tau_K>_g = (2g - 2 + |K|) <tau_K>_g              (dilaton)
+
+    with the one unstable base <tau_0^3> = 1.
+    """
     if n < 1:
         raise ValueError("width must be positive")
     if k_min < 0 or k_max < k_min:
@@ -218,8 +234,21 @@ def n_point_table(
             if v:
                 table.entries[(k,)] = v
         return table
-    windows = [(-k_max - 1, -k_min - 1)] * n
+    if k_max >= 2:
+        traced = _traced_entries(n, max(k_min, 2), k_max, verify, workers)
+        table.entries.update(traced)
+    if k_min <= 1:
+        lower = n_point_table(n - 1, k_max, k_min, verify=verify, workers=workers)
+        table.entries.update(_string_and_dilaton(lower.entries, n, k_min, k_max))
+    return table
+
+
+def _traced_entries(n: int, lo: int, hi: int, verify: bool, workers: int) -> dict:
+    """Width-n correlators with every index in [lo, hi], from one trace of
+    the whole box, keeping one ordering per index multiset."""
+    windows = [(-hi - 1, -lo - 1)] * n
     coeffs = npoint_window(n, windows, m_matrix, verify=verify, workers=workers)
+    entries = {}
     for key, c in coeffs.items():
         ks = tuple(sorted(-e - 1 for e in key))
         if tuple(-k - 1 for k in sorted(ks, reverse=True)) != key:
@@ -230,8 +259,36 @@ def n_point_table(
         for k in ks:
             v = v / odd_double_factorial(k)
         if v:
-            table.entries[ks] = v
-    return table
+            entries[ks] = v
+    return entries
+
+
+def _string_and_dilaton(lower: dict, n: int, k_min: int, k_max: int) -> dict:
+    """The width-n entries over [k_min, k_max], k_min <= 1, that hold a tau_0
+    or a tau_1, from `lower`: the nonzero width n-1 entries over the same
+    range.  Every psi number is positive, so no sum here is zero."""
+    out = {}
+    for ks, v in lower.items():
+        if ks[0] >= 1:
+            out[(1,) + ks] = (2 * genus(ks) - 2 + (n - 1)) * v
+    if k_min == 1:
+        return out
+    if n == 3:
+        out[(0, 0, 0)] = rat(1)
+    # a nonzero <tau_0 tau_K> has a lower key below K: raise one index of it
+    raised = {
+        tuple(sorted(ks[:i] + (k + 1,) + ks[i + 1 :]))
+        for ks in lower
+        for i, k in enumerate(ks)
+        if k < k_max
+    }
+    for ks in raised:
+        out[(0,) + ks] = sum(
+            lower.get(tuple(sorted(ks[:i] + (k - 1,) + ks[i + 1 :])), 0)
+            for i, k in enumerate(ks)
+            if k
+        )
+    return out
 
 
 __all__ = [

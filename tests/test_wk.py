@@ -5,10 +5,16 @@ tests/test_acceptance.py (criteria 01-03).
 """
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from pathlib import Path
+
 import pytest
 
 from kdvcorr import wk
+from kdvcorr.npoint import npoint_window
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_genus():
@@ -59,11 +65,65 @@ def test_correlator_input_validation():
 
 
 def test_string_and_dilaton_relations_from_table():
-    table = wk.n_point_table(2, 13)
-    for g in range(1, 5):
-        k = 3 * g - 1
-        assert table.entries[(0, k)] == wk.one_point(k - 1), g
-        assert table.entries[(1, k - 1)] == (2 * g - 1) * wk.one_point(k - 1), g
+    # the table fills its tau_0 and tau_1 entries by these equations, so they
+    # are checked against correlator, which traces each key directly
+    for n, k_max in ((2, 13), (3, 9)):
+        table = wk.n_point_table(n, k_max)
+        low = {ks: v for ks, v in table.entries.items() if ks[0] <= 1}
+        assert {ks[0] for ks in low} == {0, 1}, n
+        for ks, v in low.items():
+            assert v == wk.correlator(ks), ks
+
+
+def _whole_box_entries(n, k_max, k_min):
+    """The table from one trace of the whole box [k_min, k_max]^n, keeping
+    the ordering with decreasing indices of each multiset."""
+    coeffs = npoint_window(n, [(-k_max - 1, -k_min - 1)] * n, wk.m_matrix)
+    entries = {}
+    for key, c in coeffs.items():
+        if list(key) != sorted(key):
+            continue
+        ks = tuple(sorted(-e - 1 for e in key))
+        if wk.genus(ks) is None:
+            continue
+        v = rat(c)
+        for k in ks:
+            v = v / odd_double_factorial(k)
+        if v:
+            entries[ks] = v
+    return entries
+
+
+@pytest.mark.parametrize("k_min", [0, 1])
+@pytest.mark.parametrize("n,k_max", [(2, 13), (3, 9), (4, 5), (5, 3)])
+def test_reduced_table_equals_whole_box_trace(n, k_max, k_min):
+    want = _whole_box_entries(n, k_max, k_min)
+    assert any(ks[0] <= 1 for ks in want) and any(ks[0] >= 2 for ks in want)
+    assert wk.n_point_table(n, k_max, k_min).entries == want
+
+
+@pytest.mark.parametrize("n,k_max", [(4, 5), (5, 3)])
+def test_reduced_table_verify_and_workers(n, k_max):
+    want = _whole_box_entries(n, k_max, 0)
+    assert wk.n_point_table(n, k_max, verify=True).entries == want
+    assert wk.n_point_table(n, k_max, workers=2).entries == want
+
+
+@pytest.mark.parametrize("n,k_max", [(5, 5), (6, 3)])
+def test_wide_table_matches_dvv_oracle(monkeypatch, n, k_max):
+    # the oracle also reduces tau_0 and tau_1 by string and dilaton, so it is
+    # independent here only on the all->=2 entries; the whole-box test above
+    # covers the rest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracles
+
+    psi = oracles.PsiNumbers()
+    want = {}
+    for ks in combinations_with_replacement(range(k_max + 1), n):
+        value = psi(ks)
+        if value:
+            want[ks] = value
+    assert wk.n_point_table(n, k_max).entries == want
 
 
 def test_table_input_validation():
