@@ -35,7 +35,6 @@ from .partitions import (
     multiplicities,
     partition_to_monomial,
     partitions_of,
-    weight_cap,
 )
 from .npoint import TruncationInstability, npoint_window
 from .wk import (
@@ -99,6 +98,5 @@ __all__ = [
     "theta_matrix",
     "two_point_general",
     "wave_component_series",
-    "weight_cap",
     "wp_volume",
 ]

@@ -373,7 +373,7 @@ def _add_common(sub, *, verify: bool = False, workers: bool = False) -> None:
         )
     if workers:
         sub.add_argument(
-            "--workers", type=int, default=1, help="parallel table workers"
+            "--workers", type=int, default=1, help="worker processes for the trace"
         )
 
 

@@ -305,7 +305,9 @@ def npoint_window(
         floors2, exports2 = budgets(windows, mat_top, widen=4)
         floors2 = [min(f2, 2 * f1) for f1, f2 in zip(floors, floors2)]
         exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
-        check = _compute(n, windows, _build_mats(mat_factory, floors2), exports2)
+        check = _compute(
+            n, windows, _build_mats(mat_factory, floors2), exports2, workers=workers
+        )
         if check != result:
             changed = sum(
                 1

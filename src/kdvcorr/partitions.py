@@ -13,13 +13,12 @@ with v = len(lam) - m1(lam); the matrix kappa[lam, mu] = L[lam, mu]/m(mu)! is
 lower triangular with unit diagonal and integer entries, and its row sums are
 the Bell numbers B_{len(lam)}.
 
-The s-variables carry weight(s_j) = j.  Products truncate at the weight cap
-installed by `weight_cap` (a module-level config, settable as a context
-manager), matching how every kappa computation bounds its total weight.
+The s-variables carry weight(s_j) = j.  Every kappa computation bounds its
+total weight: `truncate_weight(cap)` gives a polynomial the weight cap `cap`,
+and sums and products with it keep that cap and drop the terms above it.
 """
 from __future__ import annotations
 
-import contextlib
 from itertools import product as _iproduct
 from math import factorial
 
@@ -102,21 +101,6 @@ def bell_number(k: int) -> int:
 
 # -- sparse polynomials in s_1, s_2, ... -------------------------------------
 
-_WEIGHT_CAP: int | None = None
-
-
-@contextlib.contextmanager
-def weight_cap(cap: int | None):
-    """Install a total-weight truncation for s-polynomial products."""
-    global _WEIGHT_CAP
-    old = _WEIGHT_CAP
-    _WEIGHT_CAP = cap
-    try:
-        yield
-    finally:
-        _WEIGHT_CAP = old
-
-
 def monomial_weight(mono: tuple[int, ...]) -> int:
     """Weight of s_1^{e_1} s_2^{e_2} ...: sum of j * e_j."""
     return sum((j + 1) * e for j, e in enumerate(mono))
@@ -132,8 +116,9 @@ def partition_to_monomial(lam: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class SPoly(SparsePoly):
-    """Sparse polynomial in s_1, s_2, ... with exact rational coefficients;
-    products truncate at the installed `weight_cap`."""
+    """Sparse polynomial in s_1, s_2, ... with exact rational coefficients,
+    weighed by `monomial_weight`; after `truncate_weight(cap)` it and every
+    sum and product built from it are known to weight cap."""
 
     __slots__ = ()
     _var = "s"
@@ -141,22 +126,17 @@ class SPoly(SparsePoly):
     _weight = staticmethod(monomial_weight)
 
     @classmethod
-    def var(cls, j: int, coeff=1) -> "SPoly":
+    def var(cls, j: int) -> "SPoly":
         """The variable s_j."""
         if j < 1:
             raise ValueError("s-variables are indexed from 1")
-        return cls({tuple(0 if i < j - 1 else 1 for i in range(j)): coeff})
-
-    def _product_cap(self) -> int | None:
-        return _WEIGHT_CAP
-
-    def coefficient_of_partition(self, lam: tuple[int, ...]):
-        return self.coefficient(partition_to_monomial(lam))
+        return cls({tuple(0 if i < j - 1 else 1 for i in range(j)): 1})
 
     def truncate_weight(self, cap: int) -> "SPoly":
-        return SPoly(
-            {m: c for m, c in self.terms.items() if monomial_weight(m) <= cap}
-        )
+        """self known only to weight cap: the terms above it dropped and the
+        cap recorded, so everything built from the result truncates there."""
+        cap = cap if self.cap is None else min(self.cap, cap)
+        return self._make(self._upto(cap), cap)
 
 
 def h_polynomials(K: int) -> list[SPoly]:
@@ -166,15 +146,15 @@ def h_polynomials(K: int) -> list[SPoly]:
     for k in range(1, K + 1):
         acc = SPoly()
         for j in range(1, k + 1):
-            acc = acc + SPoly.var(j, coeff=j) * hs[k - j]
+            acc = acc + SPoly.var(j) * j * hs[k - j]
         hs.append(acc * rat(1, k))
     return hs
 
 
 def negate_variables(p: SPoly) -> SPoly:
     """Substitute s_j -> -s_j for every j."""
-    return SPoly(
-        {m: (c if sum(m) % 2 == 0 else -c) for m, c in p.terms.items()}
+    return p._make(
+        {m: (c if sum(m) % 2 == 0 else -c) for m, c in p.terms.items()}, p.cap
     )
 
 
@@ -185,7 +165,6 @@ __all__ = [
     "multinomial",
     "l_entry",
     "bell_number",
-    "weight_cap",
     "monomial_weight",
     "partition_to_monomial",
     "SPoly",

@@ -25,7 +25,6 @@ from .partitions import (
     l_entry,
     mult_factorial,
     partitions_of,
-    weight_cap,
 )
 from .rationals import rat
 from .series import LaurentSeries
@@ -156,27 +155,25 @@ def _check_flow_commutation(depth: int) -> None:
 def _check_deformed_wronskian(depth: int) -> None:
     """A(z;s) B(-z;s) - A(-z;s) B(z;s) = -2z with s-polynomial coefficients."""
     cap = min(3, depth)
-    with weight_cap(cap):
-        dw = wp.deformed_wave(cap)
-        low = -depth
-        a = wp.wave_series(dw, "A", low)
-        b = wp.wave_series(dw, "B", low)
-        w = a * b.substitute_negate() - a.substitute_negate() * b
-        for e, c in w.coefficients.items():
-            want_zero = c + (2 if e == 1 else 0)
-            if want_zero:
-                raise AssertionError(f"deformed Wronskian term at z^{e}: {c}")
+    dw = wp.deformed_wave(cap)
+    low = -depth
+    a = wp.wave_series(dw, "A", low)
+    b = wp.wave_series(dw, "B", low)
+    w = a * b.substitute_negate() - a.substitute_negate() * b
+    for e, c in w.coefficients.items():
+        want_zero = c + (2 if e == 1 else 0)
+        if want_zero:
+            raise AssertionError(f"deformed Wronskian term at z^{e}: {c}")
 
 
 def _check_deformed_negative_powers(depth: int) -> None:
     """A^lambda for lambda != () expands in strictly negative powers."""
-    with weight_cap(2):
-        dw = wp.deformed_wave(2)
-        for lam in ((1,), (2,), (1, 1)):
-            series = wp.wave_component_series(dw, lam, "A", -depth)
-            bad = [e for e in series.coefficients if e >= 0]
-            if bad:
-                raise AssertionError(f"A^{lam} has non-negative powers {bad}")
+    dw = wp.deformed_wave(2)
+    for lam in ((1,), (2,), (1, 1)):
+        series = wp.wave_component_series(dw, lam, "A", -depth)
+        bad = [e for e in series.coefficients if e >= 0]
+        if bad:
+            raise AssertionError(f"A^{lam} has non-negative powers {bad}")
 
 
 def _check_deformed_ks_relations(depth: int) -> None:

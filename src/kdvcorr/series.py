@@ -25,7 +25,11 @@ polynomials, s-polynomials); mixed int/ring arithmetic is used for zero.
 The module also holds the shared sparse-polynomial core: `SparsePoly`, the
 {exponent tuple: coefficient} ring behind the differential polynomials and
 the s-polynomials, and `add_into`, the one accumulate-and-drop-zeros step
-used by every sparse dict in the package.
+used by every sparse dict in the package.  A sparse polynomial carries a
+weight cap, the counterpart of the floor `low`: only its terms of weight <=
+cap are known, and `cap=None` is the exact form.  Sums and products take the
+smaller cap of their operands and drop every term above it, so a cap set on
+a seed constant travels with all that is built from it, into pool workers too.
 """
 from __future__ import annotations
 
@@ -103,7 +107,7 @@ class LaurentSeries:
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        low = _max_floor(self.low, other.low)
+        low = _tighter(self.low, other.low, max)
         coeffs = dict(self.coefficients)
         for e, c in other.coefficients.items():
             add_into(coeffs, e, c)
@@ -176,7 +180,7 @@ class LaurentSeries:
         larger of the two truncation floors."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        low = _max_floor(self.low, other.low)
+        low = _tighter(self.low, other.low, max)
         exps = set(self.coefficients) | set(other.coefficients)
         if low is not None:
             exps = {e for e in exps if e >= low}
@@ -198,12 +202,9 @@ class LaurentSeries:
         return body + tail
 
 
-def _max_floor(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
+def _tighter(a: int | None, b: int | None, pick) -> int | None:
+    """pick(a, b) of two optional bounds, where None means no bound."""
+    return b if a is None else a if b is None else pick(a, b)
 
 
 def _product_floor(f: LaurentSeries, g: LaurentSeries):
@@ -231,28 +232,35 @@ class SparsePoly:
     rationals, in variables x_0, x_1, ...; exponent tuples never end in zero.
 
     Subclasses name their variables (`_var`, `_first_index`, used by repr) and
-    may weigh monomials by an additive `_weight`; `truncated_mul` drops the
-    product terms above a given weight, and `*` truncates at `_product_cap()`,
-    a weight cap or None to keep every term.
+    may weigh monomials by an additive `_weight`.  A polynomial built by the
+    constructor is exact (`cap` None); a capped one, as made by
+    `SPoly.truncate_weight`, knows only its terms of weight <= cap and stores
+    none above it.  Sums and products carry the smaller cap of their operands
+    and products truncate there, as the floor `low` of a LaurentSeries rises;
+    `truncated_mul` also drops the terms above an explicit cap without giving
+    the result that cap.
     Both operands of a ring operation must be of the same subclass; anything
-    else is coerced as a rational constant.
+    else is coerced as an exact rational constant.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "cap")
     _var = "x"
     _first_index = 0
 
     def __init__(self, terms: dict | None = None):
         self.terms = {}
+        self.cap = None
         if terms:
             for mono, c in terms.items():
                 if c:
                     self.terms[_strip(tuple(mono))] = c
 
-    def _make(self, terms: dict):
-        """Wrap an already normal terms dict without re-checking it."""
+    def _make(self, terms: dict, cap: int | None = None):
+        """Wrap an already normal terms dict, with no term above cap, without
+        re-checking it."""
         out = object.__new__(type(self))
         out.terms = terms
+        out.cap = cap
         return out
 
     @classmethod
@@ -267,17 +275,22 @@ class SparsePoly:
         except TypeError:
             return None
 
-    def _product_cap(self) -> int | None:
-        return None
+    def _upto(self, cap: int | None) -> dict:
+        """The terms of weight <= cap, without a copy when none is above it."""
+        if cap is None or (self.cap is not None and self.cap <= cap):
+            return self.terms
+        weight = self._weight
+        return {m: c for m, c in self.terms.items() if weight(m) <= cap}
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
+        cap = _tighter(self.cap, other.cap, min)
+        terms = dict(self._upto(cap))
+        for mono, c in other._upto(cap).items():
             add_into(terms, mono, c)
-        return self._make(terms)
+        return self._make(terms, cap)
 
     __radd__ = __add__
 
@@ -291,15 +304,19 @@ class SparsePoly:
         return (-self) + other
 
     def __neg__(self):
-        return self._make({m: -c for m, c in self.terms.items()})
+        return self._make({m: -c for m, c in self.terms.items()}, self.cap)
 
     def truncated_mul(self, other, cap: int | None):
         """self * other (both of this subclass) keeping only the terms whose
-        `_weight` is at most cap; cap None keeps every term.  The weight must
-        add under products, so a pair of terms is skipped before it is formed:
-        `other`'s terms are sorted by weight once, and each term of self walks
-        only the prefix that fits its room.
+        `_weight` is at most both cap and the factors' smaller cap; cap None
+        keeps what the factors know.  The result carries the factors' cap
+        only, so an explicit cap, such as a room, never tags it.  The weight
+        must add under products, so a pair of terms is skipped before it is
+        formed: `other`'s terms are sorted by weight once, and each term of
+        self walks only the prefix that fits its room.
         """
+        own = _tighter(self.cap, other.cap, min)
+        cap = _tighter(cap, own, min)
         if cap is None:  # every weight and every room reads 0
             weighted = [(0, m, c) for m, c in other.terms.items()]
         else:
@@ -316,16 +333,16 @@ class SparsePoly:
                 # the longer factor's tail survives, so no trailing zero
                 mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
                 add_into(terms, mono, c1 * c2)
-        return self._make(terms)
+        return self._make(terms, own)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            return self.truncated_mul(other, self._product_cap())
+            return self.truncated_mul(other, None)
         if isinstance(other, LaurentSeries):
             return NotImplemented
         if not other:
-            return self._make({})
-        return self._make({m: c * other for m, c in self.terms.items()})
+            return self._make({}, self.cap)
+        return self._make({m: c * other for m, c in self.terms.items()}, self.cap)
 
     def __rmul__(self, other):
         # through self.__mul__, so a wrapper installed on the class sees it
@@ -335,10 +352,12 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        """Equal on every monomial up to the smaller of the two caps."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        cap = _tighter(self.cap, other.cap, min)
+        return self._upto(cap) == other._upto(cap)
 
     __hash__ = None
 

@@ -81,7 +81,6 @@ from .partitions import (
     negate_variables,
     partition_to_monomial,
     partitions_of,
-    weight_cap,
 )
 from .rationals import factorial, odd_double_factorial, rat
 from .series import LaurentSeries, add_into
@@ -192,9 +191,9 @@ def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentS
 
 @dataclass
 class DeformedWave:
-    """(P, Q) pairs of A(z;s) and B(z;s) with s-polynomial coefficients."""
+    """(P, Q) pairs of A(z;s) and B(z;s) with s-polynomial coefficients,
+    each carrying the weight cap the wave was built to."""
 
-    cap: int
     a: tuple[LaurentSeries, LaurentSeries]
     b: tuple[LaurentSeries, LaurentSeries]
 
@@ -220,7 +219,7 @@ def _exp_prefactor(cap: int) -> LaurentSeries:
             for k in range(1, cap + 1)
         }
     )
-    acc = power = LaurentSeries({0: SPoly.const(1)})
+    acc = power = LaurentSeries({0: SPoly.const(1).truncate_weight(cap)})
     for m in range(1, cap + 1):
         power = power * t
         if power.is_zero_to_truncation():
@@ -233,27 +232,25 @@ def deformed_wave(cap: int) -> DeformedWave:
     """A(z;s), B(z;s) as s-polynomial pairs, exact to total s-weight cap."""
     if cap < 0:
         raise ValueError("negative weight cap")
-    with weight_cap(cap):
-        # P, Q of A and of B before the exponential prefactor
-        parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
-        for w in range(1, cap + 1):
-            for lam in partitions_of(w):
-                front = rat(
-                    (-1) ** len(lam), mult_factorial(lam)
-                )
-                s_mono = SPoly({partition_to_monomial(lam): front})
-                for mu in partitions_of(w):
-                    lcoef = l_entry(lam, mu)
-                    if not lcoef:
-                        continue
-                    factor = s_mono * rat((-1) ** len(mu) * lcoef, mult_factorial(mu))
-                    flows = wave_flow_pair(mu) + wave_flow_pair(mu, with_x=True)
-                    for part, flow in zip(parts, flows):
-                        for e, v in flow.coefficients.items():
-                            add_into(part, e, factor * v)
-        e = _exp_prefactor(cap)
-        a_p, a_q, b_p, b_q = (e * LaurentSeries(part) for part in parts)
-        return DeformedWave(cap, (a_p, a_q), (b_p, b_q))
+    # P, Q of A and of B before the exponential prefactor
+    parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
+    for w in range(1, cap + 1):
+        for lam in partitions_of(w):
+            front = rat((-1) ** len(lam), mult_factorial(lam))
+            s_mono = SPoly({partition_to_monomial(lam): front})
+            for mu in partitions_of(w):
+                lcoef = l_entry(lam, mu)
+                if not lcoef:
+                    continue
+                factor = s_mono * rat((-1) ** len(mu) * lcoef, mult_factorial(mu))
+                flows = wave_flow_pair(mu) + wave_flow_pair(mu, with_x=True)
+                for part, flow in zip(parts, flows):
+                    for e, v in flow.coefficients.items():
+                        add_into(part, e, factor * v)
+    # every coefficient of E carries the cap, so the products take it on
+    e = _exp_prefactor(cap)
+    a_p, a_q, b_p, b_q = (e * LaurentSeries(part) for part in parts)
+    return DeformedWave((a_p, a_q), (b_p, b_q))
 
 
 def _top(*series: LaurentSeries) -> int:
@@ -286,22 +283,21 @@ def f_kappa_1(cap: int, low: int) -> dict:
 
     F_1(z;s) = (-A(z) B'(-z) + B'(z) A(-z) + B(z) A'(-z) - A'(z) B(-z))/(4z).
     """
-    with weight_cap(cap):
-        dw = deformed_wave(cap)
-        a = wave_series(dw, "A", low - 4)
-        b = wave_series(dw, "B", low - 4)
-        ab = a.substitute_negate()
-        bb = b.substitute_negate()
-        da = a.derivative()
-        db = b.derivative()
-        tot = (
-            (a * db.substitute_negate()) * -1
-            + db * ab
-            + b * da.substitute_negate()
-            + (da * bb) * -1
-        )
-        f = tot.shift(-1) * rat(1, 4)
-        return {e: c for e, c in f.coefficients.items() if e >= low and c}
+    dw = deformed_wave(cap)
+    a = wave_series(dw, "A", low - 4)
+    b = wave_series(dw, "B", low - 4)
+    ab = a.substitute_negate()
+    bb = b.substitute_negate()
+    da = a.derivative()
+    db = b.derivative()
+    tot = (
+        (a * db.substitute_negate()) * -1
+        + db * ab
+        + b * da.substitute_negate()
+        + (da * bb) * -1
+    )
+    f = tot.shift(-1) * rat(1, 4)
+    return {e: c for e, c in f.coefficients.items() if e >= low and c}
 
 
 def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
@@ -311,38 +307,37 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
     Entries are built from the 2x2 quadratic form in A, B using the closed
     hypergeometric product series for c c-bar, c q-bar, q c-bar, q q-bar.
     """
-    with weight_cap(dw.cap):
-        zlow = 2 * floor - 2 * _top(*dw.a, *dw.b) - 2
-        cc = wk.product_cc(zlow)
-        qq = wk.product_qq(zlow)
-        cq = wk.product_cq(zlow)
-        qc = wk.product_qc(zlow)
+    zlow = 2 * floor - 2 * _top(*dw.a, *dw.b) - 2
+    cc = wk.product_cc(zlow)
+    qq = wk.product_qq(zlow)
+    cq = wk.product_cq(zlow)
+    qc = wk.product_qc(zlow)
 
-        def pair_product(first, second):
-            # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
-            p1, q1 = first
-            p2, q2 = (s.substitute_negate() for s in second)
-            return p1 * p2 * cc + p1 * q2 * cq + q1 * p2 * qc + q1 * q2 * qq
+    def pair_product(first, second):
+        # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
+        p1, q1 = first
+        p2, q2 = (s.substitute_negate() for s in second)
+        return p1 * p2 * cc + p1 * q2 * cq + q1 * p2 * qc + q1 * q2 * qq
 
-        abb = pair_product(dw.a, dw.b)
-        aab = pair_product(dw.a, dw.a)
-        bbb = pair_product(dw.b, dw.b)
-        # B(z) A(-z) is A(z) B(-z) with z -> -z
-        m11 = (abb + abb.substitute_negate()) * rat(-1, 2)
-        m12 = aab * -1
-        m21 = bbb
+    abb = pair_product(dw.a, dw.b)
+    aab = pair_product(dw.a, dw.a)
+    bbb = pair_product(dw.b, dw.b)
+    # B(z) A(-z) is A(z) B(-z) with z -> -z
+    m11 = (abb + abb.substitute_negate()) * rat(-1, 2)
+    m12 = aab * -1
+    m21 = bbb
 
-        def to_y(series):
-            out = {}
-            for e, c in series.coefficients.items():
-                if e % 2:
-                    raise ArithmeticError("odd power in an even matrix entry")
-                if e // 2 >= floor and c:
-                    out[e // 2] = c
-            return out
+    def to_y(series):
+        out = {}
+        for e, c in series.coefficients.items():
+            if e % 2:
+                raise ArithmeticError("odd power in an even matrix entry")
+            if e // 2 >= floor and c:
+                out[e // 2] = c
+        return out
 
-        h = to_y(m11)
-        return [[h, to_y(m12)], [to_y(m21), {e: -c for e, c in h.items()}]]
+    h = to_y(m11)
+    return [[h, to_y(m12)], [to_y(m21), {e: -c for e, c in h.items()}]]
 
 
 def f_kappa_n(
@@ -359,15 +354,14 @@ def f_kappa_n(
     """
     if n < 2:
         raise ValueError("use f_kappa_1 for the one-point function")
-    with weight_cap(cap):
-        dw = deformed_wave(cap)
-        return npoint_window(
-            n,
-            windows,
-            lambda fl: m_kappa_matrix(dw, fl),
-            verify=verify,
-            workers=workers,
-        )
+    dw = deformed_wave(cap)
+    return npoint_window(
+        n,
+        windows,
+        lambda fl: m_kappa_matrix(dw, fl),
+        verify=verify,
+        workers=workers,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from kdvcorr import selftest, wk, wp
 from kdvcorr.diffpoly import DiffPoly, _map_dx, resolvent, two_point_general
-from kdvcorr.partitions import partitions_of
+from kdvcorr.partitions import partition_to_monomial, partitions_of
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 from kdvcorr.series import LaurentSeries
 
@@ -343,14 +343,15 @@ def test_criterion_09_cross_pipeline_consistency():
             for k in ks:
                 weight *= odd_double_factorial(k)
             for lam in lams:
-                got = spoly.coefficient_of_partition(lam)
+                got = spoly.coefficient(partition_to_monomial(lam))
                 assert got == wp.mixed_correlator(lam, ks) * weight, (key, lam)
 
         one = wp.f_kappa_1(2, -14)
         for k in range(0, 7):
             spoly = one.get(-2 * k - 2)
             for lam in lams:
-                got = spoly.coefficient_of_partition(lam) if spoly else 0
+                mono = partition_to_monomial(lam)
+                got = spoly.coefficient(mono) if spoly else 0
                 want = wp.mixed_correlator(lam, (k,)) * odd_double_factorial(k)
                 assert got == want, (k, lam)
 

@@ -1,6 +1,11 @@
 """Cyclic trace engine: windows, budgets, verification, worker determinism."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kdvcorr import npoint, wk
@@ -120,15 +125,18 @@ def test_factory_called_once_per_pass(verify, calls):
     assert got == npoint_window(4, windows, wk.m_matrix)
 
 
-def test_pool_never_larger_than_class_count(monkeypatch):
-    # stands in for the pool and runs map in-process, so no worker starts
-    sizes = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the pool and runs map in-process, so no worker starts;
+    returns the sizes of the pools entered, in order."""
+    entered = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.size = max_workers
 
         def __enter__(self):
+            entered.append(self.size)
             return self
 
         def __exit__(self, *exc):
@@ -138,10 +146,48 @@ def test_pool_never_larger_than_class_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(npoint, "ProcessPoolExecutor", InlinePool)
+    return entered
+
+
+def test_pool_never_larger_than_class_count(inline_pool):
     windows = [(-4, -1)] * 4
     got = npoint_window(4, windows, wk.m_matrix, workers=64)
-    assert sizes == [3]  # n = 4 has 3 cycle classes
+    assert inline_pool == [3]  # n = 4 has 3 cycle classes
     assert got == npoint_window(4, windows, wk.m_matrix)
+
+
+def test_verify_pass_uses_the_pool(inline_pool):
+    windows = [(-4, -1)] * 4
+    got = npoint_window(4, windows, wk.m_matrix, verify=True, workers=2)
+    assert inline_pool == [2, 2]  # one pool for the trace, one for the check
+    assert got == npoint_window(4, windows, wk.m_matrix)
+
+
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from kdvcorr import wk, wp
+
+multiprocessing.set_start_method(sys.argv[1])
+assert wp.wp_volume(0, 4, workers=2, verify=True) == wp.wp_volume(0, 4)
+assert wk.n_point_table(5, 4, workers=2) == wk.n_point_table(5, 4)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_agree_with_serial_under_start_method(method):
+    # a spawned or forkserver worker imports kdvcorr afresh, so it sees no
+    # state of the parent process beyond the pickled matrices it receives
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", START_METHOD_SCRIPT, method],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n, windows", [(4, [(-5, -1)] * 4), (5, [(-4, -1)] * 5)])

@@ -15,7 +15,6 @@ from kdvcorr.partitions import (
     negate_variables,
     partition_to_monomial,
     partitions_of,
-    weight_cap,
 )
 from kdvcorr.rationals import rat
 
@@ -122,39 +121,22 @@ def test_spoly_arithmetic():
 def test_spoly_coefficient_of_partition():
     s1 = SPoly.var(1)
     f = s1 * s1 * rat(1, 2)
-    assert f.coefficient_of_partition((1, 1)) == rat(1, 2)
-    assert f.coefficient_of_partition((2,)) == 0
+    assert f.coefficient(partition_to_monomial((1, 1))) == rat(1, 2)
+    assert f.coefficient(partition_to_monomial((2,))) == 0
 
 
-def test_weight_cap_truncates_products():
+def test_truncate_weight_caps_products():
     s1 = SPoly.var(1)
-    with weight_cap(2):
-        f = (1 + s1) * (1 + s1) * (1 + s1)
-        assert f.coefficient(()) == rat(1)
-        assert f.coefficient((1,)) == rat(3)
-        assert f.coefficient((2,)) == rat(3)
-        assert f.coefficient((3,)) == 0  # weight 3 dropped by the cap
+    one = SPoly.const(1).truncate_weight(2)
+    f = (one + s1) * (1 + s1) * (1 + s1)
+    assert f.cap == 2
+    assert f.coefficient(()) == rat(1)
+    assert f.coefficient((1,)) == rat(3)
+    assert f.coefficient((2,)) == rat(3)
+    assert f.coefficient((3,)) == 0  # weight 3 dropped by the cap
     g = (1 + s1) * (1 + s1) * (1 + s1)
+    assert g.cap is None
     assert g.coefficient((3,)) == rat(1)
-
-
-def test_weight_cap_nests_and_restores():
-    s1 = SPoly.var(1)
-
-    def kept(w):
-        # does the weight-w product s_1^w survive the installed cap?
-        p = SPoly.const(1)
-        for _ in range(w):
-            p = p * s1
-        return bool(p)
-
-    assert kept(6)
-    with weight_cap(5):
-        assert kept(5) and not kept(6)
-        with weight_cap(2):
-            assert kept(2) and not kept(3)
-        assert kept(5) and not kept(6)
-    assert kept(6)
 
 
 def test_truncate_weight():
@@ -215,15 +197,15 @@ def test_random_capped_ring_axioms():
     for trial in range(25):
         a, b, c = (_random_spoly(rng) for _ in range(3))
         cap = rng.randint(2, 6)
-        with weight_cap(cap):
-            assert (a * b) * c == a * (b * c), (trial, cap)
-            assert a * (b + c) == a * b + a * c, (trial, cap)
-            # terms above the cap in either factor can never contribute
-            assert a * b == a.truncate_weight(cap) * b.truncate_weight(cap), (
-                trial,
-                cap,
-            )
+        ac = a.truncate_weight(cap)
+        full = a * b * c
+        want = {m: v for m, v in full.terms.items() if monomial_weight(m) <= cap}
+        assert ((ac * b) * c).terms == (ac * (b * c)).terms == want, (trial, cap)
+        assert (ac * (b + c)).terms == (ac * b + ac * c).terms, (trial, cap)
+        # terms above the cap in either factor can never contribute
+        assert (ac * b).terms == (ac * b.truncate_weight(cap)).terms, (trial, cap)
         lam = (2, 1) if rng.random() < 0.5 else (1, 1)
-        assert (a + b).coefficient_of_partition(lam) == a.coefficient_of_partition(
-            lam
-        ) + b.coefficient_of_partition(lam), trial
+        mono = partition_to_monomial(lam)
+        assert (a + b).coefficient(mono) == a.coefficient(mono) + b.coefficient(
+            mono
+        ), trial

@@ -2,12 +2,14 @@
 SPoly, and of the accumulate helper they and the series share."""
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvcorr.diffpoly import DiffPoly
-from kdvcorr.partitions import SPoly, weight_cap
+from kdvcorr.partitions import SPoly, monomial_weight
 from kdvcorr.rationals import rat
 from kdvcorr.series import add_into
 
@@ -54,14 +56,62 @@ def test_ring_axioms(cls, t1, t2, t3):
     assert 2 * p == p + p == p * 2
 
 
+_caps = st.integers(0, 8)
+
+
+def _upto(p, cap) -> dict:
+    """The terms of p of weight at most cap."""
+    return {m: c for m, c in p.terms.items() if monomial_weight(m) <= cap}
+
+
 @_props
-@given(_terms, _terms, st.integers(0, 8))
-def test_capped_product_truncates_the_uncapped_one(t1, t2, cap):
+@given(_terms, _terms, _caps, st.one_of(st.none(), _caps))
+def test_capped_product_truncates_the_uncapped_one(t1, t2, cap, other_cap):
     p, q = SPoly(t1), SPoly(t2)
-    full = p * q
-    with weight_cap(cap):
-        capped = p * q
-    assert capped == full.truncate_weight(cap)
+    low = cap if other_cap is None else min(cap, other_cap)
+    if other_cap is not None:
+        q = q.truncate_weight(other_cap)
+    for capped in (p.truncate_weight(cap) * q, q * p.truncate_weight(cap)):
+        assert capped.cap == low
+        assert capped.terms == _upto(SPoly(t1) * SPoly(t2), low)
+
+
+@_props
+@given(_terms, _terms, _caps, st.one_of(st.none(), _caps))
+def test_sum_keeps_the_smaller_cap(t1, t2, cap, other_cap):
+    p, q = SPoly(t1).truncate_weight(cap), SPoly(t2)
+    low = cap if other_cap is None else min(cap, other_cap)
+    if other_cap is not None:
+        q = q.truncate_weight(other_cap)
+    exact_sum, exact_diff = SPoly(t1) + SPoly(t2), SPoly(t1) - SPoly(t2)
+    for got, exact in ((p + q, exact_sum), (q + p, exact_sum), (p - q, exact_diff)):
+        assert got.cap == low
+        assert all(monomial_weight(m) <= low for m in got.terms)
+        assert got.terms == _upto(exact, low)
+
+
+@_props
+@given(_terms, _terms, _terms, _caps)
+def test_capped_ring_axioms(t1, t2, t3, cap):
+    p, q, r = SPoly(t1).truncate_weight(cap), SPoly(t2), SPoly(t3)
+    for got in ((p * q) * r, p * (q * r), q * (r * p)):
+        assert got.cap == cap
+        assert got.terms == _upto(SPoly(t1) * SPoly(t2) * SPoly(t3), cap)
+    assert (p * (q + r)).terms == (p * q + p * r).terms
+    # a capped polynomial equals the exact one up to its cap
+    assert p == SPoly(t1) and SPoly(t1) == p
+
+
+def test_cap_survives_pickling_and_room_never_tags():
+    p = (SPoly.var(1) + SPoly.var(3)).truncate_weight(2)
+    back = pickle.loads(pickle.dumps(p))
+    assert back.cap == 2 and back.terms == p.terms
+    assert (back * SPoly.var(1)).terms == {(2,): 1}
+    assert p.truncate_weight(5).cap == 2
+    # an explicit cap above the factors' one cannot lift it
+    assert p.truncated_mul(p, 10).terms == {(2,): 1}
+    u = DiffPoly.jet(0) + DiffPoly.jet(1)
+    assert u.truncated_mul(u, 1).cap is None
 
 
 def test_add_into_drops_vanishing_sums_and_never_adds_to_zero():

@@ -265,3 +265,13 @@ def test_f_kappa_n_builds_the_deformed_wave_once(monkeypatch):
     assert calls == [1]
     monkeypatch.undo()
     assert box == wp.f_kappa_n(2, [(-3, -1), (-3, -1)], 1)
+
+
+def test_deformed_wave_and_kappa_matrix_carry_the_cap():
+    # pool workers see the cap only through the polynomials they receive
+    dw = wp.deformed_wave(3)
+    coeffs = [c for s in (*dw.a, *dw.b) for c in s.coefficients.values()]
+    matrix = wp.m_kappa_matrix(dw, -4)
+    coeffs += [c for row in matrix for ent in row for c in ent.values()]
+    coeffs += list(wp.f_kappa_1(3, -8).values())
+    assert coeffs and all(c.cap == 3 for c in coeffs)
