@@ -192,7 +192,7 @@ def _check_deformed_ks_relations(depth: int) -> None:
 
 
 def _check_correlator_spots(depth: int) -> None:
-    """Frozen small correlators through every pipeline stage."""
+    """Frozen correlators: one-point, string, dilaton, traced, kappa route one."""
     spots = [
         ((0, 0, 0), rat(1)),
         ((1,), rat(1, 24)),

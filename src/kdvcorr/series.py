@@ -362,7 +362,11 @@ class SparsePoly:
     __hash__ = None
 
     def coefficient(self, mono: tuple):
-        return self.terms.get(_strip(tuple(mono)), 0)
+        """Coefficient of `mono`; error above the weight cap."""
+        mono = _strip(tuple(mono))
+        if self.cap is not None and self._weight(mono) > self.cap:
+            raise ValueError(f"monomial {mono} above weight cap {self.cap}")
+        return self.terms.get(mono, 0)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -24,10 +24,10 @@ all intersection numbers of a given width n at once:
 with the one-point values carried by the explicit series
 F_1 = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2}.
 
-A table of width n >= 2 (n_point_table) traces only the box with every
-index >= 2; its entries with a tau_0 or a tau_1 follow exactly from the
-width n-1 table by the string and dilaton equations.  A single correlator
-is still one direct trace.
+Only multisets with every index >= 2 are traced: the string and dilaton
+equations (_lower_terms) remove each tau_0 and tau_1 first, down to the
+closed one-point values.  A table of width n >= 2 (n_point_table) fills its
+entries with a tau_0 or a tau_1 from the width n-1 table.
 """
 from __future__ import annotations
 
@@ -170,24 +170,46 @@ def one_point(k: int):
 
 
 def correlator(ks, *, verify: bool = False):
-    """<tau_{k_1} ... tau_{k_n}> as an exact rational."""
-    ks = tuple(int(k) for k in ks)
+    """<tau_{k_1} ... tau_{k_n}> as an exact rational.  Each tau_0 and tau_1
+    goes by _lower_terms, which keeps the genus, each lower key once per call;
+    only all->=2 multisets are traced, and `verify` re-checks those traces."""
+    ks = tuple(sorted(int(k) for k in ks))
     if not ks:
         raise ValueError("need at least one index")
-    if any(k < 0 for k in ks):
+    if ks[0] < 0:
         raise ValueError("negative index")
     if genus(ks) is None:
         return rat(0)
-    if len(ks) == 1:
-        return one_point(ks[0])
-    ordered = sorted(ks, reverse=True)
-    windows = [(-k - 1, -k - 1) for k in ordered]
-    coeffs = npoint_window(len(ks), windows, m_matrix, verify=verify)
-    target = tuple(-k - 1 for k in ordered)
-    value = coeffs.get(target, 0)
-    for k in ks:
-        value = value / odd_double_factorial(k)
-    return rat(value)
+
+    @cache
+    def value(ks):
+        if len(ks) == 1:
+            return one_point(ks[0])
+        if ks == (0, 0, 0):
+            return rat(1)
+        if ks[0] <= 1:
+            return sum(c * value(low) for c, low in _lower_terms(ks))
+        windows = [(-k - 1, -k - 1) for k in reversed(ks)]
+        return _traced_entries(windows, verify, 1).get(ks, rat(0))
+
+    return value(ks)
+
+
+def _lower_terms(ks) -> list:
+    """The (coefficient, sorted width n-1 key) terms of a sorted key ks other
+    than (0, 0, 0) whose first index is 0 or 1, each distinct key once:
+
+        <tau_0 tau_K>   = sum_i <tau_K with k_i lowered by 1>   (string)
+        <tau_1 tau_K>_g = (2g - 2 + |K|) <tau_K>_g              (dilaton)
+    """
+    rest = ks[1:]
+    if ks[0] == 1:
+        return [(2 * genus(ks) - 2 + len(rest), rest)]
+    return [
+        (rest.count(k), rest[:i] + (k - 1,) + rest[i + 1 :])
+        for i, k in enumerate(rest)
+        if k and (i == 0 or rest[i - 1] != k)
+    ]
 
 
 @dataclass
@@ -214,14 +236,10 @@ def n_point_table(
     """Every width-n correlator with all indices in [k_min, k_max].
 
     Only the box with every index >= 2 is traced.  The entries with a tau_0
-    or a tau_1 come from the width n-1 table over [k_min, k_max], built by
-    this same function with the same `verify` and `workers`, down to the
-    closed one_point at width 1:
-
-        <tau_0 tau_K>   = sum_i <tau_K with k_i lowered by 1>   (string)
-        <tau_1 tau_K>_g = (2g - 2 + |K|) <tau_K>_g              (dilaton)
-
-    with the one unstable base <tau_0^3> = 1.
+    or a tau_1 come by string and dilaton (_lower_terms) from the width n-1
+    table over [k_min, k_max], built by this same function with the same
+    `verify` and `workers`, down to the closed one_point at width 1, with the
+    one unstable base <tau_0^3> = 1.
     """
     if n < 1:
         raise ValueError("width must be positive")
@@ -235,18 +253,18 @@ def n_point_table(
                 table.entries[(k,)] = v
         return table
     if k_max >= 2:
-        traced = _traced_entries(n, max(k_min, 2), k_max, verify, workers)
-        table.entries.update(traced)
+        box = [(-k_max - 1, -max(k_min, 2) - 1)] * n
+        table.entries.update(_traced_entries(box, verify, workers))
     if k_min <= 1:
         lower = n_point_table(n - 1, k_max, k_min, verify=verify, workers=workers)
         table.entries.update(_string_and_dilaton(lower.entries, n, k_min, k_max))
     return table
 
 
-def _traced_entries(n: int, lo: int, hi: int, verify: bool, workers: int) -> dict:
-    """Width-n correlators with every index in [lo, hi], from one trace of
-    the whole box, keeping one ordering per index multiset."""
-    windows = [(-hi - 1, -lo - 1)] * n
+def _traced_entries(windows: list, verify: bool, workers: int) -> dict:
+    """The nonzero correlators in one trace of the y-exponent windows, one
+    per index multiset, keyed by its sorted indices."""
+    n = len(windows)
     coeffs = npoint_window(n, windows, m_matrix, verify=verify, workers=workers)
     entries = {}
     for key, c in coeffs.items():
@@ -267,27 +285,21 @@ def _string_and_dilaton(lower: dict, n: int, k_min: int, k_max: int) -> dict:
     """The width-n entries over [k_min, k_max], k_min <= 1, that hold a tau_0
     or a tau_1, from `lower`: the nonzero width n-1 entries over the same
     range.  Every psi number is positive, so no sum here is zero."""
-    out = {}
-    for ks, v in lower.items():
-        if ks[0] >= 1:
-            out[(1,) + ks] = (2 * genus(ks) - 2 + (n - 1)) * v
-    if k_min == 1:
-        return out
-    if n == 3:
-        out[(0, 0, 0)] = rat(1)
-    # a nonzero <tau_0 tau_K> has a lower key below K: raise one index of it
-    raised = {
-        tuple(sorted(ks[:i] + (k + 1,) + ks[i + 1 :]))
-        for ks in lower
-        for i, k in enumerate(ks)
-        if k < k_max
-    }
-    for ks in raised:
-        out[(0,) + ks] = sum(
-            lower.get(tuple(sorted(ks[:i] + (k - 1,) + ks[i + 1 :])), 0)
+    keys = {(1,) + ks for ks in lower if ks[0] >= 1}
+    if k_min == 0:
+        # a nonzero <tau_0 tau_K> has a lower key below K: raise one index of it
+        keys.update(
+            (0,) + tuple(sorted(ks[:i] + (k + 1,) + ks[i + 1 :]))
+            for ks in lower
             for i, k in enumerate(ks)
-            if k
+            if k < k_max
         )
+    out = {
+        ks: sum(c * lower.get(low, 0) for c, low in _lower_terms(ks))
+        for ks in keys
+    }
+    if n == 3 and k_min == 0:
+        out[(0, 0, 0)] = rat(1)
     return out
 
 

@@ -9,7 +9,8 @@ extra negative powers from wider psi-correlator generating functions,
       = (-1)^{l(lam)} sum_{|mu|=|lam|} (L_{lam,mu}/m(mu)!) (-1)^{l(mu)}
         [prod_i w_i^{-2 mu_i - 4}] F_{l(mu)+n}(w, z) / prod_i (2 mu_i + 3)!!
 
-expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|.  For a
+expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|: each mu
+term is one wk.correlator, <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>.  For a
 single kappa the w-extraction collapses to the closed trace
 
     sum_k <kappa_j tau_k> (2k+1)!!/z^{2k+2}
@@ -397,30 +398,13 @@ def mixed_correlator(lam, ks, *, verify: bool = False):
     if mixed_genus(lam, ks) is None:
         return rat(0)
     total = rat(0)
-    zs = sorted(ks, reverse=True)
     for mu in partitions_of(sum(lam)):
         lcoef = l_entry(lam, mu)
-        if not lcoef:
-            continue
-        scale = rat((-1) ** (len(lam) + len(mu)) * lcoef,
-                    mult_factorial(lam) * mult_factorial(mu))
-        nvars = len(mu) + len(ks)
-        if nvars == 1:
-            coeff = wk.one_point_series(-2 * mu[0] - 4).coefficient(
-                -2 * mu[0] - 4
-            )
-        else:
-            windows = [(-m - 2, -m - 2) for m in mu] + [
-                (-k - 1, -k - 1) for k in zs
-            ]
-            box = npoint_window(nvars, windows, wk.m_matrix, verify=verify)
-            coeff = box.get(tuple(lo for lo, _ in windows), 0)
-        for m in mu:
-            coeff = coeff / odd_double_factorial(m + 1)
-        total = total + scale * coeff
-    for k in ks:
-        total = total / odd_double_factorial(k)
-    return rat(total)
+        if lcoef:
+            scale = rat((-1) ** (len(lam) + len(mu)) * lcoef,
+                        mult_factorial(lam) * mult_factorial(mu))
+            total += scale * wk.correlator(tuple(m + 1 for m in mu) + ks, verify=verify)
+    return total
 
 
 def kappa_linear_series(j: int, low: int) -> LaurentSeries:

@@ -133,7 +133,8 @@ def test_truncate_weight_caps_products():
     assert f.coefficient(()) == rat(1)
     assert f.coefficient((1,)) == rat(3)
     assert f.coefficient((2,)) == rat(3)
-    assert f.coefficient((3,)) == 0  # weight 3 dropped by the cap
+    with pytest.raises(ValueError):
+        f.coefficient((3,))  # weight 3 is above the cap, so unknown
     g = (1 + s1) * (1 + s1) * (1 + s1)
     assert g.cap is None
     assert g.coefficient((3,)) == rat(1)

@@ -64,15 +64,66 @@ def test_correlator_input_validation():
         wk.correlator((-1, 2))
 
 
+def _direct_trace(ks):
+    """<tau_K> from one trace of its whole point window, verify pass on,
+    with no string or dilaton step."""
+    windows = [(-k - 1, -k - 1) for k in sorted(ks, reverse=True)]
+    coeffs = npoint_window(len(ks), windows, wk.m_matrix, verify=True)
+    value = rat(coeffs.get(tuple(lo for lo, _ in windows), 0))
+    for k in ks:
+        value = value / odd_double_factorial(k)
+    return value
+
+
 def test_string_and_dilaton_relations_from_table():
     # the table fills its tau_0 and tau_1 entries by these equations, so they
-    # are checked against correlator, which traces each key directly
+    # are checked against a direct trace of each key
     for n, k_max in ((2, 13), (3, 9)):
         table = wk.n_point_table(n, k_max)
         low = {ks: v for ks, v in table.entries.items() if ks[0] <= 1}
         assert {ks[0] for ks in low} == {0, 1}, n
         for ks, v in low.items():
-            assert v == wk.correlator(ks), ks
+            assert v == _direct_trace(ks), ks
+
+
+@pytest.mark.parametrize("n,k_max", [(2, 13), (3, 8), (4, 5), (5, 3)])
+def test_reduced_correlator_equals_direct_trace(n, k_max):
+    keys = [
+        ks for ks in combinations_with_replacement(range(k_max + 1), n)
+        if ks[0] <= 1 and wk.genus(ks) is not None
+    ]
+    assert any(ks[0] == 0 for ks in keys) and any(ks[0] == 1 for ks in keys)
+    for ks in keys:
+        assert wk.correlator(ks[::-1]) == _direct_trace(ks), ks
+
+
+def test_correlator_traces_only_indices_at_least_two(monkeypatch):
+    calls = []
+
+    def recording(n, windows, build, *, verify=False, workers=1):
+        calls.append(([-lo - 1 for lo, _ in windows], verify))
+        return npoint_window(n, windows, build, verify=verify, workers=workers)
+
+    monkeypatch.setattr(wk, "npoint_window", recording)
+    # fully reduced by string to the closed <tau_10>: nothing is traced
+    assert wk.correlator((0, 13, 0, 0), verify=True) == wk.one_point(10)
+    assert calls == []
+    assert wk.correlator((5, 0, 3, 1, 2), verify=True) == _direct_trace((0, 1, 2, 3, 5))
+    assert calls and all(min(ks) >= 2 and verify for ks, verify in calls)
+
+
+def test_wide_correlators_with_tau_0_and_tau_1_match_dvv_oracle(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracles
+
+    psi = oracles.PsiNumbers()
+    checked = 0
+    for n, k_max in ((6, 4), (7, 3), (8, 3)):
+        for ks in combinations_with_replacement(range(k_max + 1), n):
+            if ks[1] <= 1 and wk.genus(ks) is not None:  # two or more of them
+                assert wk.correlator(ks) == psi(ks), ks
+                checked += 1
+    assert checked > 30
 
 
 def _whole_box_entries(n, k_max, k_min):

@@ -72,8 +72,10 @@ def test_deformed_wave_component_sorts_partition():
     assert dw.component((1, 2), "A") == dw.component((2, 1), "A")
 
 
-def test_deformed_wave_over_cap_is_empty():
-    assert wp.deformed_wave(1).component((2,), "A") == (ZERO, ZERO)
+def test_deformed_wave_over_cap_raises():
+    # the wave of cap 1 knows nothing of weight 2; it must not read as zero
+    with pytest.raises(ValueError):
+        wp.deformed_wave(1).component((2,), "A")
 
 
 def test_empty_partition_falls_back_to_plain_correlator():
@@ -220,6 +222,24 @@ def test_genus_three_one_point_volume_matches_dvv_oracle(monkeypatch):
             want[(7 - k, (k,))] = value
     assert len(want) == 8
     assert wp.wp_volume(3, 1).entries == want
+
+
+@pytest.mark.parametrize(
+    "lam,ks",
+    [((3, 1, 1), (0, 0)), ((2, 2, 1), (0, 0)), ((2, 1, 1), (1, 0)),
+     ((1, 1, 1), (1, 0, 0, 0))],
+)
+def test_three_kappa_route_one_matches_dvv_oracle(monkeypatch, lam, ks):
+    # route one with tau_0 insertions against the set-partition pushforward
+    # over DVV; the oracle counts kappa_lam without the 1/m(lam)! of s_lam
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracles
+
+    want = oracles.kappa_number(oracles.PsiNumbers(), lam, ks)
+    want /= oracles.mult_factorial(lam)
+    assert want
+    assert wp.mixed_correlator(lam, ks) == want
+    assert wp.mixed_correlator(lam[::-1], ks[::-1], verify=True) == want
 
 
 def test_volume_sorted_items():
