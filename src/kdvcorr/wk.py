@@ -24,15 +24,18 @@ all intersection numbers of a given width n at once:
 with the one-point values carried by the explicit series
 F_1 = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2}.
 
-Only multisets with every index >= 2 are traced: the string and dilaton
-equations (_lower_terms) remove each tau_0 and tau_1 first, down to the
-closed one-point values.  A table of width n >= 2 (n_point_table) fills its
-entries with a tau_0 or a tau_1 from the width n-1 table.
+Only multisets with every index >= 2 are traced: one memoized reduction
+(reducer) removes each tau_0 and tau_1 by the string and dilaton equations
+(_lower_terms), down to the closed one-point values and <tau_0^3> = 1, and
+reads each remaining multiset from a leaf: the trace of its own point window
+(point_leaf, for single correlators) or of the table's box at its width
+(n_point_table).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations_with_replacement
 
 from .npoint import npoint_window
 from .rationals import double_factorial, factorial, odd_double_factorial, rat
@@ -170,9 +173,9 @@ def one_point(k: int):
 
 
 def correlator(ks, *, verify: bool = False):
-    """<tau_{k_1} ... tau_{k_n}> as an exact rational.  Each tau_0 and tau_1
-    goes by _lower_terms, which keeps the genus, each lower key once per call;
-    only all->=2 multisets are traced, and `verify` re-checks those traces."""
+    """<tau_{k_1} ... tau_{k_n}> as an exact rational, by the reduction with
+    point leaves: only all->=2 multisets are traced, and `verify` re-checks
+    those traces."""
     ks = tuple(sorted(int(k) for k in ks))
     if not ks:
         raise ValueError("need at least one index")
@@ -180,6 +183,14 @@ def correlator(ks, *, verify: bool = False):
         raise ValueError("negative index")
     if genus(ks) is None:
         return rat(0)
+    return reducer(point_leaf(verify))(ks)
+
+
+def reducer(leaf):
+    """A memoized <tau_K> of sorted keys K that have a genus: width 1 by
+    one_point, <tau_0^3> = 1, a tau_0 or tau_1 by _lower_terms, and every
+    other key, all indices >= 2, by leaf(K).  The memo spans the calls of
+    the one returned function."""
 
     @cache
     def value(ks):
@@ -189,10 +200,9 @@ def correlator(ks, *, verify: bool = False):
             return rat(1)
         if ks[0] <= 1:
             return sum(c * value(low) for c, low in _lower_terms(ks))
-        windows = [(-k - 1, -k - 1) for k in reversed(ks)]
-        return _traced_entries(windows, verify, 1).get(ks, rat(0))
+        return leaf(ks)
 
-    return value(ks)
+    return value
 
 
 def _lower_terms(ks) -> list:
@@ -201,6 +211,8 @@ def _lower_terms(ks) -> list:
 
         <tau_0 tau_K>   = sum_i <tau_K with k_i lowered by 1>   (string)
         <tau_1 tau_K>_g = (2g - 2 + |K|) <tau_K>_g              (dilaton)
+
+    Both keep the genus.
     """
     rest = ks[1:]
     if ks[0] == 1:
@@ -210,6 +222,25 @@ def _lower_terms(ks) -> list:
         for i, k in enumerate(rest)
         if k and (i == 0 or rest[i - 1] != k)
     ]
+
+
+def _read(coeffs: dict, ks):
+    """<tau_K> from traced coefficients: the entry at the exponent key of the
+    sorted ks with decreasing indices, over prod (2 k_i + 1)!!."""
+    v = rat(coeffs.get(tuple(-k - 1 for k in reversed(ks)), 0))
+    for k in ks:
+        v = v / odd_double_factorial(k)
+    return v
+
+
+def point_leaf(verify: bool):
+    """The leaf that traces the point window of each multiset it is given."""
+
+    def leaf(ks):
+        windows = [(-k - 1, -k - 1) for k in reversed(ks)]
+        return _read(npoint_window(len(ks), windows, m_matrix, verify=verify), ks)
+
+    return leaf
 
 
 @dataclass
@@ -235,72 +266,27 @@ def n_point_table(
 ) -> CorrelatorTable:
     """Every width-n correlator with all indices in [k_min, k_max].
 
-    Only the box with every index >= 2 is traced.  The entries with a tau_0
-    or a tau_1 come by string and dilaton (_lower_terms) from the width n-1
-    table over [k_min, k_max], built by this same function with the same
-    `verify` and `workers`, down to the closed one_point at width 1, with the
-    one unstable base <tau_0^3> = 1.
+    Each multiset with a genus goes through the reduction.  Its leaf at
+    width m reads the box [max(k_min, 2), k_max]^m, traced once, when the
+    first key of that width needs it; a string or dilaton step never leaves
+    [k_min, k_max], so every leaf key lies in its box.
     """
     if n < 1:
         raise ValueError("width must be positive")
     if k_min < 0 or k_max < k_min:
         raise ValueError("bad index range")
+
+    @cache
+    def box(m):
+        windows = [(-k_max - 1, -max(k_min, 2) - 1)] * m
+        return npoint_window(m, windows, m_matrix, verify=verify, workers=workers)
+
+    value = reducer(lambda ks: _read(box(len(ks)), ks))
     table = CorrelatorTable(n=n, k_min=k_min, k_max=k_max)
-    if n == 1:
-        for k in range(k_min, k_max + 1):
-            v = one_point(k)
-            if v:
-                table.entries[(k,)] = v
-        return table
-    if k_max >= 2:
-        box = [(-k_max - 1, -max(k_min, 2) - 1)] * n
-        table.entries.update(_traced_entries(box, verify, workers))
-    if k_min <= 1:
-        lower = n_point_table(n - 1, k_max, k_min, verify=verify, workers=workers)
-        table.entries.update(_string_and_dilaton(lower.entries, n, k_min, k_max))
+    for ks in combinations_with_replacement(range(k_min, k_max + 1), n):
+        if genus(ks) is not None and (v := value(ks)):
+            table.entries[ks] = v
     return table
-
-
-def _traced_entries(windows: list, verify: bool, workers: int) -> dict:
-    """The nonzero correlators in one trace of the y-exponent windows, one
-    per index multiset, keyed by its sorted indices."""
-    n = len(windows)
-    coeffs = npoint_window(n, windows, m_matrix, verify=verify, workers=workers)
-    entries = {}
-    for key, c in coeffs.items():
-        ks = tuple(sorted(-e - 1 for e in key))
-        if tuple(-k - 1 for k in sorted(ks, reverse=True)) != key:
-            continue  # keep one representative ordering per index multiset
-        if genus(ks) is None:
-            continue
-        v = rat(c)
-        for k in ks:
-            v = v / odd_double_factorial(k)
-        if v:
-            entries[ks] = v
-    return entries
-
-
-def _string_and_dilaton(lower: dict, n: int, k_min: int, k_max: int) -> dict:
-    """The width-n entries over [k_min, k_max], k_min <= 1, that hold a tau_0
-    or a tau_1, from `lower`: the nonzero width n-1 entries over the same
-    range.  Every psi number is positive, so no sum here is zero."""
-    keys = {(1,) + ks for ks in lower if ks[0] >= 1}
-    if k_min == 0:
-        # a nonzero <tau_0 tau_K> has a lower key below K: raise one index of it
-        keys.update(
-            (0,) + tuple(sorted(ks[:i] + (k + 1,) + ks[i + 1 :]))
-            for ks in lower
-            for i, k in enumerate(ks)
-            if k < k_max
-        )
-    out = {
-        ks: sum(c * lower.get(low, 0) for c, low in _lower_terms(ks))
-        for ks in keys
-    }
-    if n == 3 and k_min == 0:
-        out[(0, 0, 0)] = rat(1)
-    return out
 
 
 __all__ = [

@@ -10,8 +10,10 @@ extra negative powers from wider psi-correlator generating functions,
         [prod_i w_i^{-2 mu_i - 4}] F_{l(mu)+n}(w, z) / prod_i (2 mu_i + 3)!!
 
 expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|: each mu
-term is one wk.correlator, <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>.  For a
-single kappa the w-extraction collapses to the closed trace
+term is the psi correlator <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>, read
+from one wk.reducer with point leaves, so a multiset that several terms
+reduce to is traced once.  For a single kappa the w-extraction collapses to
+the closed trace
 
     sum_k <kappa_j tau_k> (2k+1)!!/z^{2k+2}
       = Tr([(1/2z) d/dz (z^{2j+2} M(z))]_+ M(z))/(2j+3)!! - z^{2j+2}/(2j+1)!!
@@ -70,6 +72,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations_with_replacement
+from math import prod
 
 from . import wk
 from .diffpoly import DiffPoly, flow_derivative, omega
@@ -397,13 +401,14 @@ def mixed_correlator(lam, ks, *, verify: bool = False):
         return wk.correlator(ks, verify=verify)
     if mixed_genus(lam, ks) is None:
         return rat(0)
+    value = wk.reducer(wk.point_leaf(verify))
     total = rat(0)
     for mu in partitions_of(sum(lam)):
         lcoef = l_entry(lam, mu)
         if lcoef:
             scale = rat((-1) ** (len(lam) + len(mu)) * lcoef,
                         mult_factorial(lam) * mult_factorial(mu))
-            total += scale * wk.correlator(tuple(m + 1 for m in mu) + ks, verify=verify)
+            total += scale * value(tuple(sorted(tuple(m + 1 for m in mu) + ks)))
     return total
 
 
@@ -499,33 +504,23 @@ def wp_volume(
         return out
     if n == 1:
         coeffs = f_kappa_1(dim, -2 * dim - 2)
-        for k in range(dim + 1):
-            d = dim - k
-            sp = coeffs.get(-2 * k - 2)
-            if sp is None:
-                continue
-            v = sp.coefficient(partition_to_monomial((1,) * d))
-            if v:
-                out.entries[(d, (k,))] = (
-                    v * factorial(d) / odd_double_factorial(k)
-                )
-        return out
-    windows = [(-dim - 1, -1)] * n
-    box = f_kappa_n(n, windows, dim, verify=verify, workers=workers)
-    for key, sp in box.items():
-        ks = tuple(sorted(-e - 1 for e in key))
-        if tuple(-k - 1 for k in sorted(ks, reverse=True)) != key:
-            continue
+        keys = {(k,): -2 * k - 2 for k in range(dim + 1)}
+    else:
+        coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dim, verify=verify, workers=workers)
+        keys = {
+            ks: tuple(-k - 1 for k in reversed(ks))
+            for ks in combinations_with_replacement(range(dim + 1), n)
+        }
+    for ks, key in keys.items():
         d = dim - sum(ks)
-        if d < 0:
+        sp = coeffs.get(key)
+        if d < 0 or sp is None:
             continue
         v = sp.coefficient(partition_to_monomial((1,) * d))
-        if not v:
-            continue
-        v = v * factorial(d)
-        for k in ks:
-            v = v / odd_double_factorial(k)
-        out.entries[(d, ks)] = v
+        if v:
+            out.entries[(d, ks)] = (
+                v * factorial(d) / prod(odd_double_factorial(k) for k in ks)
+            )
     return out
 
 

@@ -153,11 +153,27 @@ def test_reduced_table_equals_whole_box_trace(n, k_max, k_min):
     assert wk.n_point_table(n, k_max, k_min).entries == want
 
 
-@pytest.mark.parametrize("n,k_max", [(4, 5), (5, 3)])
+@pytest.mark.parametrize("n,k_max", [(3, 7), (4, 5), (5, 3)])
 def test_reduced_table_verify_and_workers(n, k_max):
     want = _whole_box_entries(n, k_max, 0)
     assert wk.n_point_table(n, k_max, verify=True).entries == want
     assert wk.n_point_table(n, k_max, workers=2).entries == want
+
+
+def test_table_traces_each_width_box_at_most_once(monkeypatch):
+    calls = []
+
+    def recording(n, windows, build, **kw):
+        calls.append(windows)
+        return npoint_window(n, windows, build, **kw)
+
+    monkeypatch.setattr(wk, "npoint_window", recording)
+    wk.n_point_table(5, 4)
+    assert calls and all(w == [(-5, -3)] * len(w) for w in calls), calls
+    assert len({len(w) for w in calls}) == len(calls)
+    calls.clear()
+    assert wk.n_point_table(4, 1).entries == _whole_box_entries(4, 1, 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,k_max", [(5, 5), (6, 3)])
@@ -184,12 +200,6 @@ def test_table_input_validation():
         wk.n_point_table(2, 3, k_min=5)
     with pytest.raises(ValueError):
         wk.n_point_table(2, 3, k_min=-1)
-
-
-def test_table_verify_and_workers_agree():
-    base = wk.n_point_table(3, 7)
-    assert wk.n_point_table(3, 7, verify=True).entries == base.entries
-    assert wk.n_point_table(3, 7, workers=4).entries == base.entries
 
 
 def test_one_point_table_width():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kdvcorr import wp
+from kdvcorr import wk, wp
 from kdvcorr.diffpoly import DiffPoly
 from kdvcorr.partitions import partitions_of
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
@@ -240,6 +240,24 @@ def test_three_kappa_route_one_matches_dvv_oracle(monkeypatch, lam, ks):
     assert want
     assert wp.mixed_correlator(lam, ks) == want
     assert wp.mixed_correlator(lam[::-1], ks[::-1], verify=True) == want
+
+
+@pytest.mark.parametrize(
+    "lam,ks,verify", [((3, 1, 1), (0, 0), True), ((2, 2, 1), (0, 0), False)]
+)
+def test_route_one_traces_each_reduced_multiset_once(monkeypatch, lam, ks, verify):
+    # the mu terms share one reduction, so two terms that reduce to the same
+    # all->=2 multiset trace its window once
+    calls = []
+    trace = wk.npoint_window
+
+    def recording(n, windows, build, **kw):
+        calls.append(tuple(windows))
+        return trace(n, windows, build, **kw)
+
+    monkeypatch.setattr(wk, "npoint_window", recording)
+    wp.mixed_correlator(lam, ks, verify=verify)
+    assert len(calls) == 2 and len(set(calls)) == 2, calls
 
 
 def test_volume_sorted_items():
