@@ -36,7 +36,13 @@ s-polynomial coefficient ring with
 
     M^kappa = [[-(A Bb + Ab B)/2, -A Ab], [B Bb, (A Bb + Ab B)/2]],
 
-Xb := X(-z).  Time derivatives of the wave function stay inside the module
+Xb := X(-z).  Weil-Petersson volumes read only the s_1^d coefficients, and
+setting s_j = 0 for j >= 2 is a ring homomorphism that commutes with every
+sum, product and weight truncation, so `wp_volume` builds the wave from the
+restricted seeds (lam = (1^w) and h_k(-s) = (-s_1)^k/k!) and runs the whole
+route over polynomials in s_1 alone.
+
+Time derivatives of the wave function stay inside the module
 span{psi, psi_x} over differential polynomials:
 
     d_{t_k} psi   = alpha_k psi + beta_k psi_x,
@@ -71,7 +77,7 @@ S c = -z q and S(z q) = -z^2 c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -197,10 +203,15 @@ def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentS
 @dataclass
 class DeformedWave:
     """(P, Q) pairs of A(z;s) and B(z;s) with s-polynomial coefficients,
-    each carrying the weight cap the wave was built to."""
+    each carrying the weight cap the wave was built to.
+
+    With `max_index` set, the wave was built at s_j = 0 for every j >
+    max_index and knows nothing of the s_lam with a part above it.
+    """
 
     a: tuple[LaurentSeries, LaurentSeries]
     b: tuple[LaurentSeries, LaurentSeries]
+    max_index: int | None = None
 
     def pair(self, which: str) -> tuple[LaurentSeries, LaurentSeries]:
         """The (P, Q) pair of A (which = "A") or B (anything else)."""
@@ -208,19 +219,49 @@ class DeformedWave:
 
     def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
         """The (P, Q) pair of the s_lam component, with rational coefficients."""
-        mono = partition_to_monomial(tuple(sorted(lam, reverse=True)))
+        lam = tuple(sorted(lam, reverse=True))
+        if lam and self.max_index is not None and lam[0] > self.max_index:
+            raise ValueError(f"s_{lam[0]} was set to zero in this wave")
+        mono = partition_to_monomial(lam)
         return tuple(
             LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
             for s in self.pair(which)
         )
 
+    @cached_property
+    def pair_products(self) -> tuple:
+        """The exact products P1 P2b, P1 Q2b, Q1 P2b, Q1 Q2b of A Bb, of A Ab
+        and of B Bb, with (P1, Q1) the first factor's pair and (P2b, Q2b) the
+        second's at -z.  No truncation floor enters them, so every
+        `m_kappa_matrix` call on this wave shares one build."""
+        return tuple(
+            _pair_products(first, second)
+            for first, second in ((self.a, self.b), (self.a, self.a), (self.b, self.b))
+        )
 
-def _exp_prefactor(cap: int) -> LaurentSeries:
-    """E(z;s) = exp(sum h_k(-s) z^{2k+3}/(2k+3)!!) to total s-weight cap."""
+
+def _pair_products(first: tuple, second: tuple) -> tuple[LaurentSeries, ...]:
+    """P1 P2b, P1 Q2b, Q1 P2b, Q1 Q2b of (P1 c + Q1 q)(z) (P2 c + Q2 q)(-z)."""
+    p1, q1 = first
+    p2, q2 = (s.substitute_negate() for s in second)
+    return p1 * p2, p1 * q2, q1 * p2, q1 * q2
+
+
+def _keep_indices(p: SPoly, max_index: int | None) -> SPoly:
+    """p at s_j = 0 for every j > max_index; max_index None keeps p."""
+    if max_index is None:
+        return p
+    return p._make({m: c for m, c in p.terms.items() if len(m) <= max_index}, p.cap)
+
+
+def _exp_prefactor(cap: int, max_index: int | None = None) -> LaurentSeries:
+    """E(z;s) = exp(sum h_k(-s) z^{2k+3}/(2k+3)!!) to total s-weight cap, at
+    s_j = 0 for j > max_index."""
     hs = h_polynomials(cap)
     t = LaurentSeries(
         {
-            2 * k + 3: negate_variables(hs[k]) * rat(1, odd_double_factorial(k + 1))
+            2 * k + 3: negate_variables(_keep_indices(hs[k], max_index))
+            * rat(1, odd_double_factorial(k + 1))
             for k in range(1, cap + 1)
         }
     )
@@ -233,14 +274,20 @@ def _exp_prefactor(cap: int) -> LaurentSeries:
     return acc
 
 
-def deformed_wave(cap: int) -> DeformedWave:
-    """A(z;s), B(z;s) as s-polynomial pairs, exact to total s-weight cap."""
+def deformed_wave(cap: int, *, max_index: int | None = None) -> DeformedWave:
+    """A(z;s), B(z;s) as s-polynomial pairs, exact to total s-weight cap.
+
+    With max_index, the wave at s_j = 0 for every j > max_index, built from
+    the restricted seeds (the s_lam of the loop below and the h_k(-s) of E),
+    which gives exactly the restriction of the general wave (see the module
+    docstring); max_index = 1 is the Weil-Petersson slice s = (s_1, 0, ...).
+    """
     if cap < 0:
         raise ValueError("negative weight cap")
     # P, Q of A and of B before the exponential prefactor
     parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
     for w in range(1, cap + 1):
-        for lam in partitions_of(w):
+        for lam in partitions_of(w, max_index):
             front = rat((-1) ** len(lam), mult_factorial(lam))
             s_mono = SPoly({partition_to_monomial(lam): front})
             for mu in partitions_of(w):
@@ -253,9 +300,9 @@ def deformed_wave(cap: int) -> DeformedWave:
                     for e, v in flow.coefficients.items():
                         add_into(part, e, factor * v)
     # every coefficient of E carries the cap, so the products take it on
-    e = _exp_prefactor(cap)
+    e = _exp_prefactor(cap, max_index)
     a_p, a_q, b_p, b_q = (e * LaurentSeries(part) for part in parts)
-    return DeformedWave((a_p, a_q), (b_p, b_q))
+    return DeformedWave((a_p, a_q), (b_p, b_q), max_index)
 
 
 def _top(*series: LaurentSeries) -> int:
@@ -283,12 +330,13 @@ def wave_component_series(dw: DeformedWave, lam, which: str, low: int) -> Lauren
 # generating functions of mixed correlators (route two)
 
 
-def f_kappa_1(cap: int, low: int) -> dict:
+def f_kappa_1(dw: DeformedWave, low: int) -> dict:
     """Coefficients {z-exponent: s-polynomial} of F_1 with kappa couplings,
 
-    F_1(z;s) = (-A(z) B'(-z) + B'(z) A(-z) + B(z) A'(-z) - A'(z) B(-z))/(4z).
+    F_1(z;s) = (-A(z) B'(-z) + B'(z) A(-z) + B(z) A'(-z) - A'(z) B(-z))/(4z),
+
+    from the deformed wave `dw` and exact to its weight cap.
     """
-    dw = deformed_wave(cap)
     a = wave_series(dw, "A", low - 4)
     b = wave_series(dw, "B", low - 4)
     ab = a.substitute_negate()
@@ -309,8 +357,10 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
     """M with kappa couplings as {y-exponent: s-polynomial} dicts, from the
     deformed wave `dw` and exact to its weight cap.
 
-    Entries are built from the 2x2 quadratic form in A, B using the closed
-    hypergeometric product series for c c-bar, c q-bar, q c-bar, q q-bar.
+    Entries are built from the 2x2 quadratic form in A, B: the wave's exact
+    pair products (`DeformedWave.pair_products`, built once per wave) times
+    the closed hypergeometric product series for c c-bar, c q-bar, q c-bar,
+    q q-bar, which alone depend on the floor.
     """
     zlow = 2 * floor - 2 * _top(*dw.a, *dw.b) - 2
     cc = wk.product_cc(zlow)
@@ -318,15 +368,12 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
     cq = wk.product_cq(zlow)
     qc = wk.product_qc(zlow)
 
-    def pair_product(first, second):
+    def expand(products):
         # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
-        p1, q1 = first
-        p2, q2 = (s.substitute_negate() for s in second)
-        return p1 * p2 * cc + p1 * q2 * cq + q1 * p2 * qc + q1 * q2 * qq
+        p1p2, p1q2, q1p2, q1q2 = products
+        return p1p2 * cc + p1q2 * cq + q1p2 * qc + q1q2 * qq
 
-    abb = pair_product(dw.a, dw.b)
-    aab = pair_product(dw.a, dw.a)
-    bbb = pair_product(dw.b, dw.b)
+    abb, aab, bbb = (expand(products) for products in dw.pair_products)
     # B(z) A(-z) is A(z) B(-z) with z -> -z
     m11 = (abb + abb.substitute_negate()) * rat(-1, 2)
     m12 = aab * -1
@@ -348,18 +395,19 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
 def f_kappa_n(
     n: int,
     windows,
-    cap: int,
+    dw: DeformedWave,
     *,
     verify: bool = False,
     workers: int = 1,
 ) -> dict:
-    """n-point function with kappa couplings over a target exponent box.
+    """n-point function with kappa couplings over a target exponent box, from
+    the deformed wave `dw` and exact to its weight cap.
 
-    Returns {(e_1, ..., e_n): s-polynomial} in y-exponents, n >= 2.
+    Returns {(e_1, ..., e_n): s-polynomial} in y-exponents, n >= 2.  The
+    matrices are built in this process, so pool workers receive them whole.
     """
     if n < 2:
         raise ValueError("use f_kappa_1 for the one-point function")
-    dw = deformed_wave(cap)
     return npoint_window(
         n,
         windows,
@@ -502,11 +550,13 @@ def wp_volume(
     out = WpVolume(g=g, n=n, entries={})
     if dim < 0:
         return out
+    # only the s_1^d terms are read, so the wave is built at s = (s_1, 0, ...)
+    dw = deformed_wave(dim, max_index=1)
     if n == 1:
-        coeffs = f_kappa_1(dim, -2 * dim - 2)
+        coeffs = f_kappa_1(dw, -2 * dim - 2)
         keys = {(k,): -2 * k - 2 for k in range(dim + 1)}
     else:
-        coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dim, verify=verify, workers=workers)
+        coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dw, verify=verify, workers=workers)
         keys = {
             ks: tuple(-k - 1 for k in reversed(ks))
             for ks in combinations_with_replacement(range(dim + 1), n)

@@ -336,7 +336,8 @@ def test_criterion_09_cross_pipeline_consistency():
                 assert val == wk.correlator((k1, k2)), (k1, k2)
 
         lams = [lam for w in (0, 1, 2) for lam in partitions_of(w)]
-        box = wp.f_kappa_n(2, [(-7, -1), (-7, -1)], 2)
+        dw = wp.deformed_wave(2)
+        box = wp.f_kappa_n(2, [(-7, -1), (-7, -1)], dw)
         for key, spoly in box.items():
             ks = tuple(-e - 1 for e in key)
             weight = rat(1)
@@ -346,7 +347,7 @@ def test_criterion_09_cross_pipeline_consistency():
                 got = spoly.coefficient(partition_to_monomial(lam))
                 assert got == wp.mixed_correlator(lam, ks) * weight, (key, lam)
 
-        one = wp.f_kappa_1(2, -14)
+        one = wp.f_kappa_1(dw, -14)
         for k in range(0, 7):
             spoly = one.get(-2 * k - 2)
             for lam in lams:

@@ -2,7 +2,7 @@
 
 `perfbench/run.py --trace 1` wraps kdvcorr functions by module attribute
 name (perfbench/tracing.py); a renamed or re-routed function would break the
-traced run or leave its counter at zero.  This runs four CLI commands under
+traced run or leave its counter at zero.  This runs five CLI commands under
 the tracer in a fresh interpreter, so the wrappers never leak into the other
 tests.
 """
@@ -28,7 +28,8 @@ tracer.install({"npoint": npoint, "wk": wk, "wp": wp, "diffpoly": diffpoly,
                 "selftest": selftest, "cli": cli})
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (
-        ["wp", "1", "2"], ["selftest", "--depth", "6"], ["table", "4", "3"],
+        ["wp", "1", "2"], ["wp", "2", "1"], ["selftest", "--depth", "6"],
+        ["table", "4", "3"],
         ["kappa", "3,1,1", "0,0", "--verify"])]
 print(json.dumps({"codes": codes, "metrics": tracer.metrics()}))
 """
@@ -47,9 +48,13 @@ def test_traced_cli_runs_and_counts():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     metrics = report["metrics"]
     for name in ("wp.wave_flow_pair_calls", "wp.m_kappa_matrix_calls",
                  "diffpoly.omega_terms", "diffpoly.flow_derivative_calls",
-                 "npoint.window_calls", "wk.extract_s", "wp.mixed_correlator_s"):
+                 "npoint.window_calls", "wk.extract_s", "wp.mixed_correlator_s",
+                 # wp 2 1 reaches the s_1 wave through the wrapped module
+                 # globals: deformed_wave, then f_kappa_1 (n = 1)
+                 "wp.deformed_wave_calls", "wp.f_kappa_1_s",
+                 "partitions.spoly_mul_calls"):
         assert metrics.get(name, 0) > 0, (name, metrics.get(name))

@@ -1,6 +1,7 @@
 """Kappa-class layer: deformed waves, mixed correlators, volume polynomials."""
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -208,20 +209,24 @@ def test_volume_entries_match_repeated_kappa_route():
             assert entry == wp.mixed_correlator((1,) * d, ks) * factorial(d)
 
 
-def test_genus_three_one_point_volume_matches_dvv_oracle(monkeypatch):
-    # <kappa_1^d tau_k> on M_{3,1} by the set-partition pushforward over DVV,
+@pytest.mark.parametrize("g,n", [(3, 1), (2, 3), (3, 2)])
+def test_genus_three_one_point_volume_matches_dvv_oracle(monkeypatch, g, n):
+    # <kappa_1^d tau_K> on M_{g,n} by the set-partition pushforward over DVV,
     # a route that shares no code with the deformed wave
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import oracles
 
     psi = oracles.PsiNumbers()
+    dim = 3 * g - 3 + n
     want = {}
-    for k in range(8):
-        value = oracles.kappa_number(psi, [1] * (7 - k), (k,))
-        if value:
-            want[(7 - k, (k,))] = value
-    assert len(want) == 8
-    assert wp.wp_volume(3, 1).entries == want
+    for ks in combinations_with_replacement(range(dim + 1), n):
+        d = dim - sum(ks)
+        if d >= 0:
+            value = oracles.kappa_number(psi, [1] * d, ks)
+            if value:
+                want[(d, ks)] = value
+    assert want
+    assert wp.wp_volume(g, n).entries == want
 
 
 @pytest.mark.parametrize(
@@ -290,19 +295,53 @@ def test_validation_errors():
         wp.deformed_wave(-1)
 
 
-def test_f_kappa_n_builds_the_deformed_wave_once(monkeypatch):
-    calls = []
-    build = wp.deformed_wave
+def test_wp_volume_builds_one_wave_and_its_pair_products_once(monkeypatch):
+    # the probe, the build and the verify build of M^kappa read one wave and
+    # share its exact pair products: A Bb, A Ab and B Bb, one build each
+    calls = {"deformed_wave": 0, "_pair_products": 0, "m_kappa_matrix": 0}
 
-    def counted(cap):
-        calls.append(cap)
-        return build(cap)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(wp, "deformed_wave", counted)
-    box = wp.f_kappa_n(2, [(-3, -1), (-3, -1)], 1, verify=True)
-    assert calls == [1]
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(wp, name, counted(name, getattr(wp, name)))
+    vol = wp.wp_volume(2, 2, verify=True)
+    assert calls == {"deformed_wave": 1, "_pair_products": 3, "m_kappa_matrix": 3}
     monkeypatch.undo()
-    assert box == wp.f_kappa_n(2, [(-3, -1), (-3, -1)], 1)
+    assert vol.entries == wp.wp_volume(2, 2).entries
+
+
+def _s1_slice(coeffs: dict) -> dict:
+    """{key: (terms, cap)} of the s_1^d part of each s-polynomial."""
+    out = {}
+    for key, c in coeffs.items():
+        terms = {m: v for m, v in c.terms.items() if len(m) <= 1}
+        if terms:
+            out[key] = (terms, c.cap)
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_s1_wave_is_the_general_wave_at_s1(cap):
+    # s_j -> 0 for j >= 2 is a ring homomorphism, so the wave built from the
+    # restricted seeds is the restriction of the general wave, caps included
+    general = wp.deformed_wave(cap)
+    s1 = wp.deformed_wave(cap, max_index=1)
+    for got, want in zip((*s1.a, *s1.b), (*general.a, *general.b)):
+        assert all(len(m) <= 1 for c in got.coefficients.values() for m in c.terms)
+        assert _s1_slice(got.coefficients) == _s1_slice(want.coefficients)
+    floor = -cap - 2
+    got_rows = wp.m_kappa_matrix(s1, floor)
+    for got_row, want_row in zip(got_rows, wp.m_kappa_matrix(general, floor)):
+        for got, want in zip(got_row, want_row):
+            assert got and _s1_slice(got) == _s1_slice(want)
+    # the s_1 wave knows nothing of s_2: it must not read as zero
+    with pytest.raises(ValueError):
+        s1.component((2,), "A")
 
 
 def test_deformed_wave_and_kappa_matrix_carry_the_cap():
@@ -311,5 +350,5 @@ def test_deformed_wave_and_kappa_matrix_carry_the_cap():
     coeffs = [c for s in (*dw.a, *dw.b) for c in s.coefficients.values()]
     matrix = wp.m_kappa_matrix(dw, -4)
     coeffs += [c for row in matrix for ent in row for c in ent.values()]
-    coeffs += list(wp.f_kappa_1(3, -8).values())
+    coeffs += list(wp.f_kappa_1(dw, -8).values())
     assert coeffs and all(c.cap == 3 for c in coeffs)
