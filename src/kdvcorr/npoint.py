@@ -23,16 +23,29 @@ verify=True recomputes with widened budgets and insists on equality.
 
 The coefficient ring only needs +, *, unary minus and truth testing, so the
 same engine drives plain rationals and s-polynomial coefficients.  Rationals
-are the hot case, and there `_compute` clears denominators before tracing:
-every matrix coefficient is multiplied by L, the lcm of all denominators of
-the n matrices, so the trace runs over Python ints with no gcd per product,
-and each accumulated key is divided by L^n once (the trace is linear in each
-of its n matrix factors).  Coefficients without numerator/denominator, such
-as s-polynomials, pass through unscaled; the engine itself stays generic.
+are the hot case, and there each pass clears denominators before tracing:
+`_build_mats` takes L, the lcm of the denominators of the one deepest factory
+matrix, scales that matrix to Python ints and slices every variable's matrix
+from it, so the trace runs with no gcd per product, and each accumulated key
+is divided by L^n once (the trace is linear in each of its n matrix
+factors).  Coefficients without numerator/denominator, such as
+s-polynomials, pass through unscaled; the engine itself stays generic.
+
+Inside one cyclic ordering a partial key is a single Python int: field v
+holds exponent v plus a bias and the last field the key's total plus the
+bias, with a field width taken from the largest exponent or total that the
+factors before a step can reach and the windows still allow after it.  A matrix term adds one precomputed packed
+delta, and an edge term y_small^m y_big^{-m-1} adds a fixed step per m.  Each
+product loop walks only the exponents that keep a key inside the box: the
+matrix exponents form a bisected slice of the sorted entry, and the edge
+index m runs over the one interval the windows leave.  Keys are unpacked to
+exponent tuples once, when the ordering's term returns.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from itertools import permutations
 from math import lcm
 
@@ -93,7 +106,7 @@ def _suffix_bounds(factors, n):
     return out
 
 
-def _class_term(cycle, mats, geo_items, windows, n):
+def _class_term(cycle, mats, exports, windows, n):
     """Coefficient dict of one cyclic ordering's trace over the target box."""
     total_lo = sum(lo for lo, _ in windows)
     total_hi = sum(hi for _, hi in windows)
@@ -102,53 +115,91 @@ def _class_term(cycle, mats, geo_items, windows, n):
     # bound what later factors can still add to a partial key
     factors = []
     for j, v in enumerate(cycle):
-        ent = mats[v]
-        mat_lo = min(min(e for e, _ in it) for it in _flat(ent) if it)
-        mat_hi = max(max(e for e, _ in it) for it in _flat(ent) if it)
+        ent = [it for row in mats[v] for it in row if it]
+        mat_lo = min(it[0][0] for it in ent)
+        mat_hi = max(it[-1][0] for it in ent)
         factors.append(("mat", v, ((v, mat_lo, mat_hi),)))
         a, b = v, cycle[(j + 1) % n]
         big, small = (a, b) if a < b else (b, a)
-        items = geo_items[(big, small)]
         sign = 1 if a == big else -1
-        cap = max(m for _, m, _ in items)
+        cap = exports[big]
         factors.append(
             ("geo", (big, small, sign), ((big, -cap - 1, -1), (small, 0, cap)))
         )
     bounds = _suffix_bounds(factors, n)
+    # after each factor, the exponent ranges a kept key may hold in the
+    # variables it touched, and in the key's total: what the factors so far
+    # can reach, cut by what the later ones can still add
+    ranges = []
+    pre_lo, pre_hi = [0] * n, [0] * n
+    for fac, (rlo, rhi, rtlo, rthi) in zip(factors, bounds[1:]):
+        for v, add_lo, add_hi in fac[2]:
+            pre_lo[v] += add_lo
+            pre_hi[v] += add_hi
+        var = {
+            v: (
+                max(pre_lo[v], windows[v][0] - rhi[v]),
+                min(pre_hi[v], windows[v][1] - rlo[v]),
+            )
+            for v, _, _ in fac[2]
+        }
+        tot = (max(sum(pre_lo), total_lo - rthi), min(sum(pre_hi), total_hi - rtlo))
+        ranges.append((var, tot))
 
-    zero_key = (0,) * n
+    # a partial key is one int: field v < n holds exponent v plus the bias,
+    # field n the key's total plus the bias; every kept exponent and total
+    # lies in a range above, so no field ever borrows from or carries into
+    # the next
+    reach = max(
+        abs(x) for var, tot in ranges for pair in (*var.values(), tot) for x in pair
+    )
+    width = reach.bit_length() + 1
+    bias = 1 << (width - 1)
+    mask = (1 << width) - 1
+    tot_shift = n * width
+    zero_key = sum(bias << (v * width) for v in range(n + 1))
+
     P = [[{zero_key: 1}, {}], [{}, {zero_key: 1}]]
-    for idx, fac in enumerate(factors):
-        rlo, rhi, rtlo, rthi = bounds[idx + 1]
+    for fac, (var, (t_lo, t_hi)) in zip(factors, ranges):
+        new = [[{}, {}], [{}, {}]]
         if fac[0] == "mat":
+            # exponent e of variable v moves field v and the total by e, so
+            # each term is one packed delta; the e that keep a key inside
+            # both ranges are a slice of the sorted entry
             v = fac[1]
-            mat = mats[v]
-            win_lo = windows[v][0] - rhi[v]
-            win_hi = windows[v][1] - rlo[v]
-            new = [[{}, {}], [{}, {}]]
+            win_lo, win_hi = var[v]
+            v_shift = v * width
+            unit = (1 << v_shift) + (1 << tot_shift)
+            rows = [
+                [([e for e, _ in it], [(e * unit, c) for e, c in it]) for it in row]
+                for row in mats[v]
+            ]
             for i in range(2):
                 for k in range(2):
                     pe = P[i][k]
                     if not pe:
                         continue
-                    for kk in range(2):
-                        it = mat[k][kk]
-                        if not it:
+                    targets = [
+                        (exps, terms, new[i][kk])
+                        for kk, (exps, terms) in enumerate(rows[k])
+                        if terms
+                    ]
+                    for key, c1 in pe.items():
+                        kv = ((key >> v_shift) & mask) - bias
+                        tot = (key >> tot_shift) - bias
+                        # plain comparisons cost less than max/min calls
+                        lo = win_lo - kv
+                        if t_lo - tot > lo:
+                            lo = t_lo - tot
+                        hi = win_hi - kv
+                        if t_hi - tot < hi:
+                            hi = t_hi - tot
+                        if lo > hi:
                             continue
-                        dst = new[i][kk]
-                        for key, c1 in pe.items():
-                            kv = key[v]
-                            tot = sum(key)
-                            pre = key[:v]
-                            post = key[v + 1 :]
-                            for e, c2 in it:
-                                ne = kv + e
-                                if ne < win_lo or ne > win_hi:
-                                    continue
-                                nt = tot + e
-                                if nt + rthi < total_lo or nt + rtlo > total_hi:
-                                    continue
-                                nk = pre + (ne,) + post
+                        for exps, terms, dst in targets:
+                            a = bisect_left(exps, lo)
+                            for d, c2 in terms[a : bisect_right(exps, hi, a)]:
+                                nk = key + d
                                 s = dst.get(nk)
                                 s = c1 * c2 if s is None else s + c1 * c2
                                 if s:
@@ -157,15 +208,17 @@ def _class_term(cycle, mats, geo_items, windows, n):
                                     # a capped coefficient ring can produce a
                                     # zero product for a key never stored
                                     dst.pop(nk, None)
-            P = new
         else:
+            # y_small^m y_big^{-m-1} lowers the total by exactly 1, so the
+            # total is checked once per key and m walks only its own range
             big, small, sign = fac[1]
-            items = geo_items[(big, small)]
-            blo = windows[big][0] - rhi[big]
-            bhi = windows[big][1] - rlo[big]
-            slo = windows[small][0] - rhi[small]
-            shi = windows[small][1] - rlo[small]
-            new = [[{}, {}], [{}, {}]]
+            blo, bhi = var[big]
+            slo, shi = var[small]
+            cap = exports[big]
+            big_shift = big * width
+            small_shift = small * width
+            step = (1 << small_shift) - (1 << big_shift)
+            drop = (1 << big_shift) + (1 << tot_shift)
             for i in range(2):
                 for k in range(2):
                     pe = P[i][k]
@@ -173,90 +226,66 @@ def _class_term(cycle, mats, geo_items, windows, n):
                         continue
                     dst = new[i][k]
                     for key, c1 in pe.items():
-                        kb = key[big]
-                        ks = key[small]
-                        tot = sum(key)
+                        tot = (key >> tot_shift) - bias - 1
+                        if tot < t_lo or tot > t_hi:
+                            continue
+                        kb = ((key >> big_shift) & mask) - bias
+                        ks = ((key >> small_shift) & mask) - bias
+                        m_lo = kb - 1 - bhi
+                        if slo - ks > m_lo:
+                            m_lo = slo - ks
+                        if m_lo < 0:
+                            m_lo = 0
+                        m_hi = kb - 1 - blo
+                        if shi - ks < m_hi:
+                            m_hi = shi - ks
+                        if cap < m_hi:
+                            m_hi = cap
+                        if m_lo > m_hi:
+                            continue
                         c1s = -c1 if sign < 0 else c1
-                        for eb, es, _ in items:
-                            nb = kb + eb
-                            if nb < blo or nb > bhi:
-                                continue
-                            nsm = ks + es
-                            if nsm < slo or nsm > shi:
-                                continue
-                            nt = tot + eb + es
-                            if nt + rthi < total_lo or nt + rtlo > total_hi:
-                                continue
-                            nk = list(key)
-                            nk[big] = nb
-                            nk[small] = nsm
-                            nk = tuple(nk)
+                        first = key - drop + m_lo * step
+                        for nk in range(first, first + (m_hi - m_lo + 1) * step, step):
                             s = dst.get(nk)
                             s = c1s if s is None else s + c1s
                             if s:
                                 dst[nk] = s
                             else:
                                 dst.pop(nk, None)
-            P = new
+        P = new
     out = P[0][0]
     for key, c in P[1][1].items():
         add_into(out, key, c)
-    return out
+    shifts = [v * width for v in range(n)]
+    return {
+        tuple(((key >> sh) & mask) - bias for sh in shifts): c for key, c in out.items()
+    }
 
 
-def _flat(mat):
-    return [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
-
-
-def _geo_expansions(n, exports):
-    """Edge expansions sum_m y_small^m y_big^{-m-1} as (e_big, e_small, m)."""
-    out = {}
-    for big in range(n):
-        for small in range(big + 1, n):
-            cap = exports[big]
-            out[(big, small)] = [(-m - 1, m, m) for m in range(cap + 1)]
-    return out
-
-
-def _clear_denominators(mats):
-    """(L, mats times L as ints) when every coefficient is a rational, with L
-    the lcm of all denominators; (None, mats) otherwise."""
+def _clear_denominators(mat):
+    """(L, mat times L as ints) when every coefficient is a rational, with L
+    the lcm of all its denominators; (None, mat) otherwise."""
     scale = 1
-    for mat in mats:
-        for it in _flat(mat):
+    for row in mat:
+        for it in row:
             for _, c in it:
                 try:
                     scale = lcm(scale, c.denominator)
                 except AttributeError:
-                    return None, mats
+                    return None, mat
     scaled = [
-        [
-            [
-                [(e, c.numerator * (scale // c.denominator)) for e, c in it]
-                for it in row
-            ]
-            for row in mat
-        ]
-        for mat in mats
+        [[(e, c.numerator * (scale // c.denominator)) for e, c in it] for it in row]
+        for row in mat
     ]
     return scale, scaled
 
 
-def _compute(n, windows, mats, exports, workers=1):
-    classes = cycle_classes(n)
-    geo_items = _geo_expansions(n, exports)
-    scale, mats = _clear_denominators(mats)
-    if workers > 1 and len(classes) > 1:
-        payloads = [
-            (cyc, mats, geo_items, windows, n) for cyc, _ in classes
-        ]
-        # the pool may start all its workers at once; any beyond one per
-        # class would only idle
-        pool_size = min(workers, len(classes))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            terms = list(pool.map(_class_term_payload, payloads))
+def _compute(n, windows, scale, mats, exports, classes, pool=None):
+    payloads = [(cyc, mats, exports, windows, n) for cyc, _ in classes]
+    if pool is None:
+        terms = [_class_term(*payload) for payload in payloads]
     else:
-        terms = [_class_term(cyc, mats, geo_items, windows, n) for cyc, _ in classes]
+        terms = list(pool.map(_class_term_payload, payloads))
     acc: dict = {}
     for (cyc, weight), term in zip(classes, terms):
         for key, c in term.items():
@@ -299,35 +328,50 @@ def npoint_window(
     probe = mat_factory(-1)
     mat_top = max(max(e for e in ent) for row in probe for ent in row if ent)
     floors, exports = budgets(windows, mat_top)
-    mats = _build_mats(mat_factory, floors)
-    result = _compute(n, windows, mats, exports, workers=workers)
-    if verify:
-        floors2, exports2 = budgets(windows, mat_top, widen=4)
-        floors2 = [min(f2, 2 * f1) for f1, f2 in zip(floors, floors2)]
-        exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
-        check = _compute(
-            n, windows, _build_mats(mat_factory, floors2), exports2, workers=workers
+    classes = cycle_classes(n)
+    # one pool serves the trace and the verify pass; it may start all its
+    # workers at once, and any beyond one per class would only idle
+    pool_size = min(workers, len(classes))
+    with (
+        ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext()
+    ) as pool:
+        result = _compute(
+            n, windows, *_build_mats(mat_factory, floors), exports, classes, pool
         )
-        if check != result:
-            changed = sum(
-                1
-                for key in set(check) | set(result)
-                if check.get(key) != result.get(key)
+        if verify:
+            floors2, exports2 = budgets(windows, mat_top, widen=4)
+            floors2 = [min(f2, 2 * f1) for f1, f2 in zip(floors, floors2)]
+            exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
+            check = _compute(
+                n, windows, *_build_mats(mat_factory, floors2), exports2, classes, pool
             )
-            raise TruncationInstability(
-                f"widened truncation changed {changed} coefficients"
-            )
+    if verify and check != result:
+        changed = sum(
+            1
+            for key in set(check) | set(result)
+            if check.get(key) != result.get(key)
+        )
+        raise TruncationInstability(
+            f"widened truncation changed {changed} coefficients"
+        )
     return result
 
 
 def _build_mats(mat_factory, floors):
-    """Each variable's matrix as sorted (exponent, coefficient) lists, cut at
-    its own floor.  One factory call at the deepest floor serves them all:
-    the factory is complete down to the floor it is given, so each slice
-    equals the matrix the factory would build at that variable's floor."""
-    ent = mat_factory(min(floors))
-    full = [[sorted(ent[i][k].items()) for k in range(2)] for i in range(2)]
-    return [
+    """(L, mats): each variable's matrix as sorted (exponent, coefficient)
+    lists, cut at its own floor.  One factory call at the deepest floor
+    serves them all: the factory is complete down to the floor it is given,
+    so each slice equals the matrix the factory would build at that
+    variable's floor.  Every slice is part of the deepest one, so clearing
+    that one's denominators (L = their lcm, None for coefficients without
+    one) scales every slice by the same L."""
+    deepest = min(floors)
+    ent = mat_factory(deepest)
+    scale, full = _clear_denominators(
+        [[sorted(t for t in ent[i][k].items() if t[0] >= deepest) for k in range(2)]
+         for i in range(2)]
+    )
+    return scale, [
         [[[(e, c) for e, c in it if e >= fl] for it in row] for row in full]
         for fl in floors
     ]

@@ -1,25 +1,32 @@
 """Cyclic trace engine: windows, budgets, verification, worker determinism."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvcorr import npoint, wk
 from kdvcorr.npoint import (
     TruncationInstability,
     _build_mats,
     _class_term,
-    _geo_expansions,
     budgets,
     cycle_classes,
     npoint_window,
 )
 from kdvcorr.partitions import SPoly
 from kdvcorr.rationals import odd_double_factorial, rat
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cycle_classes_counts():
@@ -159,7 +166,7 @@ def test_pool_never_larger_than_class_count(inline_pool):
 def test_verify_pass_uses_the_pool(inline_pool):
     windows = [(-4, -1)] * 4
     got = npoint_window(4, windows, wk.m_matrix, verify=True, workers=2)
-    assert inline_pool == [2, 2]  # one pool for the trace, one for the check
+    assert inline_pool == [2]  # one pool serves the trace and the check
     assert got == npoint_window(4, windows, wk.m_matrix)
 
 
@@ -178,7 +185,7 @@ def test_workers_agree_with_serial_under_start_method(method):
     # a spawned or forkserver worker imports kdvcorr afresh, so it sees no
     # state of the parent process beyond the pickled matrices it receives
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", START_METHOD_SCRIPT, method],
@@ -212,16 +219,20 @@ def test_process_pool_matches_serial(monkeypatch, n, windows):
 
 def _unscaled_window(n, windows, mat_factory, correct=True):
     """npoint_window rebuilt by hand from _class_term on the factory's own
-    (unscaled) coefficients: same budgets, classes summed with their
-    multiplicities, and the two-point correction added here."""
+    (unscaled) coefficients: same budgets, each variable's matrix cut at its
+    own floor, classes summed with their multiplicities, and the two-point
+    correction added here."""
     probe = mat_factory(-1)
     mat_top = max(max(ent) for row in probe for ent in row if ent)
     floors, exports = budgets(windows, mat_top)
-    mats = _build_mats(mat_factory, floors)
-    geo_items = _geo_expansions(n, exports)
+    mats = [
+        [[sorted(t for t in ent.items() if t[0] >= fl) for ent in row]
+         for row in mat_factory(fl)]
+        for fl in floors
+    ]
     acc = {}
     for cyc, weight in cycle_classes(n):
-        for key, c in _class_term(cyc, mats, geo_items, windows, n).items():
+        for key, c in _class_term(cyc, mats, exports, windows, n).items():
             acc[key] = acc.get(key, 0) - weight * c
     if n == 2 and correct:
         # -(y_1 + y_2)/(y_1 - y_2)^2 = -sum_m (2m+1) y_2^m y_1^{-m-1}
@@ -281,3 +292,100 @@ def test_spoly_coefficients_stay_spoly():
     assert got.keys() == plain.keys()
     assert all(isinstance(c, SPoly) for c in got.values())
     assert all(got[key] == plain[key] for key in plain)
+
+
+# Oracle checks of the engine that share nothing with it: DVV numbers and
+# Dijkgraaf's two-point function from perfbench/oracles.py, and the frozen
+# three-point release table.
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        import oracles as module
+    return module
+
+
+@pytest.fixture(scope="module")
+def psi(oracles):
+    return oracles.PsiNumbers()
+
+
+def _weighted(oracles, value, ks):
+    """The traced coefficient of <tau_K>: value times prod (2k+1)!!."""
+    return value * prod(oracles.double_factorial(2 * k + 1) for k in ks)
+
+
+# an index window [a, b] is the exponent window [-b-1, -a-1]; an index of -1
+# or -2 reaches the exponents 0 and 1, where the n-point function has no term
+_index_windows = st.tuples(st.integers(-2, 8), st.integers(0, 8)).map(
+    lambda ab: (-max(ab) - 1, -min(ab) - 1)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_index_windows, min_size=2, max_size=4, unique=True))
+def test_random_boxes_equal_dvv_numbers(oracles, psi, windows):
+    # distinct windows drawn in any order, so a higher or wider window may
+    # stand before or after a lower one in the magnitude order
+    want = {}
+    for key in product(*(range(lo, hi + 1) for lo, hi in windows)):
+        ks = [-e - 1 for e in key]
+        if min(ks) >= 0 and oracles.genus_of(ks) is not None:
+            want[key] = _weighted(oracles, psi(ks), ks)
+    assert npoint_window(len(windows), windows, wk.m_matrix) == want
+
+
+def test_packed_keys_hold_large_exponents(oracles):
+    # <tau_100 tau_4> at genus 35: exponents near -100 and totals near -106
+    # fill every bit of the packed fields
+    two = oracles.two_point_numbers(104)
+    got = npoint_window(2, [(-101, -101), (-5, -5)], wk.m_matrix)
+    assert got == {(-101, -5): _weighted(oracles, two[(4, 100)], (100, 4))}
+
+
+def test_three_point_box_to_index_22_matches_release_table(oracles):
+    frozen = json.loads((ROOT / "tests" / "data" / "three_point.json").read_text())
+    windows = [(-23, -18), (-21, -16), (-19, -14)]
+    want = {}
+    for key in product(*(range(lo, hi + 1) for lo, hi in windows)):
+        ks = [-e - 1 for e in key]
+        if oracles.genus_of(ks) is not None:
+            num, den = frozen[",".join(map(str, sorted(ks)))]
+            want[key] = _weighted(oracles, Fraction(int(num), int(den)), ks)
+    assert want
+    assert npoint_window(3, windows, wk.m_matrix) == want
+
+
+def test_capped_ring_never_returns_a_zero_key():
+    # the coefficient of y^e carries s_1^(1-e); a key's total drops by 1 per
+    # edge, so every product reaching a key weighs what its total and step
+    # fix, and a whole key weighs minus its total.  At weight cap 8 the keys
+    # of total below -8, and every partial product on the way to them, vanish
+    def factory(cap):
+        def coefficient(e, c):
+            p = SPoly({(1 - e,): c})
+            return p if cap is None else p.truncate_weight(cap)
+
+        def build(floor):
+            return [
+                [{e: coefficient(e, c) for e, c in ent.items()} for ent in row]
+                for row in wk.m_matrix(floor)
+            ]
+
+        return build
+
+    n, windows = 3, [(-6, -1), (-5, -2), (-7, -1)]
+    exact = npoint_window(n, windows, factory(None))
+    got = npoint_window(n, windows, factory(8))
+    want = {key: c for key, c in exact.items() if -sum(key) <= 8}
+    assert got == want
+    assert want and len(want) < len(exact)
+    floors, exports = budgets(windows, 1)  # m_matrix's top exponent is 1
+    scale, mats = _build_mats(factory(8), floors)
+    assert scale is None
+    for cyc, _ in cycle_classes(n):
+        term = _class_term(cyc, mats, exports, windows, n)
+        assert term and all(term.values())
+        assert all(-sum(key) <= 8 for key in term)
