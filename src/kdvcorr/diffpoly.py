@@ -20,20 +20,35 @@ coefficients are integers, and divides by the known scale once, when a public
 function reads the result:
 
     X_p = 4^p (2p+1)!! Omega_p:  X_0 = u,
-        d_x X_p = (8 u d_x + 4 u_x + d_x^3) X_{p-1}, every antiderivative
-        division exact; omega(p) divides X_p by 4^p (2p+1)!!.
+        X_p = (X'' + 4 u X) + int 4 u X'   with X = X_{p-1},
+        every antiderivative division exact; omega(p) divides X_p by
+        4^p (2p+1)!!.
     Y_k = 2^k chi_k:  Y_1 = -2u,
-        Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}).
+        Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}), each product
+        Y_a Y_b with a != b formed once and doubled.
 
-X_p and Y_k are cached per index.  The public series are read off scaled
-series over the int ring, one division per coefficient:
+X_p and Y_k are cached per index, and so are the pieces of X_p that the
+recursion, Theta and the WP flow coefficients share, d_x X_p and
+d_x^2 X_p + 4 u X_p.  The public series are read off scaled series over the
+int ring, one division per coefficient:
 
     resolvent(K)          4^K R(z) = 4^K + sum_k 4^{K-k} X_k z^{-2k-2}
     riccati_chi(K)        2^K chi(z) = 2^K z + sum_k 2^{K-k} Y_k z^{-k}
-    theta_matrix(K)       2 * 4^K Theta(z), from 4^K R
+    theta_matrix(K)       2 * 4^K Theta(z), from the pieces, with no
+                          derivative or product of a whole series: the
+                          diagonal is -+4^{K-k} d_x X_k at z^{-2k-2}, and
+                          since X_{k+1} = X_k'' + 4 u X_k + int 4 u X_k', the
+                          lower-left entry is
+                          2 * 4^{K-k-1} (2 (X_k'' + 4 u X_k) - X_{k+1})
+                          at z^{-2k-2} for k < K, 2 * 4^K u at z^0 and
+                          -2 * 4^K at z^2, floor -2K
     two_point_general     the F_2 numerator at the scale 2 * 4^{4K}, from
-                          4^K R and 2^{2K} chi; each coefficient of the result
-                          is divided by 2 * 4^{4K} (2p+1)!! (2q+1)!!.
+                          4^K R and 2^{2K} chi; chi(z) chi(-z) is even, so
+                          each of its pair products is formed once.  Each
+                          coefficient of the result is divided by
+                          2 * 4^{4K} (2p+1)!! (2q+1)!!.
+
+A negative truncation order K, or a negative index p or q, is a ValueError.
 """
 from __future__ import annotations
 
@@ -95,12 +110,6 @@ class DiffPoly(SparsePoly):
                 add_into(terms, new, e * c)
         return self._make(terms)
 
-    def d_x_pow(self, k: int) -> "DiffPoly":
-        out = self
-        for _ in range(k):
-            out = out.d_x()
-        return out
-
     def evaluate_at_jets(self, jets) -> object:
         """Substitute u_j = jets[j] (zero beyond the end of the list)."""
         total = 0
@@ -128,31 +137,41 @@ def _exact_div(c, n: int):
 def formal_antiderivative(f: DiffPoly) -> DiffPoly:
     """The g with d_x(g) = f and zero constant term, if one exists.
 
-    Repeatedly strips the highest jet: if u_J is the top jet of f, an exact
-    derivative must be linear in u_J with coefficient A free of u_J, and
-    integrating A with respect to u_{J-1} removes the top layer.  A nonzero
-    remainder in u alone (or a constant, or a higher power of the top jet)
-    means f is not an exact x-derivative.  Int coefficients stay ints where
-    the integration divides them exactly and become Fractions where not.
+    Strips the highest jet, layer by layer: the terms of f are bucketed by
+    monomial length, and if u_J is the top jet of a layer, an exact derivative
+    must be linear in u_J with a coefficient A free of u_J.  Integrating A
+    with respect to u_{J-1} gives a piece of g whose u_{J-1} derivative term
+    is the whole layer, so only its lower-jet derivative terms are subtracted,
+    into the layer below.  A nonzero remainder in u alone (or a constant, or
+    a higher power of the top jet) means f is not an exact x-derivative.
+    Int coefficients stay ints where the integration divides them exactly
+    and become Fractions where not.
     """
-    g = DiffPoly()
-    work = f
-    while work.terms:
-        top = work.max_jet()
-        if top <= 0:
-            raise ValueError("not an exact x-derivative")
-        # integrate the coefficient of u_top with respect to u_{top-1}
-        c_terms: dict = {}
-        for mono, c in work.terms.items():
-            if len(mono) - 1 == top:
-                if mono[top] > 1:
-                    raise ValueError("not an exact x-derivative")
-                e = mono[top - 1] + 1
-                c_terms[mono[: top - 1] + (e,)] = _exact_div(c, e)
-        piece = DiffPoly(c_terms)
-        g = g + piece
-        work = work - piece.d_x()
-    return g
+    layers: dict = {}  # monomial length -> {mono: coeff}
+    for mono, c in f.terms.items():
+        layers.setdefault(len(mono), {})[mono] = c
+    g: dict = {}
+    for n in range(max(layers, default=0), 1, -1):
+        layer = layers.pop(n, None)
+        if not layer:
+            continue
+        top = n - 1
+        below = layers.setdefault(top, {})
+        for mono, c in layer.items():
+            if mono[top] > 1:
+                raise ValueError("not an exact x-derivative")
+            e = mono[top - 1] + 1
+            piece = mono[: top - 1] + (e,)
+            c = g[piece] = _exact_div(c, e)
+            # d_x of the piece, less its u_{top-1} term: all of length top
+            for j in range(top - 1):
+                ej = piece[j]
+                if ej:
+                    lower = piece[:j] + (ej - 1, piece[j + 1] + 1) + piece[j + 2 :]
+                    add_into(below, lower, -ej * c)
+    if any(layers.values()):
+        raise ValueError("not an exact x-derivative")
+    return f._make(g)
 
 
 def _divide(f: DiffPoly, n: int) -> DiffPoly:
@@ -166,6 +185,7 @@ def _read(s: LaurentSeries, scale: int) -> LaurentSeries:
 
 
 _U = DiffPoly.jet(0)
+_U4 = 4 * _U
 
 
 @cache
@@ -180,9 +200,23 @@ def _omega_x(p: int) -> DiffPoly:
     """
     if p == 0:
         return _U
-    prev = _omega_x(p - 1)
-    d = prev.d_x()
-    return d.d_x() + 4 * _U * prev + formal_antiderivative(4 * _U * d)
+    d, e = _omega_pieces(p - 1)
+    return e + formal_antiderivative(_U4 * d)
+
+
+@cache
+def _omega_x_dx(p: int) -> DiffPoly:
+    """d_x X_p, cached on its own: the deepest diagonal term of Theta needs
+    it without the second piece."""
+    return _omega_x(p).d_x()
+
+
+@cache
+def _omega_pieces(p: int) -> tuple[DiffPoly, DiffPoly]:
+    """(d_x X_p, d_x^2 X_p + 4 u X_p): the pieces of X_p that the recursion
+    for X_{p+1}, Theta and the WP flow coefficients share."""
+    d = _omega_x_dx(p)
+    return d, d.d_x() + _U4 * _omega_x(p)
 
 
 @cache
@@ -229,29 +263,49 @@ def flow_derivative(f: DiffPoly, k: int, room: int | None = None) -> DiffPoly:
 def _chi_y(k: int) -> DiffPoly:
     """Y_k = 2^k chi_k over the integers, k >= 1:
 
-        Y_1 = -2u,   Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}).
+        Y_1 = -2u,   Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}),
+
+    the sum formed as 2 sum_{a < k-1-a} Y_a Y_{k-1-a}, plus Y_{(k-1)/2}^2
+    when k is odd.
     """
     if k == 1:
         return -2 * _U
-    acc = _chi_y(k - 1).d_x()
-    for a in range(1, k - 1):
-        acc = acc + _chi_y(a) * _chi_y(k - 1 - a)
+    twice = DiffPoly()
+    for a in range(1, k // 2):
+        twice = twice + _chi_y(a) * _chi_y(k - 1 - a)
+    acc = _chi_y(k - 1).d_x() + 2 * twice
+    if k % 2:
+        half = _chi_y((k - 1) // 2)
+        acc = acc + half * half
     return -acc
 
 
 # -- series built over the jet ring -----------------------------------------
 
 
+def _check_order(K: int) -> None:
+    if K < 0:
+        raise ValueError(f"truncation order K must be >= 0, got {K}")
+
+
 def _scaled_resolvent(K: int) -> LaurentSeries:
     """4^K R(z) = 4^K + sum_{k=0}^{K} 4^{K-k} X_k z^{-2k-2}, floor -(2K+2)."""
+    _check_order(K)
     coeffs: dict = {0: DiffPoly.const(4**K)}
     for k in range(K + 1):
         coeffs[-2 * k - 2] = 4 ** (K - k) * _omega_x(k)
     return LaurentSeries(coeffs, low=-2 * K - 2)
 
 
+def _scaled_resolvent_x(K: int) -> LaurentSeries:
+    """4^K R_x(z) = sum_{k=0}^{K} 4^{K-k} d_x X_k z^{-2k-2}, floor -(2K+2)."""
+    coeffs = {-2 * k - 2: 4 ** (K - k) * _omega_x_dx(k) for k in range(K + 1)}
+    return LaurentSeries(coeffs, low=-2 * K - 2)
+
+
 def _scaled_chi(K: int) -> LaurentSeries:
     """2^K chi(z) = 2^K z + sum_{k=1}^{K} 2^{K-k} Y_k z^{-k}, floor -K."""
+    _check_order(K)
     coeffs: dict = {1: DiffPoly.const(2**K)}
     for k in range(1, K + 1):
         coeffs[-k] = 2 ** (K - k) * _chi_y(k)
@@ -271,14 +325,18 @@ def riccati_chi(K: int) -> LaurentSeries:
 
 def theta_matrix(K: int) -> list[list[LaurentSeries]]:
     """Theta(z) = [[-R_x/2, -R], [R_xx/2 - (z^2 - 2u)R, R_x/2]]: traceless
-    with Theta^2 = z^2 on retained orders.  Built as 2 * 4^K Theta."""
+    with Theta^2 = z^2 on retained orders.  Built as 2 * 4^K Theta from the
+    cached pieces of X_k (see the module docstring)."""
     s = _scaled_resolvent(K)
-    sx = _map_dx(s)
-    e21 = _map_dx(sx) - 2 * s.shift(2) + (4 * _U) * s
+    sx = _scaled_resolvent_x(K)
     scale = 2 * 4**K
+    e21: dict = {2: DiffPoly.const(-scale), 0: scale * _U}
+    for k in range(K):
+        e = _omega_pieces(k)[1]
+        e21[-2 * k - 2] = (2 * 4 ** (K - k - 1)) * (2 * e - _omega_x(k + 1))
     return [
         [_read(-sx, scale), _read(-2 * s, scale)],
-        [_read(e21, scale), _read(sx, scale)],
+        [_read(LaurentSeries(e21, low=-2 * K), scale), _read(sx, scale)],
     ]
 
 
@@ -294,13 +352,31 @@ def mat2_mul(a, b):
     ]
 
 
+def _times_negated(chi: LaurentSeries) -> LaurentSeries:
+    """chi(z) chi(-z), floor included, from its even half: the terms of a
+    pair a != b meet at z^{a+b} as c_a c_b ((-1)^a + (-1)^b), which is
+    2 (-1)^a c_a c_b when a + b is even and 0 when it is odd."""
+    items = sorted(chi.coefficients.items())
+    low = chi.low + items[-1][0]  # the floor of the full product
+    out: dict = {}
+    for i, (a, ca) in enumerate(items):
+        signed = -ca if a % 2 else ca
+        if 2 * a >= low:
+            add_into(out, 2 * a, signed * ca)
+        twice = 2 * signed
+        for b, cb in items[i + 1 :]:
+            if not (a + b) % 2 and a + b >= low:
+                add_into(out, a + b, twice * cb)
+    return LaurentSeries(out, low)
+
+
 @cache
 def _two_point_series(K: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
     """4^K R, its d_x and 4^{3K} R chi(z) chi(-z): the series behind every
     two_point_general call at this K.  Shared, so only ever read."""
     s = _scaled_resolvent(K)
     chi = _scaled_chi(2 * K)  # 4^K chi
-    return s, _map_dx(s), s * (chi * chi.substitute_negate())
+    return s, _scaled_resolvent_x(K), s * _times_negated(chi)
 
 
 def two_point_general(p: int, q: int, K: int) -> DiffPoly:
@@ -310,6 +386,8 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     Requires p + q <= K - 2; insufficient truncation raises the below-floor
     error from the underlying series.
     """
+    if p < 0 or q < 0:
+        raise ValueError("negative index")
     s, sx, scc = _two_point_series(K)
     one = LaurentSeries.one()
     zsq = LaurentSeries.monomial(2, DiffPoly.const(1))

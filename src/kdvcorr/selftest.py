@@ -15,7 +15,6 @@ from .diffpoly import (
     DiffPoly,
     _map_dx,
     mat2_mul,
-    omega,
     resolvent,
     riccati_chi,
     theta_matrix,

@@ -82,7 +82,7 @@ from itertools import combinations_with_replacement
 from math import prod
 
 from . import wk
-from .diffpoly import DiffPoly, flow_derivative, omega
+from .diffpoly import DiffPoly, _omega_pieces, flow_derivative, omega
 from .npoint import npoint_window
 from .partitions import (
     SPoly,
@@ -110,12 +110,14 @@ def _flow_coefficients(k: int) -> tuple[LaurentSeries, ...]:
     beta: dict = {2 * k: DiffPoly.const(nf)}
     gamma: dict = {2 * k + 2: DiffPoly.const(nf), 2 * k: (-2 * nf) * u}
     for j in range(k):
-        r = odd_double_factorial(j) * omega(j)
+        r = odd_double_factorial(j) * omega(j)  # X_j / 4^j
+        dx, dxx_4u = _omega_pieces(j)  # d_x X_j and X_j'' + 4 u X_j
+        w = -nf / (2 * 4**j)
         e = 2 * (k - 1 - j)
-        add_into(alpha, e, (-nf / 2) * r.d_x())
+        add_into(alpha, e, w * dx)
         add_into(beta, e, nf * r)
         add_into(gamma, e + 2, nf * r)
-        add_into(gamma, e, (-nf / 2) * r.d_x_pow(2) - (2 * nf) * (u * r))
+        add_into(gamma, e, w * dxx_4u)
     alpha = LaurentSeries(alpha)
     return alpha, LaurentSeries(beta), LaurentSeries(gamma), -alpha
 

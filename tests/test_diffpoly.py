@@ -12,6 +12,8 @@ from kdvcorr.diffpoly import (
     _map_dx,
     _omega_dx,
     _omega_x,
+    _scaled_chi,
+    _times_negated,
     far_degree,
     flow_derivative,
     formal_antiderivative,
@@ -56,12 +58,6 @@ def test_d_x_is_a_derivation():
     assert (U * U).d_x() == 2 * U * UX
 
 
-def test_d_x_pow_matches_iteration():
-    f = U * UX
-    assert f.d_x_pow(3) == f.d_x().d_x().d_x()
-    assert f.d_x_pow(0) == f
-
-
 def test_partial_derivatives():
     f = U * U * UX
     assert f.partial(0) == 2 * U * UX
@@ -96,6 +92,41 @@ def test_formal_antiderivative_divides_ints_exactly():
             formal_antiderivative(f)
 
 
+# jet polynomials in u ... u_5 with no constant term, int or Fraction
+# coefficients
+_int_coeffs = st.integers(-6, 6)
+_frac_coeffs = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _no_constant(coeffs):
+    return st.dictionaries(
+        st.lists(st.integers(0, 2), max_size=6).map(tuple), coeffs, max_size=6
+    ).map(lambda t: DiffPoly({m: c for m, c in t.items() if any(m)}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_no_constant(_int_coeffs), _no_constant(_frac_coeffs)))
+def test_formal_antiderivative_inverts_d_x_on_random_polys(g):
+    f = g.d_x()
+    back = formal_antiderivative(f)
+    assert back == g
+    if all(type(c) is int for c in g.terms.values()):
+        assert all(type(c) is int for c in back.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _no_constant(_frac_coeffs),
+    st.integers(0, 4),
+    st.one_of(_int_coeffs, _frac_coeffs).filter(bool),
+)
+def test_formal_antiderivative_rejects_u_powers_and_constants(g, m, c):
+    # every term of a derivative has a jet u_j with j >= 1, so c u^m
+    # (m >= 1) or a constant c (m = 0) added to one is never exact
+    with pytest.raises(ValueError):
+        formal_antiderivative(g.d_x() + DiffPoly({(m,): c}))
+
+
 def test_omega_first_densities():
     assert omega(-1) == DiffPoly.const(1)
     assert omega(0) == U
@@ -112,7 +143,7 @@ def test_omega_recursion_residual():
     for p in range(1, 13):
         prev = omega(p - 1)
         lhs = (2 * p + 1) * omega(p).d_x()
-        rhs = 2 * U * prev.d_x() + UX * prev + rat(1, 4) * prev.d_x_pow(3)
+        rhs = 2 * U * prev.d_x() + UX * prev + rat(1, 4) * prev.d_x().d_x().d_x()
         assert lhs == rhs, p
 
 
@@ -126,8 +157,25 @@ def test_scaled_recursions_stay_integral():
     # d_x X_p = (8 u d_x + 4 u_x + d_x^3) X_{p-1}, over the integers
     for p in range(1, 13):
         prev = _omega_x(p - 1)
-        rhs = 8 * U * prev.d_x() + 4 * UX * prev + prev.d_x_pow(3)
+        rhs = 8 * U * prev.d_x() + 4 * UX * prev + prev.d_x().d_x().d_x()
         assert _omega_x(p).d_x() == rhs, p
+
+
+def test_chi_y_equals_the_unmirrored_riccati_sum():
+    for k in range(2, 23):
+        acc = _chi_y(k - 1).d_x()
+        for a in range(1, k - 1):
+            acc = acc + _chi_y(a) * _chi_y(k - 1 - a)
+        assert _chi_y(k) == -acc, k
+
+
+def test_times_negated_matches_the_full_product():
+    for K in range(1, 13):
+        chi = _scaled_chi(2 * K)
+        full = chi * chi.substitute_negate()
+        mirrored = _times_negated(chi)
+        assert mirrored.low == full.low, K
+        assert mirrored.coefficients == full.coefficients, K
 
 
 def test_flow_derivative_is_a_derivation():
@@ -194,10 +242,12 @@ def test_pruned_chain_leaves_the_flow_caches_whole():
     for k in range(5):
         if k:
             prev = omega(k - 1)
-            rhs = 2 * U * prev.d_x() + UX * prev + rat(1, 4) * prev.d_x_pow(3)
+            rhs = 2 * U * prev.d_x() + UX * prev + rat(1, 4) * prev.d_x().d_x().d_x()
             assert (2 * k + 1) * omega(k).d_x() == rhs, k
+        dx = omega(k)
         for j in range(6):
-            assert _omega_dx(k, j) == omega(k).d_x_pow(j + 1), (k, j)
+            dx = dx.d_x()
+            assert _omega_dx(k, j) == dx, (k, j)
 
 
 def test_riccati_residual_vanishes():
@@ -233,6 +283,33 @@ def test_theta_matrix_squares_to_z2():
     assert sq[0][1].is_zero_to_truncation()
     assert sq[1][0].is_zero_to_truncation()
     assert (th[0][0] + th[1][1]).is_zero_to_truncation()  # traceless
+
+
+def test_theta_matrix_matches_its_definition():
+    # Theta = [[-R_x/2, -R], [R_xx/2 - (z^2 - 2u) R, R_x/2]], floors included
+    z2 = LaurentSeries.monomial(2, DiffPoly.const(1))
+    half = rat(1, 2)
+    for K in range(11):
+        r = resolvent(K)
+        rx = _map_dx(r)
+        want = [
+            [-(rx * half), -r],
+            [_map_dx(rx) * half - z2 * r + (2 * U) * r, rx * half],
+        ]
+        got = theta_matrix(K)
+        for i in range(2):
+            for j in range(2):
+                assert got[i][j].low == want[i][j].low, (K, i, j)
+                assert got[i][j].coefficients == want[i][j].coefficients, (K, i, j)
+
+
+def test_negative_orders_and_indices_are_value_errors():
+    for build in (resolvent, riccati_chi, theta_matrix):
+        with pytest.raises(ValueError, match="truncation order K"):
+            build(-1)
+    for p, q in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="negative index"):
+            two_point_general(p, q, 4)
 
 
 def test_two_point_general_lowest_case():
