@@ -398,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, verify=True, workers=True)
     p.set_defaults(func=_cmd_table)
 
-    p = subs.add_parser("kappa", help="one mixed kappa-tau correlator")
+    kappa_help = ("one mixed kappa-tau correlator, printed as the s_lambda"
+                  " coefficient <kappa_lambda tau_...>/m(lambda)!")
+    p = subs.add_parser("kappa", help=kappa_help, description=kappa_help)
     p.add_argument("lam", help="comma list of kappa indices, e.g. 1,1")
     p.add_argument(
         "tau",

@@ -48,7 +48,8 @@ int ring, one division per coefficient:
                           coefficient of the result is divided by
                           2 * 4^{4K} (2p+1)!! (2q+1)!!.
 
-A negative truncation order K, or a negative index p or q, is a ValueError.
+A negative truncation order K, a negative index p or q, or a negative flow
+index k is a ValueError.
 """
 from __future__ import annotations
 
@@ -58,22 +59,11 @@ from .rationals import odd_double_factorial, rat
 from .series import LaurentSeries, SparsePoly, _strip, add_into
 
 
-def far_degree(mono: tuple) -> int:
-    """phi of a jet monomial: its total degree minus its exponent of u_x.
-
-    The monomials with phi = 0, the powers of u_x, are the ones that do not
-    vanish at u = 0, u_x = 1, u_{>=2} = 0.  phi adds under products.
-    """
-    return sum(mono) - (mono[1] if len(mono) > 1 else 0)
-
-
 class DiffPoly(SparsePoly):
-    """Sparse differential polynomial: {jet exponent tuple: rational}, weighed
-    by `far_degree` for `truncated_mul`."""
+    """Sparse differential polynomial: {jet exponent tuple: rational}."""
 
     __slots__ = ()
     _var = "u"
-    _weight = staticmethod(far_degree)
 
     @classmethod
     def jet(cls, j: int) -> "DiffPoly":
@@ -241,21 +231,18 @@ def _omega_dx(k: int, j: int) -> DiffPoly:
     return (omega(k) if j == 0 else _omega_dx(k, j - 1)).d_x()
 
 
-def flow_derivative(f: DiffPoly, k: int, room: int | None = None) -> DiffPoly:
-    """d/dt_k along the KdV hierarchy: d_{t_k} u_j = d_x^{j+1} Omega_k.
+def flow_derivative(f: DiffPoly, k: int) -> DiffPoly:
+    """d/dt_k along the KdV hierarchy: d_{t_k} u_j = d_x^{j+1} Omega_k, k >= 0.
 
-    The flow is the derivation sum_j (df/du_j) d_x^{j+1} Omega_k.  With a
-    `room`, each product keeps only its terms of `far_degree` <= room, so the
-    result is the full flow with every term of phi > room dropped.  Since
-    d_x^{j+1} Omega_k has no constant term, the flow lowers the least phi of
-    f by at most one; a chain evaluated at u_x = 1 after L more steps loses
-    nothing when every step keeps phi <= the number of steps still to come.
+    The flow is the derivation sum_j (df/du_j) d_x^{j+1} Omega_k; t_0 is x.
     """
+    if k < 0:
+        raise ValueError(f"flow index k must be >= 0, got {k}")
     out = DiffPoly()
     for j in range(f.max_jet() + 1):
         pj = f.partial(j)
         if pj:
-            out = out + pj.truncated_mul(_omega_dx(k, j), room)
+            out = out + pj * _omega_dx(k, j)
     return out
 
 
@@ -421,7 +408,6 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
 
 __all__ = [
     "DiffPoly",
-    "far_degree",
     "formal_antiderivative",
     "omega",
     "flow_derivative",

@@ -33,7 +33,7 @@ a seed constant travels with all that is built from it, into pool workers too.
 """
 from __future__ import annotations
 
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 
 from .rationals import rat
 
@@ -127,11 +127,6 @@ class LaurentSeries:
             return LaurentSeries(
                 {e: c * other for e, c in self.coefficients.items()}, self.low
             )
-        return self.product(other, mul)
-
-    def product(self, other: "LaurentSeries", cmul) -> "LaurentSeries":
-        """self * other with each coefficient product formed as cmul(c1, c2),
-        say a product that truncates in the coefficient ring."""
         low = _product_floor(self, other)
         if low == "zero":
             return LaurentSeries.zero()
@@ -140,7 +135,7 @@ class LaurentSeries:
             for e2, c2 in other.coefficients.items():
                 e = e1 + e2
                 if low is None or e >= low:
-                    add_into(coeffs, e, cmul(c1, c2))
+                    add_into(coeffs, e, c1 * c2)
         return LaurentSeries(coeffs, low)
 
     def __rmul__(self, other):
@@ -231,14 +226,13 @@ class SparsePoly:
     """Sparse polynomial {exponent tuple: nonzero coefficient} over the exact
     rationals, in variables x_0, x_1, ...; exponent tuples never end in zero.
 
-    Subclasses name their variables (`_var`, `_first_index`, used by repr) and
-    may weigh monomials by an additive `_weight`.  A polynomial built by the
-    constructor is exact (`cap` None); a capped one, as made by
-    `SPoly.truncate_weight`, knows only its terms of weight <= cap and stores
-    none above it.  Sums and products carry the smaller cap of their operands
-    and products truncate there, as the floor `low` of a LaurentSeries rises;
-    `truncated_mul` also drops the terms above an explicit cap without giving
-    the result that cap.
+    Subclasses name their variables (`_var`, `_first_index`, used by repr);
+    a subclass that caps its polynomials weighs monomials by an additive
+    `_weight`.  A polynomial built by the constructor is exact (`cap` None); a
+    capped one, as made by `SPoly.truncate_weight`, knows only its terms of
+    weight <= cap and stores none above it.  Sums and products carry the
+    smaller cap of their operands and products truncate there, as the floor
+    `low` of a LaurentSeries rises.
     Both operands of a ring operation must be of the same subclass; anything
     else is coerced as an exact rational constant.
     """
@@ -306,18 +300,19 @@ class SparsePoly:
     def __neg__(self):
         return self._make({m: -c for m, c in self.terms.items()}, self.cap)
 
-    def truncated_mul(self, other, cap: int | None):
-        """self * other (both of this subclass) keeping only the terms whose
-        `_weight` is at most both cap and the factors' smaller cap; cap None
-        keeps what the factors know.  The result carries the factors' cap
-        only, so an explicit cap, such as a room, never tags it.  The weight
-        must add under products, so a pair of terms is skipped before it is
-        formed: `other`'s terms are sorted by weight once, and each term of
-        self walks only the prefix that fits its room.
-        """
-        own = _tighter(self.cap, other.cap, min)
-        cap = _tighter(cap, own, min)
-        if cap is None:  # every weight and every room reads 0
+    def __mul__(self, other):
+        """self * other; a product of two polynomials of this subclass keeps
+        only the terms whose `_weight` is at most the factors' smaller cap.
+        The weight adds under products, so a pair of terms is skipped before
+        it is formed: `other`'s terms are sorted by weight once, and each term
+        of self walks only the prefix that fits under the cap."""
+        if isinstance(other, LaurentSeries):
+            return NotImplemented
+        if not isinstance(other, type(self)):  # a scalar; zero leaves no term
+            terms = {m: c * other for m, c in self.terms.items()} if other else {}
+            return self._make(terms, self.cap)
+        cap = _tighter(self.cap, other.cap, min)
+        if cap is None:  # uncapped: every weight reads 0
             weighted = [(0, m, c) for m, c in other.terms.items()]
         else:
             weight = self._weight
@@ -333,16 +328,7 @@ class SparsePoly:
                 # the longer factor's tail survives, so no trailing zero
                 mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
                 add_into(terms, mono, c1 * c2)
-        return self._make(terms, own)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return self.truncated_mul(other, None)
-        if isinstance(other, LaurentSeries):
-            return NotImplemented
-        if not other:
-            return self._make({}, self.cap)
-        return self._make({m: c * other for m, c in self.terms.items()}, self.cap)
+        return self._make(terms, cap)
 
     def __rmul__(self, other):
         # through self.__mul__, so a wrapper installed on the class sees it

@@ -22,25 +22,38 @@ with []_+ the polynomial part.
 
 Route two (deformed wave): the partition function with kappa couplings s is
 the psi-class one with shifted times t_{k+1} -> t_{k+1} - h_k(-s), so its
-wave-function data at t = 0 is
+wave-function data at t = 0 are those at the point t*(s), t*_{k+1} = -h_k(-s):
 
-    A(z;s) = E(z;s) sum_lam ((-1)^{l} s_lam / m(lam)!)
-             sum_{|mu|=|lam|} L_{lam,mu} ((-1)^{l(mu)}/m(mu)!)
-             d_{t_{mu_1+1}} ... d_{t_{mu_l+1}} psi |_{t=0},
+    A(z;s) = E(z;s) psi(z; t*(s)),    B(z;s) = E(z;s) psi_x(z; t*(s)),
 
     E(z;s) = exp(sum_{k>=1} h_k(-s) z^{2k+3}/(2k+3)!!),
 
-same for B with psi_x, and the n-point functions follow from the one-point
-quadratic form (n = 1) or the same cyclic trace engine run over the
-s-polynomial coefficient ring with
+and the n-point functions follow from the one-point quadratic form (n = 1)
+or the same cyclic trace engine run over the s-polynomial coefficient ring
+with
 
     M^kappa = [[-(A Bb + Ab B)/2, -A Ab], [B Bb, (A Bb + Ab B)/2]],
 
 Xb := X(-z).  Weil-Petersson volumes read only the s_1^d coefficients, and
 setting s_j = 0 for j >= 2 is a ring homomorphism that commutes with every
 sum, product and weight truncation, so `wp_volume` builds the wave from the
-restricted seeds (lam = (1^w) and h_k(-s) = (-s_1)^k/k!) and runs the whole
-route over polynomials in s_1 alone.
+restricted prefactor (h_k(-s) = (-s_1)^k/k!) and runs the whole route over
+polynomials in s_1 alone.
+
+The wave is one triangular solve (Sato-Segal-Wilson, Kac-Schwarz).  At every
+time psi and psi_x lie in the same point W_0 of the Grassmannian, which at
+the Kontsevich-Witten point is C[z^2] c + C[z^2] z q, with psi|_0 = c and
+psi_x|_0 = z q.  So A = E (P c + Q q) with P in C[z^2][s], Q in z C[z^2][s],
+and since psi = e^{xi} (1 + w_1/z + ...), A = 1 + O(1/z) and
+B = z + [z^-1]A + O(1/z).  With E_e the weight-e part of E (E_0 = 1), the
+weight-w parts of P and Q solve
+
+    [P_w c + Q_w q]_{>=0}
+        = delta_{w0} - [sum_{e=1}^{w} E_e (P_{w-e} c + Q_{w-e} q)]_{>=0},
+
+a polynomial in z.  z^{2j} c and z^{2j+1} q lead with z^{2j} and z^{2j+1}
+(c, q = 1 + O(z^-3)), so it is solved from the top degree down.  B is the
+same solve with the right side delta_{w0} z + [z^-1]A_w.
 
 Time derivatives of the wave function stay inside the module
 span{psi, psi_x} over differential polynomials:
@@ -52,23 +65,12 @@ span{psi, psi_x} over differential polynomials:
     alpha_k = -(1/2) (sum_{j<k} (d_x r_j) z^{2(k-1-j)})/(2k+1)!!,
     gamma_k = d_x alpha_k + (z^2 - 2u) beta_k,      delta_k = -alpha_k,
 
-with r_j = (2j+1)!! Omega_j.  Everything is an exact finite Laurent
-polynomial in z over differential polynomials; evaluating at the jet values
-u = 0, u_x = 1 (all higher zero) and writing the result against the basis
-(c(z), q(z)) with psi|_0 = c and psi_x|_0 = z q gives exact pairs (P, Q):
-every wave pair in this module, flow states included, is a pair of exact
-LaurentSeries in z (low=None).
-
-The flow chains are pruned by that evaluation point.  Let phi(m), the far
-degree of a jet monomial m, be its total degree minus its exponent of u_x;
-the evaluation keeps exactly the monomials with phi = 0.  A flow derivative
-is a derivation that replaces one factor u_j by d_x^{j+1} Omega_k, which has
-no constant term, so it lowers the least phi by at most one; the
-alpha..delta products never lower phi.  After step i of a chain of L flows a
-term with phi > L - i therefore vanishes at the end, and `_flow_pair` passes
-room = L - i to `flow_apply`, which keeps only phi <= room in every jet-ring
-product it forms: in `flow_derivative` and in the alpha..delta products,
-each truncated before its terms are summed.
+with r_j = (2j+1)!! Omega_j.  Evaluating a chain of these flows at the jet
+values u = 0, u_x = 1 (all higher zero) against the basis (c(z), q(z)) gives
+the pair (P, Q) of d_{t_{mu_1+1}} ... psi |_{t=0} (`wave_flow_pair`), an
+independent route to the same wave that `selftest` and the tests check it
+against.  Every wave pair in this module, flow states included, is a pair
+of exact LaurentSeries in z (low=None).
 
 The Kac-Schwarz operator S = (1/z) d_z - 1/(2 z^2) - z acts on such pairs by
 S(P c + Q q) = ((1/z) P' - z Q) c + ((1/z) Q' - z P - Q/z^2) q, since
@@ -88,6 +90,7 @@ from .partitions import (
     SPoly,
     h_polynomials,
     l_entry,
+    monomial_weight,
     mult_factorial,
     negate_variables,
     partition_to_monomial,
@@ -122,30 +125,15 @@ def _flow_coefficients(k: int) -> tuple[LaurentSeries, ...]:
     return alpha, LaurentSeries(beta), LaurentSeries(gamma), -alpha
 
 
-def flow_apply(
-    state: tuple, k: int, room: int | None = None
-) -> tuple[LaurentSeries, LaurentSeries]:
-    """d/dt_k of a state (a, b) representing a psi + b psi_x.
-
-    With a `room`, every jet-ring product, in the flow derivatives and in the
-    alpha..delta products, keeps only its terms of far degree <= room.
-    """
+def flow_apply(state: tuple, k: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """d/dt_k of a state (a, b) representing a psi + b psi_x."""
     a, b = state
     da, db = (
-        LaurentSeries(
-            {e: flow_derivative(c, k, room) for e, c in s.coefficients.items()}
-        )
+        LaurentSeries({e: flow_derivative(c, k) for e, c in s.coefficients.items()})
         for s in state
     )
     alpha, beta, gamma, delta = _flow_coefficients(k)
-
-    def cmul(c1, c2):
-        return c1.truncated_mul(c2, room)
-
-    return (
-        da + (a.product(alpha, cmul) + b.product(gamma, cmul)),
-        db + (a.product(beta, cmul) + b.product(delta, cmul)),
-    )
+    return da + (a * alpha + b * gamma), db + (a * beta + b * delta)
 
 
 # the topological point t = 0: u = 0, u_x = 1, all higher jets 0
@@ -173,20 +161,11 @@ def wave_flow_pair(mu, with_x: bool = False) -> tuple[LaurentSeries, LaurentSeri
     with_x prepends one extra d_x (= d_{t_0}), giving the same derivative of
     psi_x instead.
     """
-    mu = tuple(sorted(mu, reverse=True))
     if any(m < 0 for m in mu):
         raise ValueError("negative flow index")
-    return _flow_pair(mu, with_x)
-
-
-@cache
-def _flow_pair(mu: tuple, with_x: bool) -> tuple[LaurentSeries, LaurentSeries]:
-    # the pair is shared between callers: series are never changed in place
-    flows = [part + 1 for part in mu] + [0] * with_x
     state = (LaurentSeries({0: DiffPoly.const(1)}), LaurentSeries.zero())
-    for step, k in enumerate(flows, 1):
-        # only terms of far degree <= the steps still to come can survive
-        state = flow_apply(state, k, room=len(flows) - step)
+    for k in [part + 1 for part in mu] + [0] * with_x:
+        state = flow_apply(state, k)
     return _evaluate_pair(state)
 
 
@@ -276,35 +255,67 @@ def _exp_prefactor(cap: int, max_index: int | None = None) -> LaurentSeries:
     return acc
 
 
+def _ks_solve(rhs: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
+    """The pair (P, Q), P in C[z^2] and Q in z C[z^2], with
+    [P c + Q q]_{>=0} = [rhs]_{>=0}, solved from the top degree down: z^d c
+    (d even) or z^d q (d odd) takes the residual's z^d coefficient, and its
+    lower terms z^{d-3i} leave the residual."""
+    rest = rhs.truncate(0).coefficients  # a fresh dict
+    top = max(rest, default=0)
+    bases = wk.fz_c(-top), wk.fz_q(-top)
+    pair: tuple[dict, dict] = ({}, {})
+    for d in range(top, -1, -1):
+        r = rest.pop(d, None)
+        if r is not None:
+            pair[d % 2][d] = r
+            for e, v in bases[d % 2].coefficients.items():
+                if e and d + e >= 0:
+                    add_into(rest, d + e, r * -v)
+    return LaurentSeries(pair[0]), LaurentSeries(pair[1])
+
+
+def _lower_weights(grades: list, xs: list, low: int) -> LaurentSeries:
+    """sum_{e>=1} E_e X_{w-e} on the exponents >= low, where xs holds the
+    expansions X_0 .. X_{w-1} and grades[e] is E_e."""
+    terms = (g * x.truncate(low - _top(g)) for g, x in zip(grades[1:], xs[::-1]))
+    return sum(terms, LaurentSeries({}, low))
+
+
 def deformed_wave(cap: int, *, max_index: int | None = None) -> DeformedWave:
-    """A(z;s), B(z;s) as s-polynomial pairs, exact to total s-weight cap.
+    """A(z;s), B(z;s) as s-polynomial pairs, exact to total s-weight cap, by
+    the triangular solve of the module docstring, weight by weight.
 
     With max_index, the wave at s_j = 0 for every j > max_index, built from
-    the restricted seeds (the s_lam of the loop below and the h_k(-s) of E),
-    which gives exactly the restriction of the general wave (see the module
-    docstring); max_index = 1 is the Weil-Petersson slice s = (s_1, 0, ...).
+    the restricted prefactor E, which gives exactly the restriction of the
+    general wave (see the module docstring); max_index = 1 is the
+    Weil-Petersson slice s = (s_1, 0, ...).
     """
     if cap < 0:
         raise ValueError("negative weight cap")
-    # P, Q of A and of B before the exponential prefactor
-    parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
-    for w in range(1, cap + 1):
-        for lam in partitions_of(w, max_index):
-            front = rat((-1) ** len(lam), mult_factorial(lam))
-            s_mono = SPoly({partition_to_monomial(lam): front})
-            for mu in partitions_of(w):
-                lcoef = l_entry(lam, mu)
-                if not lcoef:
-                    continue
-                factor = s_mono * rat((-1) ** len(mu) * lcoef, mult_factorial(mu))
-                flows = wave_flow_pair(mu) + wave_flow_pair(mu, with_x=True)
-                for part, flow in zip(parts, flows):
-                    for e, v in flow.coefficients.items():
-                        add_into(part, e, factor * v)
-    # every coefficient of E carries the cap, so the products take it on
     e = _exp_prefactor(cap, max_index)
-    a_p, a_q, b_p, b_q = (e * LaurentSeries(part) for part in parts)
-    return DeformedWave((a_p, a_q), (b_p, b_q), max_index)
+    grades: list = [{} for _ in range(cap + 1)]  # E_w: {z-exponent: {mono: c}}
+    for z_exp, c in e.coefficients.items():
+        for mono, v in c.terms.items():
+            grades[monomial_weight(mono)].setdefault(z_exp, {})[mono] = v
+    grades = [LaurentSeries({z: SPoly(t) for z, t in g.items()}) for g in grades]
+    # [z^-1] of A_w needs each E_e X_{w-e} down to z^{-deg E_e - 1}
+    low = -_top(e) - 1
+    # the (P_w, Q_w) of A and of B, from A_0 = c and B_0 = z q, and their
+    # expansions X_w = P_w c + Q_w q and Y_w
+    one, zero = LaurentSeries({0: SPoly.const(1)}), LaurentSeries.zero()
+    a_pairs, b_pairs = [(one, zero)], [(zero, one.shift(1))]
+    xs, ys = ([_pair_series(*ps[0], low)] for ps in (a_pairs, b_pairs))
+    for _ in range(cap):
+        known = _lower_weights(grades, xs, -1)
+        a_pairs.append(_ks_solve(-known))
+        xs.append(_pair_series(*a_pairs[-1], low))
+        # [B_w]_{>=0} is [z^-1] A_w, less what the lower weights give
+        a_1 = LaurentSeries({0: known.coefficient(-1) + xs[-1].coefficient(-1)})
+        b_pairs.append(_ks_solve(a_1 - _lower_weights(grades, ys, 0)))
+        ys.append(_pair_series(*b_pairs[-1], low))
+    # every coefficient of E carries the cap, so the products take it on
+    a, b = (tuple(e * sum(s, zero) for s in zip(*ps)) for ps in (a_pairs, b_pairs))
+    return DeformedWave(a, b, max_index)
 
 
 def _top(*series: LaurentSeries) -> int:

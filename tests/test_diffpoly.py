@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvcorr import wp
 from kdvcorr.diffpoly import (
     DiffPoly,
     _chi_y,
     _map_dx,
-    _omega_dx,
     _omega_x,
     _scaled_chi,
     _times_negated,
-    far_degree,
     flow_derivative,
     formal_antiderivative,
     mat2_mul,
@@ -187,6 +184,19 @@ def test_flow_derivative_is_a_derivation():
         assert lhs == rhs, k
     # t_0 flow is x-translation
     assert flow_derivative(U * UX, 0) == (U * UX).d_x()
+    # on a jet variable the flow is d_{t_k} u_j = d_x^{j+1} Omega_k
+    for k in range(4):
+        dx = omega(k)
+        for j in range(5):
+            dx = dx.d_x()
+            assert flow_derivative(DiffPoly.jet(j), k) == dx, (k, j)
+
+
+def test_negative_flow_index_is_a_value_error():
+    # there is no t_{-1} flow, though omega(-1) = 1 exists
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="flow index"):
+            flow_derivative(U * U, k)
 
 
 def test_flow_derivatives_commute():
@@ -195,59 +205,6 @@ def test_flow_derivatives_commute():
         a = flow_derivative(flow_derivative(f, j), k)
         b = flow_derivative(flow_derivative(f, k), j)
         assert a == b, (j, k)
-
-
-# jet polynomials in u, u_x, u_xx, u_xxx with small coefficients
-_jet_polys = st.dictionaries(
-    st.lists(st.integers(0, 2), max_size=4).map(tuple),
-    st.builds(rat, st.integers(-3, 3), st.integers(1, 3)),
-    max_size=5,
-).map(DiffPoly)
-_props = settings(max_examples=60, deadline=None)
-
-
-def _min_far_degree(f: DiffPoly) -> int:
-    return min(far_degree(m) for m in f.terms)
-
-
-def test_far_degree_counts_jets_other_than_u_x():
-    assert far_degree(()) == 0
-    assert far_degree((0, 3)) == 0  # u_x^3
-    assert far_degree((2, 1, 1)) == 3  # u^2 u_x u_xx
-    assert (U * UX * UXX).evaluate_at_jets([rat(0), rat(1)]) == 0
-
-
-@_props
-@given(_jet_polys, st.integers(0, 3), st.integers(0, 4))
-def test_flow_derivative_room_filters_the_full_flow(f, k, room):
-    full = flow_derivative(f, k)
-    kept = {m: c for m, c in full.terms.items() if far_degree(m) <= room}
-    assert flow_derivative(f, k, room) == DiffPoly(kept)
-
-
-@_props
-@given(_jet_polys, st.integers(0, 3))
-def test_flow_derivative_lowers_far_degree_by_at_most_one(f, k):
-    flow = flow_derivative(f, k)
-    if flow:
-        assert _min_far_degree(flow) >= _min_far_degree(f) - 1
-
-
-def test_pruned_chain_leaves_the_flow_caches_whole():
-    # the caches behind flow_derivative are built without truncation, even
-    # when the first request for them comes from a pruned chain
-    omega.cache_clear()
-    _omega_dx.cache_clear()
-    wp._flow_pair.__wrapped__((3, 2, 1), True)
-    for k in range(5):
-        if k:
-            prev = omega(k - 1)
-            rhs = 2 * U * prev.d_x() + UX * prev + rat(1, 4) * prev.d_x().d_x().d_x()
-            assert (2 * k + 1) * omega(k).d_x() == rhs, k
-        dx = omega(k)
-        for j in range(6):
-            dx = dx.d_x()
-            assert _omega_dx(k, j) == dx, (k, j)
 
 
 def test_riccati_residual_vanishes():

@@ -102,16 +102,12 @@ def test_capped_ring_axioms(t1, t2, t3, cap):
     assert p == SPoly(t1) and SPoly(t1) == p
 
 
-def test_cap_survives_pickling_and_room_never_tags():
+def test_cap_survives_pickling():
     p = (SPoly.var(1) + SPoly.var(3)).truncate_weight(2)
     back = pickle.loads(pickle.dumps(p))
     assert back.cap == 2 and back.terms == p.terms
     assert (back * SPoly.var(1)).terms == {(2,): 1}
     assert p.truncate_weight(5).cap == 2
-    # an explicit cap above the factors' one cannot lift it
-    assert p.truncated_mul(p, 10).terms == {(2,): 1}
-    u = DiffPoly.jet(0) + DiffPoly.jet(1)
-    assert u.truncated_mul(u, 1).cap is None
 
 
 def test_add_into_drops_vanishing_sums_and_never_adds_to_zero():

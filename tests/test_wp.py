@@ -1,16 +1,22 @@
 """Kappa-class layer: deformed waves, mixed correlators, volume polynomials."""
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 from kdvcorr import wk, wp
-from kdvcorr.diffpoly import DiffPoly
-from kdvcorr.partitions import partitions_of
+from kdvcorr.partitions import (
+    SPoly,
+    l_entry,
+    mult_factorial,
+    partition_to_monomial,
+    partitions_of,
+)
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
-from kdvcorr.series import LaurentSeries
+from kdvcorr.series import LaurentSeries, add_into
 from kdvcorr.wk import correlator
 
 ZERO = LaurentSeries.zero()
@@ -33,16 +39,47 @@ def test_wave_flow_pair_first_flow():
     assert q == LaurentSeries.monomial(5, rat(1, 15))
 
 
-@pytest.mark.parametrize("with_x", [False, True])
-def test_pruned_flow_chain_equals_unbounded_chain(with_x):
-    # wave_flow_pair drops, after each flow, the jet terms of far degree above
-    # the steps still to come; the full chain evaluated at the end must agree
-    for w in range(6):
-        for mu in partitions_of(w):
-            state = (LaurentSeries({0: DiffPoly.const(1)}), ZERO)
-            for k in [m + 1 for m in mu] + [0] * with_x:
-                state = wp.flow_apply(state, k)
-            assert wp.wave_flow_pair(mu, with_x) == wp._evaluate_pair(state), mu
+@cache
+def _flow_pairs(mu) -> tuple:
+    """(P, Q) of d_{t_mu} psi |_0 and of d_{t_mu} psi_x |_0, from the flows."""
+    return wp.wave_flow_pair(mu) + wp.wave_flow_pair(mu, with_x=True)
+
+
+def _flow_chain_wave(cap, max_index):
+    """A and B from one KdV flow chain per partition mu, unpruned:
+
+        A = E sum_lam ((-1)^{l(lam)} s_lam/m(lam)!) sum_{|mu|=|lam|} L_{lam,mu}
+            ((-1)^{l(mu)}/m(mu)!) d_{t_{mu_1+1}} ... d_{t_{mu_l+1}} psi |_{t=0},
+
+    and B the same with psi_x: a route that shares no code with the
+    triangular solve but E."""
+    parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
+    for w in range(1, cap + 1):
+        for lam in partitions_of(w, max_index):
+            front = rat((-1) ** len(lam), mult_factorial(lam))
+            s_mono = SPoly({partition_to_monomial(lam): front})
+            for mu in partitions_of(w):
+                lcoef = l_entry(lam, mu)
+                if lcoef:
+                    factor = s_mono * rat((-1) ** len(mu) * lcoef, mult_factorial(mu))
+                    for part, flow in zip(parts, _flow_pairs(mu)):
+                        for e, v in flow.coefficients.items():
+                            add_into(part, e, factor * v)
+    e = wp._exp_prefactor(cap, max_index)
+    return [e * LaurentSeries(part) for part in parts]
+
+
+def _terms_and_caps(series) -> dict:
+    return {e: (c.terms, c.cap) for e, c in series.coefficients.items()}
+
+
+@pytest.mark.parametrize("max_index,top_cap", [(None, 4), (1, 5)])
+def test_solved_wave_equals_the_flow_chain_wave(max_index, top_cap):
+    for cap in range(top_cap + 1):
+        dw = wp.deformed_wave(cap, max_index=max_index)
+        want = _flow_chain_wave(cap, max_index)
+        for got, ref in zip((*dw.a, *dw.b), want):
+            assert _terms_and_caps(got) == _terms_and_caps(ref), (cap, max_index)
 
 
 def test_ks_operator_on_basis():
@@ -209,8 +246,12 @@ def test_volume_entries_match_repeated_kappa_route():
             assert entry == wp.mixed_correlator((1,) * d, ks) * factorial(d)
 
 
-@pytest.mark.parametrize("g,n", [(3, 1), (2, 3), (3, 2)])
-def test_genus_three_one_point_volume_matches_dvv_oracle(monkeypatch, g, n):
+# the oracle and L_0 tests share the costlier volumes
+_volume = cache(wp.wp_volume)
+
+
+@pytest.mark.parametrize("g,n", [(3, 1), (2, 3), (3, 2), (4, 1)])
+def test_volume_matches_dvv_oracle(monkeypatch, g, n):
     # <kappa_1^d tau_K> on M_{g,n} by the set-partition pushforward over DVV,
     # a route that shares no code with the deformed wave
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -226,7 +267,27 @@ def test_genus_three_one_point_volume_matches_dvv_oracle(monkeypatch, g, n):
             if value:
                 want[(d, ks)] = value
     assert want
-    assert wp.wp_volume(g, n).entries == want
+    assert _volume(g, n).entries == want
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_l0_ties_one_point_to_two_point_volumes(g):
+    # the L_0 Virasoro constraint differentiated by t_m at t*(s_1): for
+    # plain intersection numbers (wp_volume entries) and every m,
+    #   (2m+1)/2 <kappa_1^d tau_m>/d!
+    #     = sum_{k>=1} (2k+1)/2 (-1)^{k-1}/(k-1)!
+    #                  <kappa_1^{d-k+1} tau_k tau_m>/(d-k+1)!
+    one, two = _volume(g, 1).entries, _volume(g, 2).entries
+    for m in range(3 * g - 1):
+        d = 3 * g - 2 - m
+        lhs = rat(2 * m + 1, 2) * one.get((d, (m,)), 0) / factorial(d)
+        rhs = sum(
+            rat((2 * k + 1) * (-1) ** (k - 1), 2 * factorial(k - 1))
+            * two.get((d - k + 1, tuple(sorted((k, m)))), 0)
+            / factorial(d - k + 1)
+            for k in range(1, d + 2)
+        )
+        assert lhs == rhs, (g, m)
 
 
 @pytest.mark.parametrize(
