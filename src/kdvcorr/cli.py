@@ -9,10 +9,13 @@ Subcommands:
     wave [LAMBDA]        deformed wave-function components A, B for one s_lambda
     selftest             internal identity sweep; nonzero exit on any failure
 
-Values are exact rationals; JSON output renders numerator and denominator as
-decimal-digit strings because table entries overflow 64-bit integers.  Output
-is deterministic: equal invocations produce byte-identical files whatever the
-worker count.  Exit codes: 0 success, 1 runtime or I/O failure, 2 usage.
+Each subcommand builds its result once in all three forms (a JSON payload,
+CSV rows, text lines) and hands them to `_emit`, the one writer of results
+and the one reader of --format.  Values are exact rationals; JSON output
+renders numerator and denominator as decimal-digit strings because table
+entries overflow 64-bit integers.  Output is deterministic: equal invocations
+produce byte-identical files whatever the worker count.  Exit codes: 0
+success, 1 runtime or I/O failure, 2 usage.
 """
 from __future__ import annotations
 
@@ -52,35 +55,72 @@ def _parse_indices(text: str, what: str, minimum: int = 0) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _workers(args) -> int:
+    """The --workers count, refused below 1 as a usage error."""
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
+    return args.workers
+
+
 def _json_value(v) -> dict:
     num, den = num_den(v)
     return {"num": str(num), "den": str(den)}
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit(args, payload, header: list[str], rows: list[list], lines: list[str]) -> None:
+    """Write one result as --format asks, to stdout or to --out.
+
+    `payload` is the JSON document, `header` and `rows` the CSV table and
+    `lines` the text, one entry per line without its newline.
+    """
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in lines)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _bracket_line(names: list[str], value, g: int | None) -> str:
+    """Text line of one bracket, e.g. <kappa_2 tau_2> = 29/5760 (g=2)."""
+    tail = f" (g={g})" if g is not None else " (no genus fits the dimension)"
+    return f"<{' '.join(names)}> = {rat_str(value)}{tail}"
 
 
-def _bracket(ks) -> str:
-    """Text form of one bracket, e.g. <tau_3 tau_2> or <kappa_2 tau_2>."""
-    return "<" + " ".join(ks) + ">"
+def _tau_header(n: int) -> list[str]:
+    return [f"k{i + 1}" for i in range(n)] + ["g", "numerator", "denominator"]
 
 
-def _poly_str(coeffs: dict) -> str:
-    """One-line polynomial/series rendering, largest exponent first."""
-    if not coeffs:
+def _tau_record(ks: tuple[int, ...], g: int | None, value) -> tuple:
+    """JSON object, CSV row and text line of one <tau_k ...>; g is None
+    when no genus fits the dimension."""
+    num, den = num_den(value)
+    obj = {"indices": list(ks), "genus": g, "value": _json_value(value)}
+    row = [*ks, "" if g is None else g, num, den]
+    return obj, row, _bracket_line([f"tau_{k}" for k in ks], value, g)
+
+
+def _terms(coeffs: dict) -> list[tuple]:
+    """(exponent, coefficient) pairs, largest exponent first."""
+    return sorted(coeffs.items(), reverse=True)
+
+
+def _poly_str(terms: list[tuple]) -> str:
+    """One-line polynomial/series rendering of `_terms` output."""
+    if not terms:
         return "0"
     parts = []
-    for e in sorted(coeffs, reverse=True):
-        c = rat_str(coeffs[e])
+    for e, coeff in terms:
+        c = rat_str(coeff)
         neg = c.startswith("-")
         if neg:
             c = c[1:]
@@ -96,14 +136,6 @@ def _poly_str(coeffs: dict) -> str:
     return " ".join(parts)
 
 
-def _write(out_path: str | None, text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -113,22 +145,8 @@ def _cmd_tau(args) -> int:
     if not ks:
         raise _UsageError("need at least one tau index")
     value = wk.correlator(ks, verify=args.verify)
-    g = wk.genus(ks)
-    names = [f"tau_{k}" for k in ks]
-    if args.format == "json":
-        text = _dump_json(
-            {"indices": list(ks), "genus": g, "value": _json_value(value)}
-        )
-    elif args.format == "csv":
-        num, den = num_den(value)
-        header = [f"k{i + 1}" for i in range(len(ks))]
-        header += ["g", "numerator", "denominator"]
-        row = list(ks) + ["" if g is None else g, num, den]
-        text = _csv_table(header, [row])
-    else:
-        tail = f" (g={g})" if g is not None else " (no genus fits the dimension)"
-        text = f"{_bracket(names)} = {rat_str(value)}{tail}\n"
-    _write(args.out, text)
+    obj, row, line = _tau_record(ks, wk.genus(ks), value)
+    _emit(args, obj, _tau_header(len(ks)), [row], [line])
     return 0
 
 
@@ -137,38 +155,12 @@ def _cmd_table(args) -> int:
         raise _UsageError("table width must be at least 2")
     if args.k_max < 0:
         raise _UsageError("k_max must be nonnegative")
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
     table = wk.n_point_table(
-        args.n, args.k_max, verify=args.verify, workers=args.workers
+        args.n, args.k_max, verify=args.verify, workers=_workers(args)
     )
-    items = table.sorted_items()
-    if args.format == "json":
-        text = _dump_json(
-            [
-                {
-                    "indices": list(ks),
-                    "genus": wk.genus(ks),
-                    "value": _json_value(v),
-                }
-                for ks, v in items
-            ]
-        )
-    elif args.format == "csv":
-        header = [f"k{i + 1}" for i in range(args.n)]
-        header += ["g", "numerator", "denominator"]
-        rows = []
-        for ks, v in items:
-            num, den = num_den(v)
-            rows.append(list(ks) + [wk.genus(ks), num, den])
-        text = _csv_table(header, rows)
-    else:
-        lines = []
-        for ks, v in items:
-            names = [f"tau_{k}" for k in ks]
-            lines.append(f"{_bracket(names)} = {rat_str(v)} (g={wk.genus(ks)})")
-        text = "".join(line + "\n" for line in lines)
-    _write(args.out, text)
+    records = [_tau_record(ks, wk.genus(ks), v) for ks, v in table.sorted_items()]
+    objs, rows, lines = ([r[i] for r in records] for i in range(3))
+    _emit(args, objs, _tau_header(args.n), rows, lines)
     return 0
 
 
@@ -180,85 +172,51 @@ def _cmd_kappa(args) -> int:
     value = wp.mixed_correlator(lam, taus, verify=args.verify)
     g = wp.mixed_genus(lam, taus)
     lam = tuple(sorted(lam, reverse=True))
+    payload = {
+        "kappa": list(lam),
+        "tau": list(taus),
+        "genus": g,
+        "value": _json_value(value),
+    }
+    row = [
+        ";".join(str(j) for j in lam),
+        ";".join(str(k) for k in taus),
+        "" if g is None else g,
+        *num_den(value),
+    ]
     names = [f"kappa_{j}" for j in lam] + [f"tau_{k}" for k in taus]
-    if args.format == "json":
-        text = _dump_json(
-            {
-                "kappa": list(lam),
-                "tau": list(taus),
-                "genus": g,
-                "value": _json_value(value),
-            }
-        )
-    elif args.format == "csv":
-        num, den = num_den(value)
-        header = ["kappa", "tau", "g", "numerator", "denominator"]
-        row = [
-            ";".join(str(j) for j in lam),
-            ";".join(str(k) for k in taus),
-            "" if g is None else g,
-            num,
-            den,
-        ]
-        text = _csv_table(header, [row])
-    else:
-        tail = f" (g={g})" if g is not None else " (no genus fits the dimension)"
-        text = f"{_bracket(names)} = {rat_str(value)}{tail}\n"
-    _write(args.out, text)
+    header = ["kappa", "tau", "g", "numerator", "denominator"]
+    _emit(args, payload, header, [row], [_bracket_line(names, value, g)])
     return 0
 
 
 def _cmd_wp(args) -> int:
-    if args.g < 0 or args.n < 1:
+    g, n = args.g, args.n
+    if g < 0 or n < 1:
         raise _UsageError("need genus >= 0 and at least one point")
-    if 3 * args.g - 3 + args.n < 0:
+    if 3 * g - 3 + n < 0:
         raise _UsageError("the moduli space is empty for this (g, n)")
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
-    vol = wp.wp_volume(args.g, args.n, verify=args.verify, workers=args.workers)
-    items = vol.sorted_items()
-    if args.format == "json":
-        text = _dump_json(
-            {
-                "g": args.g,
-                "n": args.n,
-                "entries": [
-                    {
-                        "d": d,
-                        "indices": list(ks),
-                        "w": _json_value(vol.display_coefficient(d, ks)),
-                        "v": _json_value(vol.volume_coefficient(d, ks)),
-                    }
-                    for (d, ks), _ in items
-                ],
-            }
-        )
-    elif args.format == "csv":
-        header = [f"k{i + 1}" for i in range(args.n)]
-        header = ["d"] + header
-        header += ["w_numerator", "w_denominator", "v_numerator", "v_denominator"]
-        rows = []
-        for (d, ks), _ in items:
-            wn, wd = num_den(vol.display_coefficient(d, ks))
-            vn, vd = num_den(vol.volume_coefficient(d, ks))
-            rows.append([d] + list(ks) + [wn, wd, vn, vd])
-        text = _csv_table(header, rows)
-    else:
-        lines = [
-            f"W_{{{args.g},{args.n}}}: "
-            "coefficient of s^d / prod z_i^(2 k_i + 2)"
-        ]
-        for (d, ks), _ in items:
-            w = vol.display_coefficient(d, ks)
-            lines.append(f"  d={d} k={ks}  {rat_str(w)}")
-        lines.append(
-            f"v_{{{args.g},{args.n}}}: coefficient of s^d prod L_i^(2 k_i)"
-        )
-        for (d, ks), _ in items:
-            v = vol.volume_coefficient(d, ks)
-            lines.append(f"  d={d} k={ks}  {rat_str(v)}")
-        text = "".join(line + "\n" for line in lines)
-    _write(args.out, text)
+    vol = wp.wp_volume(g, n, verify=args.verify, workers=_workers(args))
+    entries = [
+        (d, ks, vol.display_coefficient(d, ks), vol.volume_coefficient(d, ks))
+        for (d, ks), _ in vol.sorted_items()
+    ]
+    payload = {
+        "g": g,
+        "n": n,
+        "entries": [
+            {"d": d, "indices": list(ks), "w": _json_value(w), "v": _json_value(v)}
+            for d, ks, w, v in entries
+        ],
+    }
+    header = ["d"] + [f"k{i + 1}" for i in range(n)]
+    header += ["w_numerator", "w_denominator", "v_numerator", "v_denominator"]
+    rows = [[d, *ks, *num_den(w), *num_den(v)] for d, ks, w, v in entries]
+    lines = [f"W_{{{g},{n}}}: coefficient of s^d / prod z_i^(2 k_i + 2)"]
+    lines += [f"  d={d} k={ks}  {rat_str(w)}" for d, ks, w, _ in entries]
+    lines.append(f"v_{{{g},{n}}}: coefficient of s^d prod L_i^(2 k_i)")
+    lines += [f"  d={d} k={ks}  {rat_str(v)}" for d, ks, _, v in entries]
+    _emit(args, payload, header, rows, lines)
     return 0
 
 
@@ -269,55 +227,31 @@ def _cmd_wave(args) -> int:
     if depth < 1:
         raise _UsageError("--depth must be a positive order count")
     dw = wp.deformed_wave(sum(lam))
-    blocks = []
+    label = "s_(" + ",".join(str(j) for j in lam) + ")" if lam else "s-independent part"
+    components, rows, lines = [], [], []
     for which in ("A", "B"):
         p, q = dw.component(lam, which)
         series = wp.wave_component_series(dw, lam, which, -depth)
-        blocks.append((which, p.coefficients, q.coefficients, series.coefficients))
-    label = "s_(" + ",".join(str(j) for j in lam) + ")" if lam else "s-independent part"
-    if args.format == "json":
-        text = _dump_json(
-            {
-                "lambda": list(lam),
-                "depth": depth,
-                "components": [
-                    {
-                        "name": which,
-                        "P": [
-                            [e, _json_value(p[e])]
-                            for e in sorted(p, reverse=True)
-                        ],
-                        "Q": [
-                            [e, _json_value(q[e])]
-                            for e in sorted(q, reverse=True)
-                        ],
-                        "series": [
-                            [e, _json_value(expansion[e])]
-                            for e in sorted(expansion, reverse=True)
-                        ],
-                    }
-                    for which, p, q, expansion in blocks
-                ],
-            }
+        parts = {
+            part: _terms(poly.coefficients)
+            for part, poly in (("P", p), ("Q", q), ("series", series))
+        }
+        components.append(
+            {"name": which}
+            | {part: [[e, _json_value(c)] for e, c in ts] for part, ts in parts.items()}
         )
-    elif args.format == "csv":
-        header = ["component", "part", "exponent", "numerator", "denominator"]
-        rows = []
-        for which, p, q, expansion in blocks:
-            for part, coeffs in (("P", p), ("Q", q), ("series", expansion)):
-                for e in sorted(coeffs, reverse=True):
-                    num, den = num_den(coeffs[e])
-                    rows.append([which, part, e, num, den])
-        text = _csv_table(header, rows)
-    else:
-        lines = []
-        for which, p, q, expansion in blocks:
-            lines.append(f"{which}[{label}] = P c + Q q")
-            lines.append(f"  P: {_poly_str(p)}")
-            lines.append(f"  Q: {_poly_str(q)}")
-            lines.append(f"  expansion to z^{-depth}: {_poly_str(expansion)}")
-        text = "".join(line + "\n" for line in lines)
-    _write(args.out, text)
+        rows += [
+            [which, part, e, *num_den(c)] for part, ts in parts.items() for e, c in ts
+        ]
+        lines += [
+            f"{which}[{label}] = P c + Q q",
+            f"  P: {_poly_str(parts['P'])}",
+            f"  Q: {_poly_str(parts['Q'])}",
+            f"  expansion to z^{-depth}: {_poly_str(parts['series'])}",
+        ]
+    payload = {"lambda": list(lam), "depth": depth, "components": components}
+    header = ["component", "part", "exponent", "numerator", "denominator"]
+    _emit(args, payload, header, rows, lines)
     return 0
 
 
@@ -330,29 +264,14 @@ def _cmd_selftest(args) -> int:
         inject_fault=args.inject_fault,
         shallow_truncation=args.shallow_truncation,
     )
-    failures = [r for r in results if not r.ok]
-    if args.format == "json":
-        text = _dump_json(
-            [
-                {"name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in results
-            ]
-        )
-    elif args.format == "csv":
-        rows = [[r.name, "ok" if r.ok else "fail", r.detail] for r in results]
-        text = _csv_table(["name", "status", "detail"], rows)
-    else:
-        lines = []
-        for r in results:
-            if r.ok:
-                lines.append(f"ok    {r.name}")
-            else:
-                lines.append(f"FAIL  {r.name}: {r.detail}")
-        lines.append(
-            f"{len(results)} checks, {len(failures)} failed (depth {depth})"
-        )
-        text = "".join(line + "\n" for line in lines)
-    _write(args.out, text)
+    failures = sum(not r.ok for r in results)
+    payload = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+    rows = [[r.name, "ok" if r.ok else "fail", r.detail] for r in results]
+    lines = [
+        f"ok    {r.name}" if r.ok else f"FAIL  {r.name}: {r.detail}" for r in results
+    ]
+    lines.append(f"{len(results)} checks, {failures} failed (depth {depth})")
+    _emit(args, payload, ["name", "status", "detail"], rows, lines)
     return 1 if failures else 0
 
 

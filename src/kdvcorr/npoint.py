@@ -322,6 +322,8 @@ def npoint_window(
     M as {exponent: coefficient} dicts in y, complete down to `floor`.
     Returns {(e_1, ..., e_n): coefficient} including only nonzero entries.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     windows = [tuple(w) for w in windows]
     if any(lo > hi for lo, hi in windows):
         raise ValueError("empty window")

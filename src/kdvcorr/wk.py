@@ -275,6 +275,8 @@ def n_point_table(
         raise ValueError("width must be positive")
     if k_min < 0 or k_max < k_min:
         raise ValueError("bad index range")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     @cache
     def box(m):

@@ -435,11 +435,9 @@ def f_kappa_n(
 
 
 def mixed_genus(lam, ks) -> int | None:
-    """Genus forced by the dimension constraint, or None when no genus fits."""
-    num = sum(lam) + sum(ks) - len(ks) + 3
-    if num % 3 or num < 0:
-        return None
-    return num // 3
+    """Genus forced by the dimension constraint, or None when no genus fits;
+    kappa_j counts as tau_{j+1} in the dimension."""
+    return wk.genus(tuple(ks) + tuple(j + 1 for j in lam))
 
 
 def mixed_correlator(lam, ks, *, verify: bool = False):
@@ -556,9 +554,16 @@ def wp_volume(
     verify: bool = False,
     workers: int = 1,
 ) -> WpVolume:
-    """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n."""
+    """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n.
+
+    `verify` re-checks the n >= 2 trace under widened budgets.  At n = 1 the
+    volume is read from the one-point quadratic form, which has no truncation
+    budget, so there is nothing to re-check.
+    """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     dim = 3 * g - 3 + n
     out = WpVolume(g=g, n=n, entries={})
     if dim < 0:

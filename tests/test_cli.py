@@ -6,16 +6,29 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kdvcorr.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text()
+)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_output_matches_golden_bytes(capsys, case):
+    # stdout and exit code of every subcommand in every format, byte for
+    # byte; data/cli_golden.json pins what each command printed when captured
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_tau_text(capsys):

@@ -61,6 +61,12 @@ def test_window_rejects_empty_ranges():
         npoint_window(2, [(-1, -3), (-1, -3)], wk.m_matrix)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_window_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        npoint_window(2, [(-4, -3), (-4, -3)], wk.m_matrix, workers=workers)
+
+
 def test_two_point_window_values():
     # <tau_3 tau_2> = 29/5760 sits at exponents (-4, -3) up to the (2k+1)!!
     # insertion weights
@@ -296,20 +302,7 @@ def test_spoly_coefficients_stay_spoly():
 
 # Oracle checks of the engine that share nothing with it: DVV numbers and
 # Dijkgraaf's two-point function from perfbench/oracles.py, and the frozen
-# three-point release table.
-
-
-@pytest.fixture(scope="module")
-def oracles():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT / "perfbench"))
-        import oracles as module
-    return module
-
-
-@pytest.fixture(scope="module")
-def psi(oracles):
-    return oracles.PsiNumbers()
+# three-point release table; `oracles` and `psi` are fixtures of conftest.py.
 
 
 def _weighted(oracles, value, ks):

@@ -6,15 +6,12 @@ tests/test_acceptance.py (criteria 01-03).
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import pytest
 
 from kdvcorr import wk
 from kdvcorr.npoint import npoint_window
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_genus():
@@ -112,11 +109,7 @@ def test_correlator_traces_only_indices_at_least_two(monkeypatch):
     assert calls and all(min(ks) >= 2 and verify for ks, verify in calls)
 
 
-def test_wide_correlators_with_tau_0_and_tau_1_match_dvv_oracle(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracles
-
-    psi = oracles.PsiNumbers()
+def test_wide_correlators_with_tau_0_and_tau_1_match_dvv_oracle(psi):
     checked = 0
     for n, k_max in ((6, 4), (7, 3), (8, 3)):
         for ks in combinations_with_replacement(range(k_max + 1), n):
@@ -177,14 +170,10 @@ def test_table_traces_each_width_box_at_most_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n,k_max", [(5, 5), (6, 3)])
-def test_wide_table_matches_dvv_oracle(monkeypatch, n, k_max):
+def test_wide_table_matches_dvv_oracle(psi, n, k_max):
     # the oracle also reduces tau_0 and tau_1 by string and dilaton, so it is
     # independent here only on the all->=2 entries; the whole-box test above
     # covers the rest
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracles
-
-    psi = oracles.PsiNumbers()
     want = {}
     for ks in combinations_with_replacement(range(k_max + 1), n):
         value = psi(ks)
@@ -200,6 +189,13 @@ def test_table_input_validation():
         wk.n_point_table(2, 3, k_min=5)
     with pytest.raises(ValueError):
         wk.n_point_table(2, 3, k_min=-1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_table_rejects_workers_below_one(workers):
+    # refused before any box is traced, as a CLI --workers 0 is
+    with pytest.raises(ValueError, match="workers"):
+        wk.n_point_table(4, 5, workers=workers)
 
 
 def test_one_point_table_width():

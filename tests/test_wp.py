@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +19,6 @@ from kdvcorr.series import LaurentSeries, add_into
 from kdvcorr.wk import correlator
 
 ZERO = LaurentSeries.zero()
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_wave_flow_pair_base_cases():
@@ -251,13 +249,9 @@ _volume = cache(wp.wp_volume)
 
 
 @pytest.mark.parametrize("g,n", [(3, 1), (2, 3), (3, 2), (4, 1)])
-def test_volume_matches_dvv_oracle(monkeypatch, g, n):
+def test_volume_matches_dvv_oracle(oracles, psi, g, n):
     # <kappa_1^d tau_K> on M_{g,n} by the set-partition pushforward over DVV,
     # a route that shares no code with the deformed wave
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracles
-
-    psi = oracles.PsiNumbers()
     dim = 3 * g - 3 + n
     want = {}
     for ks in combinations_with_replacement(range(dim + 1), n):
@@ -295,13 +289,10 @@ def test_l0_ties_one_point_to_two_point_volumes(g):
     [((3, 1, 1), (0, 0)), ((2, 2, 1), (0, 0)), ((2, 1, 1), (1, 0)),
      ((1, 1, 1), (1, 0, 0, 0))],
 )
-def test_three_kappa_route_one_matches_dvv_oracle(monkeypatch, lam, ks):
+def test_three_kappa_route_one_matches_dvv_oracle(oracles, psi, lam, ks):
     # route one with tau_0 insertions against the set-partition pushforward
     # over DVV; the oracle counts kappa_lam without the 1/m(lam)! of s_lam
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracles
-
-    want = oracles.kappa_number(oracles.PsiNumbers(), lam, ks)
+    want = oracles.kappa_number(psi, lam, ks)
     want /= oracles.mult_factorial(lam)
     assert want
     assert wp.mixed_correlator(lam, ks) == want
@@ -354,6 +345,13 @@ def test_validation_errors():
         wp.kappa_linear(0, 1)
     with pytest.raises(ValueError):
         wp.deformed_wave(-1)
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (1, 1)])
+def test_wp_volume_rejects_workers_below_one(g, n):
+    # (1, 1) reads the one-point form and traces nothing, and still refuses
+    with pytest.raises(ValueError, match="workers"):
+        wp.wp_volume(g, n, workers=0)
 
 
 def test_wp_volume_builds_one_wave_and_its_pair_products_once(monkeypatch):
