@@ -51,7 +51,7 @@ from .wp import (
     kappa_linear,
     mixed_correlator,
     mixed_genus,
-    wave_component_series,
+    pair_series,
     wp_volume,
 )
 from .selftest import CheckResult, check_names, run_selftest
@@ -88,6 +88,7 @@ __all__ = [
     "odd_double_factorial",
     "omega",
     "one_point",
+    "pair_series",
     "partition_to_monomial",
     "partitions_of",
     "rat",
@@ -97,6 +98,5 @@ __all__ = [
     "run_selftest",
     "theta_matrix",
     "two_point_general",
-    "wave_component_series",
     "wp_volume",
 ]

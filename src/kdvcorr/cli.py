@@ -231,7 +231,7 @@ def _cmd_wave(args) -> int:
     components, rows, lines = [], [], []
     for which in ("A", "B"):
         p, q = dw.component(lam, which)
-        series = wp.wave_component_series(dw, lam, which, -depth)
+        series = wp.pair_series((p, q), -depth)
         parts = {
             part: _terms(poly.coefficients)
             for part, poly in (("P", p), ("Q", q), ("series", series))

@@ -59,20 +59,13 @@ class TruncationInstability(RuntimeError):
 
 def cycle_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
     """Representatives of cyclic orderings of n variables, paired with the
-    multiplicity 2 when the reversed ordering is a distinct class."""
+    multiplicity 2 when the reversed ordering is a distinct class: for n >= 3
+    each (0,) + p with p[0] < p[-1] stands for itself and its reverse."""
     if n < 2:
         raise ValueError("cyclic sum needs n >= 2")
-    reps = []
-    seen = set()
-    for p in permutations(range(1, n)):
-        cyc = (0,) + p
-        if cyc in seen:
-            continue
-        rev = (0,) + tuple(reversed(p))
-        seen.add(cyc)
-        seen.add(rev)
-        reps.append((cyc, 1 if cyc == rev else 2))
-    return reps
+    if n == 2:
+        return [((0, 1), 1)]
+    return [((0,) + p, 2) for p in permutations(range(1, n)) if p[0] < p[-1]]
 
 
 def budgets(

@@ -111,6 +111,8 @@ def partition_to_monomial(lam: tuple[int, ...]) -> tuple[int, ...]:
     if not lam:
         return ()
     mult = multiplicities(lam)
+    if min(mult) < 1:
+        raise ValueError(f"partition parts must be positive, got {tuple(lam)}")
     top = max(mult)
     return tuple(mult.get(j + 1, 0) for j in range(top))
 

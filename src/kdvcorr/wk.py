@@ -9,14 +9,16 @@ The generating matrix M(y) in the squared variable y = z^2 is
     f(y) = -sum_{g>=0} a_g y^{-3g},          a_g = (6g-1)!!/(24^g g!)
     e(y) =  sum_{g>=0} b_g y^{-3g+1},        b_g = (6g+1)/(6g-1) * a_g.
 
-Equivalently M is assembled from the hypergeometric-type pair
+M is the quadratic form of the wave pair (psi, psi_x) = (c, z q) at t = 0,
+built from the hypergeometric-type series
 
     c(z) = sum_k C_k z^{-3k},  C_k = (-1)^k (6k)! / (288^k (3k)! (2k)!)
-    q(z) = sum_k q_k z^{-3k},  q_k = (1+6k)/(1-6k) * C_k
+    q(z) = sum_k q_k z^{-3k},  q_k = (1+6k)/(1-6k) * C_k,
 
-through c(z) q(-z) + c(-z) q(z) = 2 and the product identities tested in the
-self-test suite.  The n-point expansion of these traces (see npoint) collects
-all intersection numbers of a given width n at once:
+so the products c(z) c(-z), c(z) q(-z), q(z) c(-z) and q(z) q(-z) are read
+off its entries (`wave_products`) and c(z) q(-z) + c(-z) q(z) = 2.  The
+n-point expansion of these traces (see npoint) collects all intersection
+numbers of a given width n at once:
 
     <tau_{k_1} ... tau_{k_n}> = [y_1^{-k_1-1} ... y_n^{-k_n-1}] F_n
                                  / prod_i (2 k_i + 1)!!
@@ -114,52 +116,24 @@ def m_matrix_z(low: int) -> list[list[LaurentSeries]]:
     ]
 
 
-def product_cc(low: int) -> LaurentSeries:
-    """Closed form of c(z) c(-z) = sum a_g z^{-6g}."""
-    coeffs = {}
-    for g in range(0, -low // 6 + 1):
-        if -6 * g >= low:
-            coeffs[-6 * g] = _a_coeff(g)
-    return LaurentSeries(coeffs, low=low)
+def wave_products(low: int) -> tuple[LaurentSeries, ...]:
+    """c(z) c(-z), c(z) q(-z), q(z) c(-z) and q(z) q(-z) down to `low`, read
+    off M, the quadratic form of the wave pair (psi, psi_x) = (c, z q):
 
-
-def product_qq(low: int) -> LaurentSeries:
-    """Closed form of q(z) q(-z) = -sum b_g z^{-6g}."""
-    coeffs = {}
-    for g in range(0, -low // 6 + 1):
-        if -6 * g >= low:
-            coeffs[-6 * g] = -_b_coeff(g)
-    return LaurentSeries(coeffs, low=low)
-
-
-def product_cq(low: int) -> LaurentSeries:
-    """Closed form of c(z) q(-z) = 1 - (1/2) sum P_g z^{-6g+3}."""
-    coeffs = {0: rat(1)}
-    for g in range(1, (3 - low) // 6 + 1):
-        e = -6 * g + 3
-        if e >= low:
-            coeffs[e] = -_p_coeff(g) / 2
-    return LaurentSeries(coeffs, low=low)
-
-
-def product_qc(low: int) -> LaurentSeries:
-    """Closed form of q(z) c(-z) = 1 + (1/2) sum P_g z^{-6g+3}."""
-    coeffs = {0: rat(1)}
-    for g in range(1, (3 - low) // 6 + 1):
-        e = -6 * g + 3
-        if e >= low:
-            coeffs[e] = _p_coeff(g) / 2
-    return LaurentSeries(coeffs, low=low)
+        c(z) c(-z) = -f(z^2),     c(z) q(-z) = 1 + h(z^2)/z,
+        q(z) q(-z) = -e(z^2)/z^2, q(z) c(-z) = 1 - h(z^2)/z.
+    """
+    (h, f), (e, _) = m_matrix_z(low)
+    one, h = LaurentSeries.monomial(0, rat(1)), h.shift(-1)
+    return tuple(s.truncate(low) for s in (-f, one + h, one - h, -e.shift(-2)))
 
 
 def one_point_series(low: int) -> LaurentSeries:
-    """F_1(z) = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2} down to `low`."""
-    coeffs = {}
-    g = 1
-    while -6 * g + 2 >= low:
-        coeffs[-6 * g + 2] = rat(double_factorial(6 * g - 3), 24**g * factorial(g))
-        g += 1
-    return LaurentSeries(coeffs, low=low)
+    """F_1(z) = sum_k <tau_k> (2k+1)!! z^{-2k-2} down to `low`."""
+    return LaurentSeries(
+        {-2 * k - 2: one_point(k) * odd_double_factorial(k) for k in range(-low // 2)},
+        low=low,
+    )
 
 
 def one_point(k: int):
@@ -302,8 +276,5 @@ __all__ = [
     "n_point_table",
     "one_point",
     "one_point_series",
-    "product_cc",
-    "product_cq",
-    "product_qc",
-    "product_qq",
+    "wave_products",
 ]

@@ -84,7 +84,7 @@ from itertools import combinations_with_replacement
 from math import prod
 
 from . import wk
-from .diffpoly import DiffPoly, _omega_pieces, flow_derivative, omega
+from .diffpoly import DiffPoly, _omega_pieces, flow_derivative, mat2_mul, omega
 from .npoint import npoint_window
 from .partitions import (
     SPoly,
@@ -125,7 +125,7 @@ def _flow_coefficients(k: int) -> tuple[LaurentSeries, ...]:
     return alpha, LaurentSeries(beta), LaurentSeries(gamma), -alpha
 
 
-def flow_apply(state: tuple, k: int) -> tuple[LaurentSeries, LaurentSeries]:
+def _flow_apply(state: tuple, k: int) -> tuple[LaurentSeries, LaurentSeries]:
     """d/dt_k of a state (a, b) representing a psi + b psi_x."""
     a, b = state
     da, db = (
@@ -165,7 +165,7 @@ def wave_flow_pair(mu, with_x: bool = False) -> tuple[LaurentSeries, LaurentSeri
         raise ValueError("negative flow index")
     state = (LaurentSeries({0: DiffPoly.const(1)}), LaurentSeries.zero())
     for k in [part + 1 for part in mu] + [0] * with_x:
-        state = flow_apply(state, k)
+        state = _flow_apply(state, k)
     return _evaluate_pair(state)
 
 
@@ -194,10 +194,6 @@ class DeformedWave:
     b: tuple[LaurentSeries, LaurentSeries]
     max_index: int | None = None
 
-    def pair(self, which: str) -> tuple[LaurentSeries, LaurentSeries]:
-        """The (P, Q) pair of A (which = "A") or B (anything else)."""
-        return self.a if which == "A" else self.b
-
     def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
         """The (P, Q) pair of the s_lam component, with rational coefficients."""
         lam = tuple(sorted(lam, reverse=True))
@@ -206,7 +202,7 @@ class DeformedWave:
         mono = partition_to_monomial(lam)
         return tuple(
             LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
-            for s in self.pair(which)
+            for s in (self.a if which == "A" else self.b)
         )
 
     @cached_property
@@ -304,15 +300,15 @@ def deformed_wave(cap: int, *, max_index: int | None = None) -> DeformedWave:
     # expansions X_w = P_w c + Q_w q and Y_w
     one, zero = LaurentSeries({0: SPoly.const(1)}), LaurentSeries.zero()
     a_pairs, b_pairs = [(one, zero)], [(zero, one.shift(1))]
-    xs, ys = ([_pair_series(*ps[0], low)] for ps in (a_pairs, b_pairs))
+    xs, ys = ([pair_series(ps[0], low)] for ps in (a_pairs, b_pairs))
     for _ in range(cap):
         known = _lower_weights(grades, xs, -1)
         a_pairs.append(_ks_solve(-known))
-        xs.append(_pair_series(*a_pairs[-1], low))
+        xs.append(pair_series(a_pairs[-1], low))
         # [B_w]_{>=0} is [z^-1] A_w, less what the lower weights give
         a_1 = LaurentSeries({0: known.coefficient(-1) + xs[-1].coefficient(-1)})
         b_pairs.append(_ks_solve(a_1 - _lower_weights(grades, ys, 0)))
-        ys.append(_pair_series(*b_pairs[-1], low))
+        ys.append(pair_series(b_pairs[-1], low))
     # every coefficient of E carries the cap, so the products take it on
     a, b = (tuple(e * sum(s, zero) for s in zip(*ps)) for ps in (a_pairs, b_pairs))
     return DeformedWave(a, b, max_index)
@@ -323,20 +319,12 @@ def _top(*series: LaurentSeries) -> int:
     return max([0, *(e for s in series for e in s.coefficients)])
 
 
-def _pair_series(p: LaurentSeries, q: LaurentSeries, low: int) -> LaurentSeries:
-    """Expand a (P, Q) pair into a truncated Laurent series P c + Q q."""
+def pair_series(pair: tuple, low: int) -> LaurentSeries:
+    """Expand a (P, Q) pair into the Laurent series P c + Q q down to `low`:
+    `dw.a` gives A(z;s), `dw.component(lam)` its s_lam part."""
+    p, q = pair
     base_low = low - _top(p, q)
     return (p * wk.fz_c(base_low) + q * wk.fz_q(base_low)).truncate(low)
-
-
-def wave_series(dw: DeformedWave, which: str, low: int) -> LaurentSeries:
-    """A(z;s) or B(z;s) as a truncated Laurent series over s-polynomials."""
-    return _pair_series(*dw.pair(which), low)
-
-
-def wave_component_series(dw: DeformedWave, lam, which: str, low: int) -> LaurentSeries:
-    """z-expansion of the s_lam component of A or B, rational coefficients."""
-    return _pair_series(*dw.component(lam, which), low)
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +334,14 @@ def wave_component_series(dw: DeformedWave, lam, which: str, low: int) -> Lauren
 def f_kappa_1(dw: DeformedWave, low: int) -> dict:
     """Coefficients {z-exponent: s-polynomial} of F_1 with kappa couplings,
 
-    F_1(z;s) = (-A(z) B'(-z) + B'(z) A(-z) + B(z) A'(-z) - A'(z) B(-z))/(4z),
+    F_1(z;s) = (G(z) - G(-z))/(4z),   G(z) = B'(z) A(-z) - A'(z) B(-z),
 
-    from the deformed wave `dw` and exact to its weight cap.
+    from the deformed wave `dw` and exact to its weight cap.  G(-z) is G
+    with z -> -z, so the numerator takes two series products.
     """
-    a = wave_series(dw, "A", low - 4)
-    b = wave_series(dw, "B", low - 4)
-    ab = a.substitute_negate()
-    bb = b.substitute_negate()
-    da = a.derivative()
-    db = b.derivative()
-    tot = (
-        (a * db.substitute_negate()) * -1
-        + db * ab
-        + b * da.substitute_negate()
-        + (da * bb) * -1
-    )
-    f = tot.shift(-1) * rat(1, 4)
+    a, b = (pair_series(pair, low - 4) for pair in (dw.a, dw.b))
+    g = b.derivative() * a.substitute_negate() - a.derivative() * b.substitute_negate()
+    f = (g - g.substitute_negate()).shift(-1) * rat(1, 4)
     return {e: c for e, c in f.coefficients.items() if e >= low and c}
 
 
@@ -372,14 +351,10 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
 
     Entries are built from the 2x2 quadratic form in A, B: the wave's exact
     pair products (`DeformedWave.pair_products`, built once per wave) times
-    the closed hypergeometric product series for c c-bar, c q-bar, q c-bar,
-    q q-bar, which alone depend on the floor.
+    c c-bar, c q-bar, q c-bar and q q-bar, which alone depend on the floor
+    and are read off M itself (`wk.wave_products`).
     """
-    zlow = 2 * floor - 2 * _top(*dw.a, *dw.b) - 2
-    cc = wk.product_cc(zlow)
-    qq = wk.product_qq(zlow)
-    cq = wk.product_cq(zlow)
-    qc = wk.product_qc(zlow)
+    cc, cq, qc, qq = wk.wave_products(2 * floor - 2 * _top(*dw.a, *dw.b) - 2)
 
     def expand(products):
         # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
@@ -489,19 +464,16 @@ def kappa_linear_series(j: int, low: int) -> LaurentSeries:
         ]
         for row in m
     ]
-    tr = (
-        plus[0][0] * m[0][0]
-        + plus[0][1] * m[1][0]
-        + plus[1][0] * m[0][1]
-        + plus[1][1] * m[1][1]
-    )
-    tr = tr * rat(1, odd_double_factorial(j + 1))
+    pm = mat2_mul(plus, m)
+    tr = (pm[0][0] + pm[1][1]) * rat(1, odd_double_factorial(j + 1))
     correction = LaurentSeries.monomial(2 * j + 2, rat(-1, odd_double_factorial(j)))
     return (tr + correction).truncate(low)
 
 
 def kappa_linear(j: int, k: int):
     """<kappa_j tau_k> via the closed single-kappa trace formula."""
+    if j < 1:
+        raise ValueError("kappa index must be positive")
     if k < 0:
         raise ValueError("negative index")
     if mixed_genus((j,), (k,)) is None:
@@ -598,15 +570,13 @@ __all__ = [
     "deformed_wave",
     "f_kappa_1",
     "f_kappa_n",
-    "flow_apply",
     "kappa_linear",
     "kappa_linear_series",
     "ks_pair",
     "m_kappa_matrix",
     "mixed_correlator",
     "mixed_genus",
-    "wave_component_series",
+    "pair_series",
     "wave_flow_pair",
-    "wave_series",
     "wp_volume",
 ]

@@ -289,7 +289,7 @@ def test_criterion_07_deformed_waves():
             assert got_p.coefficients == want_p, (which, lam)
             assert got_q.coefficients == want_q, (which, lam)
         for (which, lam), coeffs in WAVE_EXPANSIONS.items():
-            series = wp.wave_component_series(dw, lam, which, -10)
+            series = wp.pair_series(dw.component(lam, which), -10)
             want = {e: _rat(c) for e, c in coeffs.items()}
             assert series.support() == sorted(want), (which, lam)
             for e, c in want.items():

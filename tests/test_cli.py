@@ -31,39 +31,10 @@ def test_output_matches_golden_bytes(capsys, case):
     assert (code, out) == (case["code"], case["stdout"])
 
 
-def test_tau_text(capsys):
-    code, out, _ = run(capsys, "tau", "3,2")
-    assert code == 0
-    assert out == "<tau_3 tau_2> = 29/5760 (g=2)\n"
-
-
 def test_tau_single_index(capsys):
     code, out, _ = run(capsys, "tau", "1")
     assert code == 0
     assert out == "<tau_1> = 1/24 (g=1)\n"
-
-
-def test_tau_off_dimension(capsys):
-    code, out, _ = run(capsys, "tau", "2,2")
-    assert code == 0
-    assert out == "<tau_2 tau_2> = 0 (no genus fits the dimension)\n"
-
-
-def test_tau_json(capsys):
-    code, out, _ = run(capsys, "tau", "3,2", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data == {
-        "indices": [3, 2],
-        "genus": 2,
-        "value": {"num": "29", "den": "5760"},
-    }
-
-
-def test_tau_csv(capsys):
-    code, out, _ = run(capsys, "tau", "3,2", "--format", "csv")
-    assert code == 0
-    assert out == "k1,k2,g,numerator,denominator\n3,2,2,29,5760\n"
 
 
 def test_tau_csv_off_dimension_leaves_genus_blank(capsys):
@@ -71,16 +42,6 @@ def test_tau_csv_off_dimension_leaves_genus_blank(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert row == ["2", "2", "", "0", "1"]
-
-
-def test_table_text(capsys):
-    code, out, _ = run(capsys, "table", "2", "3")
-    assert code == 0
-    assert out.splitlines() == [
-        "<tau_0 tau_2> = 1/24 (g=1)",
-        "<tau_1 tau_1> = 1/24 (g=1)",
-        "<tau_2 tau_3> = 29/5760 (g=2)",
-    ]
 
 
 def test_table_empty_range_csv_is_header_only(capsys):
@@ -113,32 +74,10 @@ def test_table_csv_parses_and_sorts(capsys):
     assert all(k == tuple(sorted(k)) for k in keys)
 
 
-def test_kappa_text(capsys):
-    code, out, _ = run(capsys, "kappa", "1,1", "5")
-    assert code == 0
-    assert out == "<kappa_1 kappa_1 tau_5> = 3781/2903040 (g=3)\n"
-
-
-def test_kappa_without_taus(capsys):
-    code, out, _ = run(capsys, "kappa", "3")
-    assert code == 0
-    assert out == "<kappa_3> = 1/1152 (g=2)\n"
-
-
 def test_kappa_csv(capsys):
     code, out, _ = run(capsys, "kappa", "2", "2", "--format", "csv")
     assert code == 0
     assert out == "kappa,tau,g,numerator,denominator\n2,2,2,29,5760\n"
-
-
-def test_wp_text(capsys):
-    code, out, _ = run(capsys, "wp", "1", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "W_{1,2}: coefficient of s^d / prod z_i^(2 k_i + 2)"
-    assert "  d=2 k=(0, 0)  1/16" in lines
-    assert "v_{1,2}: coefficient of s^d prod L_i^(2 k_i)" in lines
-    assert "  d=0 k=(0, 2)  1/48" in lines
 
 
 def test_wp_smallest_case(capsys):
@@ -155,16 +94,6 @@ def test_wp_json(capsys):
     entries = {(e["d"], tuple(e["indices"])): e for e in data["entries"]}
     assert entries[(1, (0,))]["w"] == {"num": "1", "den": "24"}
     assert entries[(0, (1,))]["w"] == {"num": "1", "den": "8"}
-
-
-def test_wave_text(capsys):
-    code, out, _ = run(capsys, "wave", "1", "--depth", "6")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "A[s_(1)] = P c + Q q"
-    assert "  P: -1/15 z^5 - 1/30 z^2" in lines
-    assert "  expansion to z^-6: -1/24 z^-1 + 77/576 z^-4" in lines
-    assert "B[s_(1)] = P c + Q q" in lines
 
 
 def test_wave_csv_round_trips(capsys):

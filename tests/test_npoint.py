@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import prod
 from pathlib import Path
 
@@ -37,6 +37,11 @@ def test_cycle_classes_counts():
     assert len(four) == 3
     assert all(mult == 2 for _, mult in four)
     assert sum(m for _, m in cycle_classes(5)) == 24
+    for n in range(3, 8):
+        # each ordering of 1..n-1 after 0 is a class or the reverse of one
+        reps = [cyc[1:] for cyc, _ in cycle_classes(n)]
+        both = reps + [p[::-1] for p in reps]
+        assert sorted(both) == sorted(permutations(range(1, n)))
     with pytest.raises(ValueError):
         cycle_classes(1)
 

@@ -108,6 +108,13 @@ def test_deformed_wave_component_sorts_partition():
     assert dw.component((1, 2), "A") == dw.component((2, 1), "A")
 
 
+@pytest.mark.parametrize("lam", [(0,), (1, 0), (2, -1)])
+def test_deformed_wave_component_refuses_parts_below_one(lam):
+    # a part below 1 names no s_j; it must not read as the partition without it
+    with pytest.raises(ValueError, match="positive"):
+        wp.deformed_wave(3).component(lam, "A")
+
+
 def test_deformed_wave_over_cap_raises():
     # the wave of cap 1 knows nothing of weight 2; it must not read as zero
     with pytest.raises(ValueError):
@@ -343,6 +350,8 @@ def test_validation_errors():
         wp.wp_volume(1, 0)
     with pytest.raises(ValueError):
         wp.kappa_linear(0, 1)
+    with pytest.raises(ValueError):
+        wp.kappa_linear(0, 0)  # off dimension too, but the index is checked first
     with pytest.raises(ValueError):
         wp.deformed_wave(-1)
 
