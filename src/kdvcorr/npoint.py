@@ -14,12 +14,18 @@ the matrix product conjugates by [[0,1],[-1,0]] up to (-1)^n, and the
 denominator product picks up the same sign), so orderings are summed in
 reversal pairs.
 
-Truncation budgets: for target windows [lo_i, hi_i] per variable (magnitude
-order), the positive powers a variable can absorb are bounded by the exports
-of the larger ones, each export being capped by its own window and the top
-matrix exponent.  That yields per-variable matrix floors and per-edge
+Truncation budgets: for target windows [lo_i, hi_i] per variable in
+magnitude order, the positive powers a variable can absorb are bounded by the
+exports of the larger ones, each export being capped by its own window and
+the top matrix exponent.  That yields per-variable matrix floors and per-edge
 expansion caps under which every retained coefficient is exact;
-verify=True recomputes with widened budgets and insists on equality.
+verify=True recomputes with widened budgets and insists on equality.  The
+n-point function is symmetric in its variables, so the magnitude order is
+free, but the budgets are not: a variable's floor sinks by the exports of
+every larger variable, and each export grows as its window deepens.  So
+callers give the windows in any order, and npoint_window traces them
+shallowest first (largest lo first) and hands the keys back in the
+caller's order.
 
 The coefficient ring only needs +, *, unary minus and truth testing, so the
 same engine drives plain rationals and s-polynomial coefficients.  Rationals
@@ -71,9 +77,16 @@ def cycle_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
 def budgets(
     windows: list[tuple[int, int]], mat_top: int, widen: int = 0
 ) -> tuple[list[int], list[int]]:
-    """Matrix floors per variable and export caps per variable.
+    """Matrix floors per variable and export caps per variable, for windows
+    in magnitude order (largest variable first).
 
-    widen > 0 loosens every bound (for the verification pass).
+    With pos_v the positive powers variable v can absorb from the larger
+    ones, floor_v = lo_v - pos_v, export_v = mat_top + pos_v - lo_v and
+    pos_{v+1} = pos_v + export_v = 2 pos_v + mat_top - lo_v (at widen = 0).
+    A deep window placed early therefore sinks every later floor, doubled
+    at each step; npoint_window passes its windows shallowest first, which
+    keeps the budgets smallest.  widen > 0 loosens every bound
+    (for the verification pass).
     """
     floors, exports = [], []
     pos_total = 0
@@ -311,15 +324,23 @@ def npoint_window(
     """Coefficients of the n-point function over a target exponent box.
 
     windows: per-variable [lo, hi] ranges of y-exponents, one per variable in
-    decreasing magnitude order.  mat_factory(floor) must return the 2x2 matrix
-    M as {exponent: coefficient} dicts in y, complete down to `floor`.
-    Returns {(e_1, ..., e_n): coefficient} including only nonzero entries.
+    any order.  The trace and the verify pass expand them in the magnitude
+    order that puts the shallowest window first (largest lo; equal lo keep
+    their order), where the budgets are smallest (see budgets), and every key
+    is mapped back to the order given.  mat_factory(floor) must return the
+    2x2 matrix M as {exponent: coefficient} dicts in y, complete down to
+    `floor`.  Returns {(e_1, ..., e_n): coefficient} including only nonzero
+    entries.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     windows = [tuple(w) for w in windows]
     if any(lo > hi for lo, hi in windows):
         raise ValueError("empty window")
+    # the n-point function is symmetric, so any magnitude order gives the
+    # same coefficients; shallowest first keeps every budget smallest
+    order = sorted(range(n), key=lambda v: -windows[v][0])
+    windows = [windows[v] for v in order]
     probe = mat_factory(-1)
     mat_top = max(max(e for e in ent) for row in probe for ent in row if ent)
     floors, exports = budgets(windows, mat_top)
@@ -349,6 +370,11 @@ def npoint_window(
         raise TruncationInstability(
             f"widened truncation changed {changed} coefficients"
         )
+    if order != sorted(order):
+        # entry j of a traced key is the exponent of the caller's variable
+        # order[j], so the caller's variable v reads entry back[v]
+        back = sorted(range(n), key=order.__getitem__)
+        result = {tuple(key[j] for j in back): c for key, c in result.items()}
     return result
 
 

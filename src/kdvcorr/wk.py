@@ -199,19 +199,23 @@ def _lower_terms(ks) -> list:
 
 
 def _read(coeffs: dict, ks):
-    """<tau_K> from traced coefficients: the entry at the exponent key of the
-    sorted ks with decreasing indices, over prod (2 k_i + 1)!!."""
-    v = rat(coeffs.get(tuple(-k - 1 for k in reversed(ks)), 0))
+    """<tau_K> from traced coefficients: the entry at the exponent key
+    (-k_1 - 1, ..., -k_n - 1), in the order of ks, over prod (2 k_i + 1)!!.
+    The n-point function is symmetric, so any order of ks reads the same
+    entry of a box traced over one window per variable."""
+    v = rat(coeffs.get(tuple(-k - 1 for k in ks), 0))
     for k in ks:
         v = v / odd_double_factorial(k)
     return v
 
 
 def point_leaf(verify: bool):
-    """The leaf that traces the point window of each multiset it is given."""
+    """The leaf that traces the point window of each multiset it is given:
+    one single-exponent window per index, in the order of ks, since
+    npoint_window picks the trace order itself."""
 
     def leaf(ks):
-        windows = [(-k - 1, -k - 1) for k in reversed(ks)]
+        windows = [(-k - 1, -k - 1) for k in ks]
         return _read(npoint_window(len(ks), windows, m_matrix, verify=verify), ks)
 
     return leaf

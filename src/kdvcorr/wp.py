@@ -195,7 +195,10 @@ class DeformedWave:
     max_index: int | None = None
 
     def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
-        """The (P, Q) pair of the s_lam component, with rational coefficients."""
+        """The (P, Q) pair of the s_lam component of wave `which`, "A" or
+        "B", with rational coefficients."""
+        if which not in ("A", "B"):
+            raise ValueError(f'which must be "A" or "B", got {which!r}')
         lam = tuple(sorted(lam, reverse=True))
         if lam and self.max_index is not None and lam[0] > self.max_index:
             raise ValueError(f"s_{lam[0]} was set to zero in this wave")
@@ -548,7 +551,7 @@ def wp_volume(
     else:
         coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dw, verify=verify, workers=workers)
         keys = {
-            ks: tuple(-k - 1 for k in reversed(ks))
+            ks: tuple(-k - 1 for k in ks)
             for ks in combinations_with_replacement(range(dim + 1), n)
         }
     for ks, key in keys.items():

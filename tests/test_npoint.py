@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvcorr import npoint, wk
+from kdvcorr import npoint, wk, wp
 from kdvcorr.npoint import (
     TruncationInstability,
     _build_mats,
@@ -141,6 +141,45 @@ def test_factory_called_once_per_pass(verify, calls):
     got = npoint_window(4, windows, counting, verify=verify)
     assert len(floors) == calls
     assert got == npoint_window(4, windows, wk.m_matrix)
+
+
+def _s1_m_matrix():
+    """M over the s_1 ring: the kappa-deformed matrix of the wave at
+    s = (s_1, 0, ...), weight cap 4."""
+    dw = wp.deformed_wave(4, max_index=1)
+    return lambda floor: wp.m_kappa_matrix(dw, floor)
+
+
+@pytest.mark.parametrize("ring", ["psi", "s1"])
+@pytest.mark.parametrize(
+    "windows",
+    [
+        [(-3, -3), (-7, -7), (-2, -2), (-5, -5)],  # <tau_2 tau_6 tau_1 tau_4>
+        [(-5, -2), (-3, -1), (-7, -4)],
+    ],
+)
+def test_every_window_order_traces_alike(ring, windows):
+    # the n-point function is symmetric, so permuting the windows permutes
+    # the keys and nothing else; the engine picks its own trace order, so
+    # the factory is asked for the same deepest floor every time
+    factory = wk.m_matrix if ring == "psi" else _s1_m_matrix()
+    n = len(windows)
+    results, deepest = [], set()
+    for perm in permutations(range(n)):
+        floors = []
+
+        def counting(floor):
+            floors.append(floor)
+            return factory(floor)
+
+        got = npoint_window(n, [windows[v] for v in perm], counting)
+        # entry j of a key belongs to windows[perm[j]]
+        back = [perm.index(v) for v in range(n)]
+        results.append({tuple(key[j] for j in back): c for key, c in got.items()})
+        deepest.add(min(floors))
+    assert results[0]
+    assert all(r == results[0] for r in results)
+    assert len(deepest) == 1
 
 
 @pytest.fixture

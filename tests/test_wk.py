@@ -119,6 +119,13 @@ def test_wide_correlators_with_tau_0_and_tau_1_match_dvv_oracle(psi):
     assert checked > 30
 
 
+@pytest.mark.parametrize("ks", [(2, 2, 2, 2, 2, 2, 4), (2, 2, 2, 2, 2, 3, 3)])
+def test_width_seven_all_at_least_two_matches_dvv_oracle(psi, ks):
+    # genus 4; no frozen table reaches a width-7 multiset with every index
+    # >= 2, so each is one point-window trace over its 360 cycle classes
+    assert wk.correlator(ks) == psi(ks)
+
+
 def _whole_box_entries(n, k_max, k_min):
     """The table from one trace of the whole box [k_min, k_max]^n, keeping
     the ordering with decreasing indices of each multiset."""

@@ -115,6 +115,13 @@ def test_deformed_wave_component_refuses_parts_below_one(lam):
         wp.deformed_wave(3).component(lam, "A")
 
 
+@pytest.mark.parametrize("which", ["a", "b", "", "C", "AB"])
+def test_deformed_wave_component_refuses_unknown_wave(which):
+    # only "A" and "B" name a wave; a typo must not read as B
+    with pytest.raises(ValueError, match="which"):
+        wp.deformed_wave(1).component((1,), which)
+
+
 def test_deformed_wave_over_cap_raises():
     # the wave of cap 1 knows nothing of weight 2; it must not read as zero
     with pytest.raises(ValueError):
