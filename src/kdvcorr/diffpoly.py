@@ -8,12 +8,14 @@ and the gradation deg(u_k) = k + 2, under which the KdV Hamiltonian densities
 Omega_p produced by the Lenard-Magri recursion are homogeneous of degree
 2p + 2.  On top of the ring this module builds the resolvent series R(z), the
 Riccati series chi(z), the traceless matrix Theta(z) with Theta^2 = z^2, and
-the general two-point correlator extracted from
+the general two-point correlator extracted from the matrix-resolvent formula
 
-    F_2(z, w) = [R_x(w)R_x(z)/2 - R(w)R(z)chi(z)chi(-z)
-                 - R(z)R(w)chi(w)chi(-w) - z^2 - w^2] / (z^2 - w^2)^2
+    F_2(z, w) = [Tr Theta(z) Theta(w) - z^2 - w^2] / (z^2 - w^2)^2
+              = [R_x(z)R_x(w)/2 - Theta_21(z)R(w) - R(z)Theta_21(w)
+                 - z^2 - w^2] / (z^2 - w^2)^2
 
-expanded in the region |z| > |w|.
+expanded in the region |z| > |w|.  Theta_21 = R_xx/2 - (z^2 - 2u)R is
+R(z) chi(z) chi(-z), so F_2 needs no Riccati series.
 
 The recursions run over Python ints.  Each works on a scaled object whose
 coefficients are integers, and divides by the known scale once, when a public
@@ -42,11 +44,11 @@ int ring, one division per coefficient:
                           2 * 4^{K-k-1} (2 (X_k'' + 4 u X_k) - X_{k+1})
                           at z^{-2k-2} for k < K, 2 * 4^K u at z^0 and
                           -2 * 4^K at z^2, floor -2K
-    two_point_general     the F_2 numerator at the scale 2 * 4^{4K}, from
-                          4^K R and 2^{2K} chi; chi(z) chi(-z) is even, so
-                          each of its pair products is formed once.  Each
-                          coefficient of the result is divided by
-                          2 * 4^{4K} (2p+1)!! (2q+1)!!.
+    two_point_general     the F_2 numerator at the scale 2 * 4^{2K}, from
+                          the same 4^K R, 4^K R_x and 2 * 4^K Theta_21 that
+                          theta_matrix reads.  Each coefficient of the
+                          result is divided once by
+                          2 * 4^{2K} (2p+1)!! (2q+1)!!.
 
 A negative truncation order K, a negative index p or q, or a negative flow
 index k is a ValueError.
@@ -284,10 +286,19 @@ def _scaled_resolvent(K: int) -> LaurentSeries:
     return LaurentSeries(coeffs, low=-2 * K - 2)
 
 
-def _scaled_resolvent_x(K: int) -> LaurentSeries:
-    """4^K R_x(z) = sum_{k=0}^{K} 4^{K-k} d_x X_k z^{-2k-2}, floor -(2K+2)."""
-    coeffs = {-2 * k - 2: 4 ** (K - k) * _omega_x_dx(k) for k in range(K + 1)}
-    return LaurentSeries(coeffs, low=-2 * K - 2)
+@cache
+def _theta_scaled(K: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
+    """(4^K R, 4^K R_x, 2 * 4^K Theta_21): the entries of Theta over the int
+    jet ring, from the cached pieces of X_k (see the module docstring).  The
+    series behind every theta_matrix and two_point_general call at this K;
+    shared, so only ever read."""
+    s = _scaled_resolvent(K)
+    sx = {-2 * k - 2: 4 ** (K - k) * _omega_x_dx(k) for k in range(K + 1)}
+    e21: dict = {2: DiffPoly.const(-2 * 4**K), 0: (2 * 4**K) * _U}
+    for k in range(K):
+        e = _omega_pieces(k)[1]
+        e21[-2 * k - 2] = (2 * 4 ** (K - k - 1)) * (2 * e - _omega_x(k + 1))
+    return s, LaurentSeries(sx, low=-2 * K - 2), LaurentSeries(e21, low=-2 * K)
 
 
 def _scaled_chi(K: int) -> LaurentSeries:
@@ -312,18 +323,13 @@ def riccati_chi(K: int) -> LaurentSeries:
 
 def theta_matrix(K: int) -> list[list[LaurentSeries]]:
     """Theta(z) = [[-R_x/2, -R], [R_xx/2 - (z^2 - 2u)R, R_x/2]]: traceless
-    with Theta^2 = z^2 on retained orders.  Built as 2 * 4^K Theta from the
-    cached pieces of X_k (see the module docstring)."""
-    s = _scaled_resolvent(K)
-    sx = _scaled_resolvent_x(K)
+    with Theta^2 = z^2 on retained orders.  Read off 2 * 4^K Theta, built
+    from the cached pieces of X_k (see the module docstring)."""
+    s, sx, t = _theta_scaled(K)
     scale = 2 * 4**K
-    e21: dict = {2: DiffPoly.const(-scale), 0: scale * _U}
-    for k in range(K):
-        e = _omega_pieces(k)[1]
-        e21[-2 * k - 2] = (2 * 4 ** (K - k - 1)) * (2 * e - _omega_x(k + 1))
     return [
         [_read(-sx, scale), _read(-2 * s, scale)],
-        [_read(LaurentSeries(e21, low=-2 * K), scale), _read(sx, scale)],
+        [_read(t, scale), _read(sx, scale)],
     ]
 
 
@@ -339,52 +345,26 @@ def mat2_mul(a, b):
     ]
 
 
-def _times_negated(chi: LaurentSeries) -> LaurentSeries:
-    """chi(z) chi(-z), floor included, from its even half: the terms of a
-    pair a != b meet at z^{a+b} as c_a c_b ((-1)^a + (-1)^b), which is
-    2 (-1)^a c_a c_b when a + b is even and 0 when it is odd."""
-    items = sorted(chi.coefficients.items())
-    low = chi.low + items[-1][0]  # the floor of the full product
-    out: dict = {}
-    for i, (a, ca) in enumerate(items):
-        signed = -ca if a % 2 else ca
-        if 2 * a >= low:
-            add_into(out, 2 * a, signed * ca)
-        twice = 2 * signed
-        for b, cb in items[i + 1 :]:
-            if not (a + b) % 2 and a + b >= low:
-                add_into(out, a + b, twice * cb)
-    return LaurentSeries(out, low)
-
-
-@cache
-def _two_point_series(K: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-    """4^K R, its d_x and 4^{3K} R chi(z) chi(-z): the series behind every
-    two_point_general call at this K.  Shared, so only ever read."""
-    s = _scaled_resolvent(K)
-    chi = _scaled_chi(2 * K)  # 4^K chi
-    return s, _scaled_resolvent_x(K), s * _times_negated(chi)
-
-
 def two_point_general(p: int, q: int, K: int) -> DiffPoly:
-    """<<tau_p tau_q>> as a differential polynomial, from the two-point series
-    quoted in the module docstring, expanded in |z| > |w|.
+    """<<tau_p tau_q>> as a differential polynomial: the coefficient of
+    z^{-2p-2} w^{-2q-2} in F_2(z, w) (see the module docstring), expanded in
+    |z| > |w|, divided by (2p+1)!! (2q+1)!!.
 
-    Requires p + q <= K - 2; insufficient truncation raises the below-floor
-    error from the underlying series.
+    Requires K >= p + q; a smaller K raises the below-floor error from the
+    underlying series.
     """
     if p < 0 or q < 0:
         raise ValueError("negative index")
-    s, sx, scc = _two_point_series(K)
+    s, sx, t = _theta_scaled(K)
     one = LaurentSeries.one()
     zsq = LaurentSeries.monomial(2, DiffPoly.const(1))
-    # the F2 numerator times scale = 2 * 4^{4K}, as a sum of weight * f(z) g(w)
+    # the F2 numerator times scale = 2 * 4^{2K}, as a sum of weight * f(z) g(w)
     # with the w-series read off the same univariate expansions
-    scale = 2 * 4 ** (4 * K)
+    scale = 2 * 4 ** (2 * K)
     pairs = [
-        (4 ** (2 * K), sx, sx),
-        (-2, scc, s),
-        (-2, s, scc),
+        (1, sx, sx),
+        (-1, t, s),
+        (-1, s, t),
         (-scale, zsq, one),
         (-scale, one, zsq),
     ]

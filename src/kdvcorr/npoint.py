@@ -335,6 +335,8 @@ def npoint_window(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     windows = [tuple(w) for w in windows]
+    if len(windows) != n:
+        raise ValueError(f"{len(windows)} windows for {n} variables")
     if any(lo > hi for lo, hi in windows):
         raise ValueError("empty window")
     # the n-point function is symmetric, so any magnitude order gives the

@@ -84,7 +84,7 @@ from itertools import combinations_with_replacement
 from math import prod
 
 from . import wk
-from .diffpoly import DiffPoly, _omega_pieces, flow_derivative, mat2_mul, omega
+from .diffpoly import DiffPoly, _omega_pieces, flow_derivative, omega
 from .npoint import npoint_window
 from .partitions import (
     SPoly,
@@ -467,8 +467,11 @@ def kappa_linear_series(j: int, low: int) -> LaurentSeries:
         ]
         for row in m
     ]
-    pm = mat2_mul(plus, m)
-    tr = (pm[0][0] + pm[1][1]) * rat(1, odd_double_factorial(j + 1))
+    # Tr(plus M) = sum_{i,k} plus[i][k] M[k][i], no off-diagonal product formed
+    tr = (
+        plus[0][0] * m[0][0] + plus[0][1] * m[1][0]
+        + (plus[1][0] * m[0][1] + plus[1][1] * m[1][1])
+    ) * rat(1, odd_double_factorial(j + 1))
     correction = LaurentSeries.monomial(2 * j + 2, rat(-1, odd_double_factorial(j)))
     return (tr + correction).truncate(low)
 

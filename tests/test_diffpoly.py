@@ -10,8 +10,6 @@ from kdvcorr.diffpoly import (
     _chi_y,
     _map_dx,
     _omega_x,
-    _scaled_chi,
-    _times_negated,
     flow_derivative,
     formal_antiderivative,
     mat2_mul,
@@ -21,7 +19,8 @@ from kdvcorr.diffpoly import (
     theta_matrix,
     two_point_general,
 )
-from kdvcorr.rationals import rat
+from kdvcorr.npoint import npoint_window
+from kdvcorr.rationals import odd_double_factorial, rat
 from kdvcorr.series import LaurentSeries
 
 U = DiffPoly.jet(0)
@@ -166,13 +165,14 @@ def test_chi_y_equals_the_unmirrored_riccati_sum():
         assert _chi_y(k) == -acc, k
 
 
-def test_times_negated_matches_the_full_product():
-    for K in range(1, 13):
-        chi = _scaled_chi(2 * K)
-        full = chi * chi.substitute_negate()
-        mirrored = _times_negated(chi)
-        assert mirrored.low == full.low, K
-        assert mirrored.coefficients == full.coefficients, K
+def test_resolvent_times_chi_chi_negated_is_theta_21():
+    # R(z) chi(z) chi(-z) = Theta_21 = R_xx/2 - (z^2 - 2u) R, floors included
+    for K in range(9):
+        chi = riccati_chi(2 * K + 2)
+        lhs = resolvent(K) * (chi * chi.substitute_negate())
+        th21 = theta_matrix(K)[1][0]
+        assert lhs.low == th21.low, K
+        assert lhs.coefficients == th21.coefficients, K
 
 
 def test_flow_derivative_is_a_derivation():
@@ -293,6 +293,36 @@ def test_two_point_general_x_derivative_is_a_flow():
         for q in range(7 - p):
             lhs = two_point_general(p, q, p + q + 3).d_x()
             assert lhs == flow_derivative(omega(q), p), (p, q)
+
+
+def test_two_point_general_needs_only_k_at_least_p_plus_q():
+    for p in range(6):
+        for q in range(6):
+            want = two_point_general(p, q, p + q + 3)
+            for K in (p + q, p + q + 1, p + q + 2):
+                assert two_point_general(p, q, K) == want, (p, q, K)
+            if p + q:
+                with pytest.raises(ValueError, match="below truncation floor"):
+                    two_point_general(p, q, p + q - 1)
+    with pytest.raises(ValueError, match="truncation order K"):
+        two_point_general(0, 0, -1)
+
+
+def test_trace_engine_over_the_jet_ring_gives_two_point_general():
+    # the generic trace engine fed Theta in y = z^2 reaches the same F_2
+    def theta_y(floor):
+        th = theta_matrix(max(0, -floor))
+        return [
+            [{e // 2: c for e, c in ent.coefficients.items()} for ent in row]
+            for row in th
+        ]
+
+    for p in range(6):
+        for q in range(6 - p):
+            box = npoint_window(2, [(-p - 1, -p - 1), (-q - 1, -q - 1)], theta_y)
+            got = box[(-p - 1, -q - 1)]
+            weight = rat(1, odd_double_factorial(p) * odd_double_factorial(q))
+            assert got * weight == two_point_general(p, q, p + q + 3), (p, q)
 
 
 def test_two_point_general_at_wk_jets_matches_correlators():

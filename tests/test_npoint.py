@@ -72,6 +72,14 @@ def test_window_rejects_workers_below_one(workers):
         npoint_window(2, [(-4, -3), (-4, -3)], wk.m_matrix, workers=workers)
 
 
+@pytest.mark.parametrize("n, count", [(2, 3), (3, 2)])
+def test_window_count_must_match_n(n, count):
+    # one window per variable: an extra one is not dropped unread, and a
+    # missing one is no bare IndexError
+    with pytest.raises(ValueError, match=f"{count} windows for {n} variables"):
+        npoint_window(n, [(-4, -3)] * count, wk.m_matrix)
+
+
 def test_two_point_window_values():
     # <tau_3 tau_2> = 29/5760 sits at exponents (-4, -3) up to the (2k+1)!!
     # insertion weights
