@@ -49,6 +49,7 @@ from .wp import (
     WpVolume,
     deformed_wave,
     kappa_linear,
+    kappa_times,
     mixed_correlator,
     mixed_genus,
     pair_series,
@@ -76,6 +77,7 @@ __all__ = [
     "genus",
     "h_polynomials",
     "kappa_linear",
+    "kappa_times",
     "l_entry",
     "mat2_mul",
     "mixed_correlator",

@@ -226,7 +226,8 @@ def _cmd_wave(args) -> int:
     depth = args.depth
     if depth < 1:
         raise _UsageError("--depth must be a positive order count")
-    dw = wp.deformed_wave(sum(lam))
+    cap = sum(lam)
+    dw = wp.deformed_wave(wp.kappa_times(cap), cap)
     label = "s_(" + ",".join(str(j) for j in lam) + ")" if lam else "s-independent part"
     components, rows, lines = [], [], []
     for which in ("A", "B"):

@@ -20,7 +20,7 @@ and sums and products with it keep that cap and drop the terms above it.
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from math import factorial
+from math import factorial, prod
 
 from .rationals import rat
 from .series import SparsePoly
@@ -50,10 +50,7 @@ def multiplicities(lam: tuple[int, ...]) -> dict[int, int]:
 
 def mult_factorial(lam: tuple[int, ...]) -> int:
     """m(lam)! = product over distinct parts of (multiplicity)!."""
-    out = 1
-    for m in multiplicities(lam).values():
-        out *= factorial(m)
-    return out
+    return prod(factorial(m) for m in multiplicities(lam).values())
 
 
 def multinomial(n: int, parts) -> int:
@@ -61,10 +58,7 @@ def multinomial(n: int, parts) -> int:
     parts = list(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return 0
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
+    return factorial(n) // prod(factorial(p) for p in parts)
 
 
 def l_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:

@@ -143,7 +143,7 @@ def _check_flow_commutation(depth: int) -> None:
 def _check_deformed_wronskian(depth: int) -> None:
     """A(z;s) B(-z;s) - A(-z;s) B(z;s) = -2z with s-polynomial coefficients."""
     cap = min(3, depth)
-    dw = wp.deformed_wave(cap)
+    dw = wp.deformed_wave(wp.kappa_times(cap), cap)
     low = -depth
     a, b = wp.pair_series(dw.a, low), wp.pair_series(dw.b, low)
     w = a * b.substitute_negate() - a.substitute_negate() * b
@@ -155,7 +155,7 @@ def _check_deformed_wronskian(depth: int) -> None:
 
 def _check_deformed_negative_powers(depth: int) -> None:
     """A^lambda for lambda != () expands in strictly negative powers."""
-    dw = wp.deformed_wave(2)
+    dw = wp.deformed_wave(wp.kappa_times(2), 2)
     for lam in ((1,), (2,), (1, 1)):
         series = wp.pair_series(dw.component(lam), -depth)
         bad = [e for e in series.coefficients if e >= 0]
@@ -165,7 +165,7 @@ def _check_deformed_negative_powers(depth: int) -> None:
 
 def _check_deformed_ks_relations(depth: int) -> None:
     """The lambda=(1) pair satisfies the inhomogeneous operator relations."""
-    dw = wp.deformed_wave(1)
+    dw = wp.deformed_wave(wp.kappa_times(1), 1)
     ap, aq = dw.component((1,), "A")
     bp, bq = dw.component((1,), "B")
     sp, sq = wp.ks_pair(ap, aq)

@@ -20,25 +20,25 @@ the closed trace
 
 with []_+ the polynomial part.
 
-Route two (deformed wave): the partition function with kappa couplings s is
-the psi-class one with shifted times t_{k+1} -> t_{k+1} - h_k(-s), so its
-wave-function data at t = 0 are those at the point t*(s), t*_{k+1} = -h_k(-s):
+Route two (deformed wave): the matrix-resolvent formula holds for any KdV
+tau-function, so at any point of the KdV times.  `deformed_wave` takes it as
+a time shift T(s) = {a: T_a(s)}, s-polynomials with no constant term:
 
-    A(z;s) = E(z;s) psi(z; t*(s)),    B(z;s) = E(z;s) psi_x(z; t*(s)),
+    A(z;s) = E(z;s) psi(z; T(s)),    B(z;s) = E(z;s) psi_x(z; T(s)),
 
-    E(z;s) = exp(sum_{k>=1} h_k(-s) z^{2k+3}/(2k+3)!!),
+    E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!).
 
-and the n-point functions follow from the one-point quadratic form (n = 1)
-or the same cyclic trace engine run over the s-polynomial coefficient ring
-with
+The n-point functions there follow from the one-point quadratic form (n = 1)
+or the same cyclic trace engine run over the s-polynomial ring with
 
     M^kappa = [[-(A Bb + Ab B)/2, -A Ab], [B Bb, (A Bb + Ab B)/2]],
 
-Xb := X(-z).  Weil-Petersson volumes read only the s_1^d coefficients, and
-setting s_j = 0 for j >= 2 is a ring homomorphism that commutes with every
-sum, product and weight truncation, so `wp_volume` builds the wave from the
-restricted prefactor (h_k(-s) = (-s_1)^k/k!) and runs the whole route over
-polynomials in s_1 alone.
+Xb := X(-z).  The partition function with kappa couplings s is the
+psi-class one at the shift T_{k+1} = -h_k(-s) (`kappa_times`).  The
+Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
+T_{k+1} = -(-s_1)^k/k!, so `wp_volume` runs the whole route over polynomials
+in s_1 alone.  A psi shift T_a = s_1 reads <tau_a^m tau_b tau_c> as m! times
+the s_1^m coefficient of the two-point function.
 
 The wave is one triangular solve (Sato-Segal-Wilson, Kac-Schwarz).  At every
 time psi and psi_x lie in the same point W_0 of the Grassmannian, which at
@@ -183,26 +183,24 @@ def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentS
 
 @dataclass
 class DeformedWave:
-    """(P, Q) pairs of A(z;s) and B(z;s) with s-polynomial coefficients,
-    each carrying the weight cap the wave was built to.
-
-    With `max_index` set, the wave was built at s_j = 0 for every j >
-    max_index and knows nothing of the s_lam with a part above it.
-    """
+    """(P, Q) pairs of A(z;s) and B(z;s) at a time shift T(s), with
+    s-polynomial coefficients, each carrying the weight cap the wave was
+    built to.  `variables` holds the j of every s_j in T(s), the only
+    variables the wave knows."""
 
     a: tuple[LaurentSeries, LaurentSeries]
     b: tuple[LaurentSeries, LaurentSeries]
-    max_index: int | None = None
+    variables: frozenset[int]
 
     def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
         """The (P, Q) pair of the s_lam component of wave `which`, "A" or
         "B", with rational coefficients."""
         if which not in ("A", "B"):
             raise ValueError(f'which must be "A" or "B", got {which!r}')
-        lam = tuple(sorted(lam, reverse=True))
-        if lam and self.max_index is not None and lam[0] > self.max_index:
-            raise ValueError(f"s_{lam[0]} was set to zero in this wave")
         mono = partition_to_monomial(lam)
+        outside = set(lam) - self.variables
+        if outside:
+            raise ValueError(f"s_{max(outside)} is not a variable of this wave")
         return tuple(
             LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
             for s in (self.a if which == "A" else self.b)
@@ -227,23 +225,25 @@ def _pair_products(first: tuple, second: tuple) -> tuple[LaurentSeries, ...]:
     return p1 * p2, p1 * q2, q1 * p2, q1 * q2
 
 
-def _keep_indices(p: SPoly, max_index: int | None) -> SPoly:
-    """p at s_j = 0 for every j > max_index; max_index None keeps p."""
-    if max_index is None:
-        return p
-    return p._make({m: c for m, c in p.terms.items() if len(m) <= max_index}, p.cap)
-
-
-def _exp_prefactor(cap: int, max_index: int | None = None) -> LaurentSeries:
-    """E(z;s) = exp(sum h_k(-s) z^{2k+3}/(2k+3)!!) to total s-weight cap, at
-    s_j = 0 for j > max_index."""
+def kappa_times(cap: int) -> dict:
+    """The time shift of the kappa couplings, {k+1: -h_k(-s)} for
+    1 <= k <= cap: the wave at it is the kappa-coupled wave."""
     hs = h_polynomials(cap)
+    return {k + 1: -negate_variables(hs[k]) for k in range(1, cap + 1)}
+
+
+def _wp_times(cap: int) -> dict:
+    """The kappa shift at s = (s_1, 0, ...): {k+1: -(-s_1)^k/k!}."""
+    return {
+        k + 1: SPoly({(k,): rat((-1) ** (k + 1), factorial(k))})
+        for k in range(1, cap + 1)
+    }
+
+
+def _exp_prefactor(times: dict, cap: int) -> LaurentSeries:
+    """E(z;s) = exp(-sum_a T_a z^{2a+1}/(2a+1)!!) to total s-weight cap."""
     t = LaurentSeries(
-        {
-            2 * k + 3: negate_variables(_keep_indices(hs[k], max_index))
-            * rat(1, odd_double_factorial(k + 1))
-            for k in range(1, cap + 1)
-        }
+        {2 * a + 1: -p * rat(1, odd_double_factorial(a)) for a, p in times.items()}
     )
     acc = power = LaurentSeries({0: SPoly.const(1).truncate_weight(cap)})
     for m in range(1, cap + 1):
@@ -280,18 +280,19 @@ def _lower_weights(grades: list, xs: list, low: int) -> LaurentSeries:
     return sum(terms, LaurentSeries({}, low))
 
 
-def deformed_wave(cap: int, *, max_index: int | None = None) -> DeformedWave:
-    """A(z;s), B(z;s) as s-polynomial pairs, exact to total s-weight cap, by
-    the triangular solve of the module docstring, weight by weight.
-
-    With max_index, the wave at s_j = 0 for every j > max_index, built from
-    the restricted prefactor E, which gives exactly the restriction of the
-    general wave (see the module docstring); max_index = 1 is the
-    Weil-Petersson slice s = (s_1, 0, ...).
-    """
+def deformed_wave(times: dict, cap: int) -> DeformedWave:
+    """A(z;s), B(z;s) at the time shift `times` = {a: T_a(s)}, as
+    s-polynomial pairs exact to total s-weight cap, by the triangular solve
+    of the module docstring.  Each T_a must vanish at s = 0 (E_0 = 1);
+    `kappa_times(cap)` gives the kappa-coupled wave."""
     if cap < 0:
         raise ValueError("negative weight cap")
-    e = _exp_prefactor(cap, max_index)
+    for a, p in times.items():
+        if a < 0:
+            raise ValueError(f"time index must be non-negative, got {a}")
+        if () in p.terms:
+            raise ValueError(f"the shift of t_{a} has a constant term")
+    e = _exp_prefactor(times, cap)
     grades: list = [{} for _ in range(cap + 1)]  # E_w: {z-exponent: {mono: c}}
     for z_exp, c in e.coefficients.items():
         for mono, v in c.terms.items():
@@ -314,7 +315,10 @@ def deformed_wave(cap: int, *, max_index: int | None = None) -> DeformedWave:
         ys.append(pair_series(b_pairs[-1], low))
     # every coefficient of E carries the cap, so the products take it on
     a, b = (tuple(e * sum(s, zero) for s in zip(*ps)) for ps in (a_pairs, b_pairs))
-    return DeformedWave(a, b, max_index)
+    variables = frozenset(
+        j + 1 for p in times.values() for m in p.terms for j, x in enumerate(m) if x
+    )
+    return DeformedWave(a, b, variables)
 
 
 def _top(*series: LaurentSeries) -> int:
@@ -506,20 +510,14 @@ class WpVolume:
 
     def display_coefficient(self, d: int, ks):
         """Coefficient of s^d / prod z_i^{2k_i+2} in the generating series."""
-        ks = tuple(sorted(ks))
-        v = self.entries[(d, ks)] / factorial(d)
-        for k in ks:
-            v = v * odd_double_factorial(k)
-        return v
+        v = self.entries[(d, tuple(sorted(ks)))] / factorial(d)
+        return v * prod(odd_double_factorial(k) for k in ks)
 
     def volume_coefficient(self, d: int, ks):
         """Coefficient of prod L_i^{2k_i} in the volume polynomial
         (at kappa-coupling degree d)."""
-        ks = tuple(sorted(ks))
-        v = self.entries[(d, ks)] / factorial(d)
-        for k in ks:
-            v = v / factorial(k)
-        return v
+        v = self.entries[(d, tuple(sorted(ks)))] / factorial(d)
+        return v / prod(factorial(k) for k in ks)
 
     def sorted_items(self):
         return sorted(self.entries.items())
@@ -547,7 +545,7 @@ def wp_volume(
     if dim < 0:
         return out
     # only the s_1^d terms are read, so the wave is built at s = (s_1, 0, ...)
-    dw = deformed_wave(dim, max_index=1)
+    dw = deformed_wave(_wp_times(dim), dim)
     if n == 1:
         coeffs = f_kappa_1(dw, -2 * dim - 2)
         keys = {(k,): -2 * k - 2 for k in range(dim + 1)}
@@ -577,6 +575,7 @@ __all__ = [
     "f_kappa_1",
     "f_kappa_n",
     "kappa_linear",
+    "kappa_times",
     "kappa_linear_series",
     "ks_pair",
     "m_kappa_matrix",

@@ -281,7 +281,7 @@ def test_criterion_07_deformed_waves():
     with criterion(
         7, "six deformed wave components: closed P,Q pairs and expansions to z^-10"
     ):
-        dw = wp.deformed_wave(2)
+        dw = wp.deformed_wave(wp.kappa_times(2), 2)
         for (which, lam), (p_str, q_str) in WAVE_PAIRS.items():
             got_p, got_q = dw.component(lam, which)
             want_p = {e: _rat(c) for e, c in p_str.items()}
@@ -336,7 +336,7 @@ def test_criterion_09_cross_pipeline_consistency():
                 assert val == wk.correlator((k1, k2)), (k1, k2)
 
         lams = [lam for w in (0, 1, 2) for lam in partitions_of(w)]
-        dw = wp.deformed_wave(2)
+        dw = wp.deformed_wave(wp.kappa_times(2), 2)
         box = wp.f_kappa_n(2, [(-7, -1), (-7, -1)], dw)
         for key, spoly in box.items():
             ks = tuple(-e - 1 for e in key)

@@ -154,7 +154,7 @@ def test_factory_called_once_per_pass(verify, calls):
 def _s1_m_matrix():
     """M over the s_1 ring: the kappa-deformed matrix of the wave at
     s = (s_1, 0, ...), weight cap 4."""
-    dw = wp.deformed_wave(4, max_index=1)
+    dw = wp.deformed_wave(wp._wp_times(4), 4)
     return lambda floor: wp.m_kappa_matrix(dw, floor)
 
 

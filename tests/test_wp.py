@@ -43,17 +43,22 @@ def _flow_pairs(mu) -> tuple:
     return wp.wave_flow_pair(mu) + wp.wave_flow_pair(mu, with_x=True)
 
 
-def _flow_chain_wave(cap, max_index):
+# the time shift of each wave under test, by the largest kappa index it keeps:
+# every one for the kappa couplings, 1 for the Weil-Petersson slice
+SHIFTS = {None: wp.kappa_times, 1: wp._wp_times}
+
+
+def _flow_chain_wave(cap, top_part):
     """A and B from one KdV flow chain per partition mu, unpruned:
 
         A = E sum_lam ((-1)^{l(lam)} s_lam/m(lam)!) sum_{|mu|=|lam|} L_{lam,mu}
             ((-1)^{l(mu)}/m(mu)!) d_{t_{mu_1+1}} ... d_{t_{mu_l+1}} psi |_{t=0},
 
-    and B the same with psi_x: a route that shares no code with the
-    triangular solve but E."""
+    and B the same with psi_x, over the lam with no part above top_part: a
+    route that shares no code with the triangular solve but E."""
     parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
     for w in range(1, cap + 1):
-        for lam in partitions_of(w, max_index):
+        for lam in partitions_of(w, top_part):
             front = rat((-1) ** len(lam), mult_factorial(lam))
             s_mono = SPoly({partition_to_monomial(lam): front})
             for mu in partitions_of(w):
@@ -63,7 +68,7 @@ def _flow_chain_wave(cap, max_index):
                     for part, flow in zip(parts, _flow_pairs(mu)):
                         for e, v in flow.coefficients.items():
                             add_into(part, e, factor * v)
-    e = wp._exp_prefactor(cap, max_index)
+    e = wp._exp_prefactor(SHIFTS[top_part](cap), cap)
     return [e * LaurentSeries(part) for part in parts]
 
 
@@ -71,13 +76,13 @@ def _terms_and_caps(series) -> dict:
     return {e: (c.terms, c.cap) for e, c in series.coefficients.items()}
 
 
-@pytest.mark.parametrize("max_index,top_cap", [(None, 4), (1, 5)])
-def test_solved_wave_equals_the_flow_chain_wave(max_index, top_cap):
+@pytest.mark.parametrize("top_part,top_cap", [(None, 4), (1, 5)])
+def test_solved_wave_equals_the_flow_chain_wave(top_part, top_cap):
     for cap in range(top_cap + 1):
-        dw = wp.deformed_wave(cap, max_index=max_index)
-        want = _flow_chain_wave(cap, max_index)
+        dw = wp.deformed_wave(SHIFTS[top_part](cap), cap)
+        want = _flow_chain_wave(cap, top_part)
         for got, ref in zip((*dw.a, *dw.b), want):
-            assert _terms_and_caps(got) == _terms_and_caps(ref), (cap, max_index)
+            assert _terms_and_caps(got) == _terms_and_caps(ref), (cap, top_part)
 
 
 def test_ks_operator_on_basis():
@@ -88,7 +93,7 @@ def test_ks_operator_on_basis():
 
 
 def test_ks_relations_for_first_deformation():
-    dw = wp.deformed_wave(1)
+    dw = wp.deformed_wave(wp.kappa_times(1), 1)
     a_p, a_q = dw.component((1,), "A")
     b_p, b_q = dw.component((1,), "B")
 
@@ -104,7 +109,7 @@ def test_ks_relations_for_first_deformation():
 
 
 def test_deformed_wave_component_sorts_partition():
-    dw = wp.deformed_wave(3)
+    dw = wp.deformed_wave(wp.kappa_times(3), 3)
     assert dw.component((1, 2), "A") == dw.component((2, 1), "A")
 
 
@@ -112,20 +117,87 @@ def test_deformed_wave_component_sorts_partition():
 def test_deformed_wave_component_refuses_parts_below_one(lam):
     # a part below 1 names no s_j; it must not read as the partition without it
     with pytest.raises(ValueError, match="positive"):
-        wp.deformed_wave(3).component(lam, "A")
+        wp.deformed_wave(wp.kappa_times(3), 3).component(lam, "A")
 
 
 @pytest.mark.parametrize("which", ["a", "b", "", "C", "AB"])
 def test_deformed_wave_component_refuses_unknown_wave(which):
     # only "A" and "B" name a wave; a typo must not read as B
     with pytest.raises(ValueError, match="which"):
-        wp.deformed_wave(1).component((1,), which)
+        wp.deformed_wave(wp.kappa_times(1), 1).component((1,), which)
 
 
 def test_deformed_wave_over_cap_raises():
     # the wave of cap 1 knows nothing of weight 2; it must not read as zero
-    with pytest.raises(ValueError):
-        wp.deformed_wave(1).component((2,), "A")
+    dw = wp.deformed_wave(wp.kappa_times(1), 1)
+    for lam in ((2,), (1, 1)):
+        with pytest.raises(ValueError):
+            dw.component(lam, "A")
+
+
+def test_deformed_wave_refuses_variables_outside_its_shift():
+    # the wave at t_2 -> t_2 + s_3 lives in the polynomials in s_3 alone
+    dw = wp.deformed_wave({2: SPoly.var(3)}, 3)
+    assert dw.variables == {3}
+    assert dw.component((3,), "A") != (ZERO, ZERO)
+    for lam in ((1,), (2, 1), (1, 1, 1)):
+        with pytest.raises(ValueError, match="variable"):
+            dw.component(lam, "B")
+
+
+@pytest.mark.parametrize("times", [{-1: SPoly.var(1)}, {-3: SPoly.var(2)}])
+def test_deformed_wave_refuses_negative_time_index(times):
+    with pytest.raises(ValueError, match="time index"):
+        wp.deformed_wave(times, 2)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [{2: SPoly.const(1)}, {2: SPoly.var(1) + 1}, {1: SPoly.var(1), 3: SPoly.const(-2)}],
+)
+def test_deformed_wave_refuses_a_constant_shift(times):
+    # E = 1 + O(s) is what the weight-by-weight solve rests on; a constant
+    # shift would return the undeformed wave instead of failing
+    with pytest.raises(ValueError, match="constant"):
+        wp.deformed_wave(times, 2)
+
+
+def _shifted_psi_numbers(a, m, windows, verify=False) -> dict:
+    """{(j, b, c): <tau_a^j tau_b tau_c>} for j <= m, read off the two-point
+    function at the time shift t_a -> t_a + s_1 as j! [s_1^j]."""
+    dw = wp.deformed_wave({a: SPoly.var(1)}, m)
+    box = wp.f_kappa_n(2, windows, dw, verify=verify)
+    out = {}
+    for (e1, e2), poly in box.items():
+        b, c = -e1 - 1, -e2 - 1
+        for j in range(m + 1):
+            value = poly.coefficient(partition_to_monomial((1,) * j)) * factorial(j)
+            out[(j, b, c)] = value / (odd_double_factorial(b) * odd_double_factorial(c))
+    return out
+
+
+@pytest.mark.parametrize("a,m", [(0, 4), (1, 4), (2, 4), (3, 3)])
+def test_psi_time_shift_matches_dvv_oracle(psi, a, m):
+    # the matrix-resolvent formula at t_a = s_1 against DVV, every
+    # <tau_a^j tau_b tau_c> with j <= m and b, c <= 6
+    got = _shifted_psi_numbers(a, m, [(-7, -1)] * 2)
+    nonzero = 0
+    for j in range(m + 1):
+        for b, c in combinations_with_replacement(range(7), 2):
+            want = psi([a] * j + [b, c])
+            assert got.get((j, b, c), 0) == want, (a, j, b, c)
+            nonzero += bool(want)
+    assert nonzero >= 35
+
+
+@pytest.mark.parametrize("a,m,b,c", [(2, 6, 4, 4), (2, 8, 3, 3)])
+def test_wide_psi_numbers_from_the_time_shift_match_dvv_oracle(psi, a, m, b, c):
+    # <tau_2^6 tau_4^2> (width 8) and <tau_2^8 tau_3^2> (width 10), both g = 5,
+    # from one width-2 trace under the doubled-budget verify pass
+    windows = [(-b - 1, -b - 1), (-c - 1, -c - 1)]
+    got = _shifted_psi_numbers(a, m, windows, verify=True)[(m, b, c)]
+    want = psi([a] * m + [b, c])
+    assert want and got == want
 
 
 def test_empty_partition_falls_back_to_plain_correlator():
@@ -262,16 +334,24 @@ def test_volume_entries_match_repeated_kappa_route():
 _volume = cache(wp.wp_volume)
 
 
-@pytest.mark.parametrize("g,n", [(3, 1), (2, 3), (3, 2), (4, 1)])
-def test_volume_matches_dvv_oracle(oracles, psi, g, n):
-    # <kappa_1^d tau_K> on M_{g,n} by the set-partition pushforward over DVV,
-    # a route that shares no code with the deformed wave
+def test_grouped_kappa_one_oracle_matches_set_partitions(oracles, psi, kappa1_number):
+    # grouping the set partitions by block sizes changes no value
+    spots = ((1, (0,)), (2, (0,) * 5), (3, (1,)), (4, (1, 0)), (5, (0, 0, 1)), (6, (1,)))
+    for d, ks in spots:
+        want = oracles.kappa_number(psi, [1] * d, ks)
+        assert want and kappa1_number(d, ks) == want, (d, ks)
+
+
+@pytest.mark.parametrize("g,n", [(3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3)])
+def test_volume_matches_dvv_oracle(kappa1_number, g, n):
+    # <kappa_1^d tau_K> on M_{g,n} by the grouped set-partition pushforward
+    # over DVV, a route that shares no code with the deformed wave
     dim = 3 * g - 3 + n
     want = {}
     for ks in combinations_with_replacement(range(dim + 1), n):
         d = dim - sum(ks)
         if d >= 0:
-            value = oracles.kappa_number(psi, [1] * d, ks)
+            value = kappa1_number(d, ks)
             if value:
                 want[(d, ks)] = value
     assert want
@@ -360,7 +440,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         wp.kappa_linear(0, 0)  # off dimension too, but the index is checked first
     with pytest.raises(ValueError):
-        wp.deformed_wave(-1)
+        wp.deformed_wave({}, -1)
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (1, 1)])
@@ -402,10 +482,11 @@ def _s1_slice(coeffs: dict) -> dict:
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
 def test_s1_wave_is_the_general_wave_at_s1(cap):
-    # s_j -> 0 for j >= 2 is a ring homomorphism, so the wave built from the
-    # restricted seeds is the restriction of the general wave, caps included
-    general = wp.deformed_wave(cap)
-    s1 = wp.deformed_wave(cap, max_index=1)
+    # the Weil-Petersson shift is the kappa shift at s_j = 0 for j >= 2, a
+    # ring homomorphism, so its wave is the restriction of the general wave,
+    # caps included
+    general = wp.deformed_wave(wp.kappa_times(cap), cap)
+    s1 = wp.deformed_wave(wp._wp_times(cap), cap)
     for got, want in zip((*s1.a, *s1.b), (*general.a, *general.b)):
         assert all(len(m) <= 1 for c in got.coefficients.values() for m in c.terms)
         assert _s1_slice(got.coefficients) == _s1_slice(want.coefficients)
@@ -421,7 +502,7 @@ def test_s1_wave_is_the_general_wave_at_s1(cap):
 
 def test_deformed_wave_and_kappa_matrix_carry_the_cap():
     # pool workers see the cap only through the polynomials they receive
-    dw = wp.deformed_wave(3)
+    dw = wp.deformed_wave(wp.kappa_times(3), 3)
     coeffs = [c for s in (*dw.a, *dw.b) for c in s.coefficients.values()]
     matrix = wp.m_kappa_matrix(dw, -4)
     coeffs += [c for row in matrix for ent in row for c in ent.values()]
