@@ -122,6 +122,8 @@ def _class_term(cycle, mats, exports, windows, n):
     factors = []
     for j, v in enumerate(cycle):
         ent = [it for row in mats[v] for it in row if it]
+        if not ent:  # v's floor is above the matrix's top term: no product
+            return {}
         mat_lo = min(it[0][0] for it in ent)
         mat_hi = max(it[-1][0] for it in ent)
         factors.append(("mat", v, ((v, mat_lo, mat_hi),)))
@@ -324,13 +326,14 @@ def npoint_window(
     """Coefficients of the n-point function over a target exponent box.
 
     windows: per-variable [lo, hi] ranges of y-exponents, one per variable in
-    any order.  The trace and the verify pass expand them in the magnitude
-    order that puts the shallowest window first (largest lo; equal lo keep
-    their order), where the budgets are smallest (see budgets), and every key
-    is mapped back to the order given.  mat_factory(floor) must return the
-    2x2 matrix M as {exponent: coefficient} dicts in y, complete down to
-    `floor`.  Returns {(e_1, ..., e_n): coefficient} including only nonzero
-    entries.
+    any order, free to reach above the matrix's top term (an ordering that
+    leaves a variable no matrix term adds no keys).  The trace and the verify
+    pass expand them in the magnitude order that puts the shallowest window
+    first (largest lo; equal lo keep their order), where the budgets are
+    smallest (see budgets), and every key is mapped back to the order given.
+    mat_factory(floor) must return the 2x2 matrix M as {exponent: coefficient}
+    dicts in y, complete down to `floor`.  Returns {(e_1, ..., e_n):
+    coefficient} including only nonzero entries.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

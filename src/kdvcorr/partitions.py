@@ -3,15 +3,15 @@ derivatives, and sparse polynomials in the deformation variables s_1, s_2, ...
 
 Partitions are weakly decreasing tuples of positive integers, enumerated in
 reverse lexicographic order: (5), (4,1), (3,2), (3,1,1), (2,2,1), (2,1,1,1),
-(1,1,1,1,1).  For partitions lam, mu of the same weight,
+(1,1,1,1,1).  L is read off the series behind the kappa time shift
+T_{k+1} = -h_k(-s), with sum_k h_k(s) x^k = exp(sum_j s_j x^j):
 
-    L[lam, mu] = sum over placements k_1..k_v of the parts of lam that are
-                 >= 2 onto positions 1..len(mu) of the multinomial
-                 (m1(lam); mu_1 - sum of parts placed at 1, ...)
+    L[lam, mu] = m(lam)! [s_lam] h_{mu_1}(s) ... h_{mu_l}(s),
 
-with v = len(lam) - m1(lam); the matrix kappa[lam, mu] = L[lam, mu]/m(mu)! is
-lower triangular with unit diagonal and integer entries, and its row sums are
-the Bell numbers B_{len(lam)}.
+the number of maps sending the parts of lam, as a list, to l(mu) boxes with
+box sums mu_1, ..., mu_l.  kappa[lam, mu] = L[lam, mu]/m(mu)! is still lower
+triangular with unit diagonal and integer entries, and its row sums are the
+Bell numbers B_{len(lam)}.
 
 The s-variables carry weight(s_j) = j.  Every kappa computation bounds its
 total weight: `truncate_weight(cap)` gives a polynomial the weight cap `cap`,
@@ -19,7 +19,7 @@ and sums and products with it keep that cap and drop the terms above it.
 """
 from __future__ import annotations
 
-from itertools import product as _iproduct
+from functools import cache
 from math import factorial, prod
 
 from .rationals import rat
@@ -51,33 +51,6 @@ def multiplicities(lam: tuple[int, ...]) -> dict[int, int]:
 def mult_factorial(lam: tuple[int, ...]) -> int:
     """m(lam)! = product over distinct parts of (multiplicity)!."""
     return prod(factorial(m) for m in multiplicities(lam).values())
-
-
-def multinomial(n: int, parts) -> int:
-    """(n; parts) with the convention 0 unless all parts >= 0 and sum to n."""
-    parts = list(parts)
-    if any(p < 0 for p in parts) or sum(parts) != n:
-        return 0
-    return factorial(n) // prod(factorial(p) for p in parts)
-
-
-def l_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """The combinatorial coefficient L[lam, mu] described in the module
-    docstring; zero unless |lam| = |mu|."""
-    if sum(lam) != sum(mu):
-        return 0
-    big = [p for p in lam if p >= 2]
-    m1 = len(lam) - len(big)
-    ell = len(mu)
-    if not mu:
-        return 1 if not lam else 0
-    total = 0
-    for ks in _iproduct(range(ell), repeat=len(big)):
-        residue = list(mu)
-        for j, k in enumerate(ks):
-            residue[k] -= big[j]
-        total += multinomial(m1, residue)
-    return total
 
 
 def bell_number(k: int) -> int:
@@ -147,6 +120,23 @@ def h_polynomials(K: int) -> list[SPoly]:
     return hs
 
 
+@cache
+def _h_product(mu: tuple[int, ...]) -> SPoly:
+    """h_{mu_1}(s) ... h_{mu_l}(s); cached with its tails, one product per mu."""
+    if len(mu) < 2:
+        return h_polynomials(sum(mu))[-1]
+    return _h_product(mu[:1]) * _h_product(mu[1:])
+
+
+def l_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """L[lam, mu] = m(lam)! [s_lam] prod_i h_{mu_i}(s), as in the module
+    docstring; zero unless |lam| = |mu|."""
+    if min((*lam, *mu), default=1) < 1:
+        raise ValueError(f"partition parts must be positive, got {lam}, {mu}")
+    coeff = _h_product(tuple(mu)).coefficient(partition_to_monomial(lam))
+    return int(coeff * mult_factorial(lam))
+
+
 def negate_variables(p: SPoly) -> SPoly:
     """Substitute s_j -> -s_j for every j."""
     return p._make(
@@ -158,7 +148,6 @@ __all__ = [
     "partitions_of",
     "multiplicities",
     "mult_factorial",
-    "multinomial",
     "l_entry",
     "bell_number",
     "monomial_weight",

@@ -12,8 +12,12 @@ extra negative powers from wider psi-correlator generating functions,
 expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|: each mu
 term is the psi correlator <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>, read
 from one wk.reducer with point leaves, so a multiset that several terms
-reduce to is traced once.  For a single kappa the w-extraction collapses to
-the closed trace
+reduce to is traced once.  L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
+is read off the series of the shift T_{k+1} = -h_k(-s) that `kappa_times`
+gives, so route one is the Taylor expansion of F at the shift where route two
+solves the wave.
+
+For a single kappa the w-extraction collapses to the closed trace
 
     sum_k <kappa_j tau_k> (2k+1)!!/z^{2k+2}
       = Tr([(1/2z) d/dz (z^{2j+2} M(z))]_+ M(z))/(2j+3)!! - z^{2j+2}/(2j+1)!!

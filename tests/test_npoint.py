@@ -66,6 +66,21 @@ def test_window_rejects_empty_ranges():
         npoint_window(2, [(-1, -3), (-1, -3)], wk.m_matrix)
 
 
+@pytest.mark.parametrize("windows", [[(2, 3), (2, 3)], [(-1, -1), (3, 4)],
+                                     [(5, 5), (-3, -1), (-3, -1)]])
+@pytest.mark.parametrize("verify", [False, True])
+def test_window_above_the_matrix_top_is_empty(windows, verify):
+    # a variable whose floor lies above y^1 takes no matrix term, so every
+    # product of the ordering vanishes: no keys, and no empty-slice error
+    assert npoint_window(len(windows), windows, wk.m_matrix, verify=verify) == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_window_reaching_above_the_matrix_top_adds_nothing(n):
+    below = npoint_window(n, [(-3, -1)] * n, wk.m_matrix, verify=True)
+    assert below and npoint_window(n, [(-3, 2)] * n, wk.m_matrix, verify=True) == below
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_window_rejects_workers_below_one(workers):
     with pytest.raises(ValueError, match="workers"):

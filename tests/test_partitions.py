@@ -1,6 +1,8 @@
 """Integer partitions, the L transition matrix, and sparse s-polynomials."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from kdvcorr.partitions import (
@@ -10,7 +12,6 @@ from kdvcorr.partitions import (
     l_entry,
     monomial_weight,
     mult_factorial,
-    multinomial,
     multiplicities,
     negate_variables,
     partition_to_monomial,
@@ -47,13 +48,6 @@ def test_multiplicities_and_mult_factorial():
     assert mult_factorial(()) == 1
 
 
-def test_multinomial_conventions():
-    assert multinomial(4, (2, 2)) == 6
-    assert multinomial(4, (2, 1)) == 0  # parts must sum to n
-    assert multinomial(4, (5, -1)) == 0
-    assert multinomial(0, ()) == 1
-
-
 def test_l_entry_low_weight_values():
     assert l_entry((1,), (1,)) == 1
     assert l_entry((2,), (2,)) == 1
@@ -73,6 +67,36 @@ def test_l_entry_weight_three():
     assert l_entry((1, 1, 1), (3,)) == 1
     assert l_entry((1, 1, 1), (2, 1)) == 3
     assert l_entry((1, 1, 1), (1, 1, 1)) == 6
+
+
+def _part_to_box_maps(lam, mu) -> int:
+    """Maps sending the parts of lam, as a list, to len(mu) boxes whose
+    box sums are mu_1, ..., mu_l."""
+    count = 0
+    for boxes in product(range(len(mu)), repeat=len(lam)):
+        sums = [0] * len(mu)
+        for part, box in zip(lam, boxes):
+            sums[box] += part
+        count += sums == list(mu)
+    return count
+
+
+def test_l_entry_counts_part_to_box_maps():
+    pairs = [(lam, mu) for n in range(7)
+             for lam in partitions_of(n) for mu in partitions_of(n)]
+    assert len(pairs) == 210
+    for lam, mu in pairs:
+        val = l_entry(lam, mu)
+        assert type(val) is int and val == _part_to_box_maps(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("lam,mu", [((0,), (1,)), ((1,), (0,)), ((0,), (0,)),
+                                    ((2, -1), (1,)), ((1,), (2, -1)),
+                                    ((-1,), (-1,))])
+def test_l_entry_refuses_parts_below_one(lam, mu):
+    # a part below 1 names no h_k; it must not wrap round to h_K
+    with pytest.raises(ValueError, match="positive"):
+        l_entry(lam, mu)
 
 
 def test_bell_numbers():

@@ -393,6 +393,24 @@ def test_three_kappa_route_one_matches_dvv_oracle(oracles, psi, lam, ks):
     assert wp.mixed_correlator(lam[::-1], ks[::-1], verify=True) == want
 
 
+def test_kappa_routes_agree_at_weights_three_and_four():
+    # route one (psi correlators weighed by L) against route two (the trace
+    # over the wave at the kappa shift), where several parts of lam are >= 2
+    dw = wp.deformed_wave(wp.kappa_times(4), 4)
+    box = wp.f_kappa_n(2, [(-5, -1)] * 2, dw)
+    lams = partitions_of(3) + partitions_of(4)
+    assert (2, 2) in lams and (2, 1, 1) in lams
+    nonzero = 0
+    for key, spoly in box.items():
+        ks = tuple(-e - 1 for e in key)
+        weight = odd_double_factorial(ks[0]) * odd_double_factorial(ks[1])
+        for lam in lams:
+            got = spoly.coefficient(partition_to_monomial(lam))
+            assert got == wp.mixed_correlator(lam, ks) * weight, (key, lam)
+            nonzero += bool(got)
+    assert len(box) * len(lams) == 200 and nonzero == 69
+
+
 @pytest.mark.parametrize(
     "lam,ks,verify", [((3, 1, 1), (0, 0), True), ((2, 2, 1), (0, 0), False)]
 )
