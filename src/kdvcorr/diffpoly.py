@@ -356,18 +356,11 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     if p < 0 or q < 0:
         raise ValueError("negative index")
     s, sx, t = _theta_scaled(K)
-    one = LaurentSeries.one()
-    zsq = LaurentSeries.monomial(2, DiffPoly.const(1))
     # the F2 numerator times scale = 2 * 4^{2K}, as a sum of weight * f(z) g(w)
-    # with the w-series read off the same univariate expansions
+    # with the w-series read off the same univariate expansions; its -z^2 - w^2
+    # term lives at non-negative powers, never at z^{-2p-2} w^{-2q-2}
     scale = 2 * 4 ** (2 * K)
-    pairs = [
-        (1, sx, sx),
-        (-1, t, s),
-        (-1, s, t),
-        (-scale, zsq, one),
-        (-scale, one, zsq),
-    ]
+    pairs = [(1, sx, sx), (-1, t, s), (-1, s, t)]
     a = -2 * p - 2
     b = -2 * q - 2
     acc = DiffPoly()

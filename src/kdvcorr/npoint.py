@@ -17,8 +17,9 @@ reversal pairs.
 Truncation budgets: for target windows [lo_i, hi_i] per variable in
 magnitude order, the positive powers a variable can absorb are bounded by the
 exports of the larger ones, each export being capped by its own window and
-the top matrix exponent.  That yields per-variable matrix floors and per-edge
-expansion caps under which every retained coefficient is exact;
+by y^1, the top term of M.  That yields per-variable matrix floors and
+per-edge expansion caps, fixed by the windows alone, under which every
+retained coefficient is exact; each pass calls the matrix factory once, and
 verify=True recomputes with widened budgets and insists on equality.  The
 n-point function is symmetric in its variables, so the magnitude order is
 free, but the budgets are not: a variable's floor sinks by the exports of
@@ -52,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from itertools import permutations
+from itertools import permutations, repeat
 from math import lcm
 
 from .rationals import rat
@@ -75,14 +76,16 @@ def cycle_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def budgets(
-    windows: list[tuple[int, int]], mat_top: int, widen: int = 0
+    windows: list[tuple[int, int]], *, widen: int = 0
 ) -> tuple[list[int], list[int]]:
     """Matrix floors per variable and export caps per variable, for windows
     in magnitude order (largest variable first).
 
-    With pos_v the positive powers variable v can absorb from the larger
-    ones, floor_v = lo_v - pos_v, export_v = mat_top + pos_v - lo_v and
-    pos_{v+1} = pos_v + export_v = 2 pos_v + mat_top - lo_v (at widen = 0).
+    M^2 = y Id with leading part [[0, -1], [-y, 0]], so M tops out at y^1,
+    in its lower-left entry; a matrix with a lower top gets wider budgets
+    than it needs.  With pos_v the positive powers variable v can absorb
+    from the larger ones, floor_v = lo_v - pos_v, export_v = 1 + pos_v - lo_v
+    and pos_{v+1} = pos_v + export_v = 2 pos_v + 1 - lo_v (at widen = 0).
     A deep window placed early therefore sinks every later floor, doubled
     at each step; npoint_window passes its windows shallowest first, which
     keeps the budgets smallest.  widen > 0 loosens every bound
@@ -93,7 +96,7 @@ def budgets(
     for lo, hi in windows:
         pos = pos_total + widen
         floors.append(lo - pos)
-        exports.append(mat_top + pos - lo + widen)
+        exports.append(1 + pos - lo + widen)
         pos_total += exports[-1]
     return floors, exports
 
@@ -289,11 +292,10 @@ def _clear_denominators(mat):
 
 
 def _compute(n, windows, scale, mats, exports, classes, pool=None):
-    payloads = [(cyc, mats, exports, windows, n) for cyc, _ in classes]
-    if pool is None:
-        terms = [_class_term(*payload) for payload in payloads]
-    else:
-        terms = list(pool.map(_class_term_payload, payloads))
+    cycles = [cyc for cyc, _ in classes]
+    terms = (map if pool is None else pool.map)(
+        _class_term, cycles, repeat(mats), repeat(exports), repeat(windows), repeat(n)
+    )
     acc: dict = {}
     for (cyc, weight), term in zip(classes, terms):
         for key, c in term.items():
@@ -309,10 +311,6 @@ def _compute(n, windows, scale, mats, exports, classes, pool=None):
             if lo0 <= -m - 1 <= hi0:
                 add_into(acc, (-m - 1, m), -(2 * m + 1))
     return acc
-
-
-def _class_term_payload(payload):
-    return _class_term(*payload)
 
 
 def npoint_window(
@@ -332,7 +330,8 @@ def npoint_window(
     first (largest lo; equal lo keep their order), where the budgets are
     smallest (see budgets), and every key is mapped back to the order given.
     mat_factory(floor) must return the 2x2 matrix M as {exponent: coefficient}
-    dicts in y, complete down to `floor`.  Returns {(e_1, ..., e_n):
+    dicts in y, complete down to `floor`, with no term above y^1 (else
+    ValueError); it is called once per pass.  Returns {(e_1, ..., e_n):
     coefficient} including only nonzero entries.
     """
     if workers < 1:
@@ -346,9 +345,7 @@ def npoint_window(
     # same coefficients; shallowest first keeps every budget smallest
     order = sorted(range(n), key=lambda v: -windows[v][0])
     windows = [windows[v] for v in order]
-    probe = mat_factory(-1)
-    mat_top = max(max(e for e in ent) for row in probe for ent in row if ent)
-    floors, exports = budgets(windows, mat_top)
+    floors, exports = budgets(windows)
     classes = cycle_classes(n)
     # one pool serves the trace and the verify pass; it may start all its
     # workers at once, and any beyond one per class would only idle
@@ -360,7 +357,7 @@ def npoint_window(
             n, windows, *_build_mats(mat_factory, floors), exports, classes, pool
         )
         if verify:
-            floors2, exports2 = budgets(windows, mat_top, widen=4)
+            floors2, exports2 = budgets(windows, widen=4)
             floors2 = [min(f2, 2 * f1) for f1, f2 in zip(floors, floors2)]
             exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
             check = _compute(
@@ -390,9 +387,12 @@ def _build_mats(mat_factory, floors):
     so each slice equals the matrix the factory would build at that
     variable's floor.  Every slice is part of the deepest one, so clearing
     that one's denominators (L = their lcm, None for coefficients without
-    one) scales every slice by the same L."""
+    one) scales every slice by the same L.  The budgets assume no term
+    above y^1, so one raises ValueError."""
     deepest = min(floors)
     ent = mat_factory(deepest)
+    if any(e > 1 for row in ent for it in row for e in it):
+        raise ValueError("matrix factory returned a term above y^1")
     scale, full = _clear_denominators(
         [[sorted(t for t in ent[i][k].items() if t[0] >= deepest) for k in range(2)]
          for i in range(2)]

@@ -108,16 +108,19 @@ class SPoly(SparsePoly):
         return self._make(self._upto(cap), cap)
 
 
+_H = [SPoly.const(1)]  # h_0, h_1, ... as far as any call has needed
+
+
 def h_polynomials(K: int) -> list[SPoly]:
     """h_0..h_K with sum_k h_k(s) x^k = exp(sum_j s_j x^j), via
-    k h_k = sum_{j=1}^{k} j s_j h_{k-j}."""
-    hs = [SPoly.const(1)]
-    for k in range(1, K + 1):
+    k h_k = sum_{j=1}^{k} j s_j h_{k-j}; each h_k is built once, and every
+    call returns a fresh list."""
+    for k in range(len(_H), K + 1):
         acc = SPoly()
         for j in range(1, k + 1):
-            acc = acc + SPoly.var(j) * j * hs[k - j]
-        hs.append(acc * rat(1, k))
-    return hs
+            acc = acc + SPoly.var(j) * j * _H[k - j]
+        _H.append(acc * rat(1, k))
+    return _H[: max(K, 0) + 1]
 
 
 @cache

@@ -48,11 +48,47 @@ def test_cycle_classes_counts():
 
 def test_budgets_cover_windows():
     windows = [(-5, -1), (-7, -2)]
-    floors, exports = budgets(windows, 0)
+    floors, exports = budgets(windows)
     assert all(f <= lo for f, (lo, _) in zip(floors, windows))
-    wide_floors, wide_exports = budgets(windows, 0, widen=4)
+    wide_floors, wide_exports = budgets(windows, widen=4)
     assert all(w <= f for w, f in zip(wide_floors, floors))
     assert all(w >= e for w, e in zip(wide_exports, exports))
+    with pytest.raises(TypeError):
+        budgets(windows, 4)  # widen is keyword-only
+
+
+def _tops(mat):
+    """The top y-exponent of each entry of a factory matrix."""
+    return tuple(max(d) for row in mat for d in row)
+
+
+def _production_factories():
+    yield "m_matrix", wk.m_matrix
+    waves = [("wp", cap, wp._wp_times(cap)) for cap in range(7)]
+    waves += [("kappa", cap, wp.kappa_times(cap)) for cap in range(5)]
+    waves += [(f"psi t_{a}", 3, {a: SPoly.var(1)}) for a in range(4)]
+    for name, cap, times in waves:
+        dw = wp.deformed_wave(times, cap)
+        yield f"{name} cap {cap}", lambda floor, dw=dw: wp.m_kappa_matrix(dw, floor)
+
+
+def test_every_production_factory_tops_out_at_y1():
+    # the budgets take M's top term to be y^1, in the lower-left entry: the
+    # psi matrix, the WP and kappa waves and the psi time shifts all agree
+    for name, factory in _production_factories():
+        for floor in (-1, -20):
+            assert _tops(factory(floor)) == (-1, 0, 1, -1), (name, floor)
+
+
+def test_factory_with_a_term_above_y1_is_refused():
+    # budgets built for y^1 would cut this matrix's products short
+    def steep(floor):
+        mat = wk.m_matrix(floor)
+        mat[1][0][2] = rat(1)
+        return mat
+
+    with pytest.raises(ValueError, match="above y"):
+        npoint_window(2, [(-4, -1), (-4, -1)], steep)
 
 
 def test_single_target_window_matches_full_box():
@@ -151,9 +187,10 @@ def test_results_only_contain_window_keys():
                 assert lo <= e <= hi
 
 
-@pytest.mark.parametrize("verify, calls", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("verify, calls", [(False, 1), (True, 2)])
 def test_factory_called_once_per_pass(verify, calls):
-    # the top-exponent probe, then one call per pass at its deepest floor
+    # the budgets need no matrix, so each pass makes one call, at its
+    # deepest floor
     floors = []
 
     def counting(floor):
@@ -222,8 +259,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(npoint, "ProcessPoolExecutor", InlinePool)
     return entered
@@ -295,9 +332,7 @@ def _unscaled_window(n, windows, mat_factory, correct=True):
     (unscaled) coefficients: same budgets, each variable's matrix cut at its
     own floor, classes summed with their multiplicities, and the two-point
     correction added here."""
-    probe = mat_factory(-1)
-    mat_top = max(max(ent) for row in probe for ent in row if ent)
-    floors, exports = budgets(windows, mat_top)
+    floors, exports = budgets(windows)
     mats = [
         [[sorted(t for t in ent.items() if t[0] >= fl) for ent in row]
          for row in mat_factory(fl)]
@@ -442,7 +477,7 @@ def test_capped_ring_never_returns_a_zero_key():
     want = {key: c for key, c in exact.items() if -sum(key) <= 8}
     assert got == want
     assert want and len(want) < len(exact)
-    floors, exports = budgets(windows, 1)  # m_matrix's top exponent is 1
+    floors, exports = budgets(windows)
     scale, mats = _build_mats(factory(8), floors)
     assert scale is None
     for cyc, _ in cycle_classes(n):

@@ -180,6 +180,17 @@ def test_h_polynomials():
     assert hs[3] == s1 * s1 * s1 * rat(1, 6) + s1 * s2 + s3
 
 
+def test_h_polynomials_returns_a_fresh_list():
+    # the h_k are built once and shared, so a caller's list is its own
+    hs = h_polynomials(3)
+    want = list(hs)
+    hs.pop()
+    hs[0] = SPoly.var(5)
+    assert h_polynomials(3) == want
+    assert h_polynomials(2) == want[:3]
+    assert h_polynomials(-1) == want[:1]
+
+
 def test_h_polynomials_generating_identity():
     # exp(sum s_j x^j) = sum h_k x^k order by order; check the x^4 slot
     hs = h_polynomials(4)
