@@ -145,7 +145,7 @@ def _check_deformed_wronskian(depth: int) -> None:
     cap = min(3, depth)
     dw = wp.deformed_wave(wp.kappa_times(cap), cap)
     low = -depth
-    a, b = wp.pair_series(dw.a, low), wp.pair_series(dw.b, low)
+    a, b = (wp.pair_series(dw.pair(which), low) for which in "AB")
     w = a * b.substitute_negate() - a.substitute_negate() * b
     for e, c in w.coefficients.items():
         want_zero = c + (2 if e == 1 else 0)

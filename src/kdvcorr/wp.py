@@ -26,30 +26,30 @@ with []_+ the polynomial part.
 
 Route two (deformed wave): the matrix-resolvent formula holds for any KdV
 tau-function, so at any point of the KdV times.  `deformed_wave` takes it as
-a time shift T(s) = {a: T_a(s)}, s-polynomials with no constant term:
+a time shift T(s) = {a: T_a(s)}, s-polynomials with no constant term, and
+solves psi = psi(z; T(s)) and psi_x there.  The n-point functions follow from
+the same cyclic trace engine run over the s-polynomial ring with
 
-    A(z;s) = E(z;s) psi(z; T(s)),    B(z;s) = E(z;s) psi_x(z; T(s)),
+    M^kappa = M(z; T(s)) = [[-(psi psi_xb + psib psi_x)/2, -psi psib],
+                            [psi_x psi_xb, (psi psi_xb + psib psi_x)/2]],
 
-    E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!).
-
-The n-point functions there follow from the one-point quadratic form (n = 1)
-or the same cyclic trace engine run over the s-polynomial ring with
-
-    M^kappa = [[-(A Bb + Ab B)/2, -A Ab], [B Bb, (A Bb + Ab B)/2]],
-
-Xb := X(-z).  The partition function with kappa couplings s is the
-psi-class one at the shift T_{k+1} = -h_k(-s) (`kappa_times`).  The
-Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
-T_{k+1} = -(-s_1)^k/k!, so `wp_volume` runs the whole route over polynomials
-in s_1 alone.  A psi shift T_a = s_1 reads <tau_a^m tau_b tau_c> as m! times
-the s_1^m coefficient of the two-point function.
+Xb := X(-z).  The deformed wave A = E psi, B = E psi_x, with
+E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!), gives the same entries, as
+E(z) E(-z) = 1.  The one-point function reads A and B (`f_kappa_1`): psi
+alone gives it only up to the polynomial (log E)'.  The partition function
+with kappa couplings s is the psi-class one at the shift T_{k+1} = -h_k(-s)
+(`kappa_times`).  The Weil-Petersson slice s = (s_1, 0, ...) is the
+one-variable shift T_{k+1} = -(-s_1)^k/k!, so `wp_volume` runs the whole
+route over polynomials in s_1 alone.  A psi shift T_a = s_1 reads
+<tau_a^m tau_b tau_c> as m! times the s_1^m coefficient of the two-point
+function.
 
 The wave is one triangular solve (Sato-Segal-Wilson, Kac-Schwarz).  At every
 time psi and psi_x lie in the same point W_0 of the Grassmannian, which at
 the Kontsevich-Witten point is C[z^2] c + C[z^2] z q, with psi|_0 = c and
-psi_x|_0 = z q.  So A = E (P c + Q q) with P in C[z^2][s], Q in z C[z^2][s],
-and since psi = e^{xi} (1 + w_1/z + ...), A = 1 + O(1/z) and
-B = z + [z^-1]A + O(1/z).  With E_e the weight-e part of E (E_0 = 1), the
+psi_x|_0 = z q.  So psi = P c + Q q with P in C[z^2][s], Q in z C[z^2][s],
+and since psi = e^{xi} (1 + w_1/z + ...) with E = e^{-xi}, A = 1 + O(1/z)
+and B = z + [z^-1]A + O(1/z).  With E_e the weight-e part of E (E_0 = 1), the
 weight-w parts of P and Q solve
 
     [P_w c + Q_w q]_{>=0}
@@ -83,7 +83,7 @@ S c = -z q and S(z q) = -z^2 c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -187,38 +187,33 @@ def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentS
 
 @dataclass
 class DeformedWave:
-    """(P, Q) pairs of A(z;s) and B(z;s) at a time shift T(s), with
-    s-polynomial coefficients, each carrying the weight cap the wave was
-    built to.  `variables` holds the j of every s_j in T(s), the only
-    variables the wave knows."""
+    """The wave at a time shift T(s) as the triangular solve leaves it: the
+    (P, Q) pairs of psi(z; T(s)) and psi_x(z; T(s)), s-polynomials carrying
+    the wave's weight cap; the prefactor E(z;s); and `variables`, the j of
+    every s_j in T(s), the only variables the wave knows."""
 
-    a: tuple[LaurentSeries, LaurentSeries]
-    b: tuple[LaurentSeries, LaurentSeries]
+    psi: tuple[LaurentSeries, LaurentSeries]
+    psi_x: tuple[LaurentSeries, LaurentSeries]
+    prefactor: LaurentSeries
     variables: frozenset[int]
+
+    def pair(self, which: str) -> tuple[LaurentSeries, LaurentSeries]:
+        """The (P, Q) pair of A = E psi ("A") or of B = E psi_x ("B")."""
+        if which not in ("A", "B"):
+            raise ValueError(f'which must be "A" or "B", got {which!r}')
+        pair = self.psi if which == "A" else self.psi_x
+        return tuple(self.prefactor * s for s in pair)
 
     def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
         """The (P, Q) pair of the s_lam component of wave `which`, "A" or
         "B", with rational coefficients."""
-        if which not in ("A", "B"):
-            raise ValueError(f'which must be "A" or "B", got {which!r}')
         mono = partition_to_monomial(lam)
         outside = set(lam) - self.variables
         if outside:
             raise ValueError(f"s_{max(outside)} is not a variable of this wave")
         return tuple(
             LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
-            for s in (self.a if which == "A" else self.b)
-        )
-
-    @cached_property
-    def pair_products(self) -> tuple:
-        """The exact products P1 P2b, P1 Q2b, Q1 P2b, Q1 Q2b of A Bb, of A Ab
-        and of B Bb, with (P1, Q1) the first factor's pair and (P2b, Q2b) the
-        second's at -z.  No truncation floor enters them, so every
-        `m_kappa_matrix` call on this wave shares one build."""
-        return tuple(
-            _pair_products(first, second)
-            for first, second in ((self.a, self.b), (self.a, self.a), (self.b, self.b))
+            for s in self.pair(which)
         )
 
 
@@ -285,9 +280,9 @@ def _lower_weights(grades: list, xs: list, low: int) -> LaurentSeries:
 
 
 def deformed_wave(times: dict, cap: int) -> DeformedWave:
-    """A(z;s), B(z;s) at the time shift `times` = {a: T_a(s)}, as
-    s-polynomial pairs exact to total s-weight cap, by the triangular solve
-    of the module docstring.  Each T_a must vanish at s = 0 (E_0 = 1);
+    """psi and psi_x at the time shift `times` = {a: T_a(s)}, as s-polynomial
+    pairs exact to total s-weight cap, by the triangular solve of the module
+    docstring, with their prefactor E.  Each T_a must vanish at s = 0 (E_0 = 1);
     `kappa_times(cap)` gives the kappa-coupled wave."""
     if cap < 0:
         raise ValueError("negative weight cap")
@@ -304,8 +299,8 @@ def deformed_wave(times: dict, cap: int) -> DeformedWave:
     grades = [LaurentSeries({z: SPoly(t) for z, t in g.items()}) for g in grades]
     # [z^-1] of A_w needs each E_e X_{w-e} down to z^{-deg E_e - 1}
     low = -_top(e) - 1
-    # the (P_w, Q_w) of A and of B, from A_0 = c and B_0 = z q, and their
-    # expansions X_w = P_w c + Q_w q and Y_w
+    # the (P_w, Q_w) of psi and of psi_x, from c and z q at weight 0, and
+    # their expansions X_w = P_w c + Q_w q and Y_w
     one, zero = LaurentSeries({0: SPoly.const(1)}), LaurentSeries.zero()
     a_pairs, b_pairs = [(one, zero)], [(zero, one.shift(1))]
     xs, ys = ([pair_series(ps[0], low)] for ps in (a_pairs, b_pairs))
@@ -317,12 +312,15 @@ def deformed_wave(times: dict, cap: int) -> DeformedWave:
         a_1 = LaurentSeries({0: known.coefficient(-1) + xs[-1].coefficient(-1)})
         b_pairs.append(_ks_solve(a_1 - _lower_weights(grades, ys, 0)))
         ys.append(pair_series(b_pairs[-1], low))
-    # every coefficient of E carries the cap, so the products take it on
-    a, b = (tuple(e * sum(s, zero) for s in zip(*ps)) for ps in (a_pairs, b_pairs))
+    # the sums hold no term above the cap; a capped 1 records it on each
+    capped = SPoly.const(1).truncate_weight(cap)
+    psi, psi_x = (
+        tuple(sum(s, zero) * capped for s in zip(*ps)) for ps in (a_pairs, b_pairs)
+    )
     variables = frozenset(
         j + 1 for p in times.values() for m in p.terms for j, x in enumerate(m) if x
     )
-    return DeformedWave(a, b, variables)
+    return DeformedWave(psi, psi_x, e, variables)
 
 
 def _top(*series: LaurentSeries) -> int:
@@ -332,7 +330,8 @@ def _top(*series: LaurentSeries) -> int:
 
 def pair_series(pair: tuple, low: int) -> LaurentSeries:
     """Expand a (P, Q) pair into the Laurent series P c + Q q down to `low`:
-    `dw.a` gives A(z;s), `dw.component(lam)` its s_lam part."""
+    `dw.psi` gives psi(z; T(s)), `dw.pair("A")` A(z;s) and
+    `dw.component(lam)` its s_lam part."""
     p, q = pair
     base_low = low - _top(p, q)
     return (p * wk.fz_c(base_low) + q * wk.fz_q(base_low)).truncate(low)
@@ -347,43 +346,43 @@ def f_kappa_1(dw: DeformedWave, low: int) -> dict:
 
     F_1(z;s) = (G(z) - G(-z))/(4z),   G(z) = B'(z) A(-z) - A'(z) B(-z),
 
-    from the deformed wave `dw` and exact to its weight cap.  G(-z) is G
-    with z -> -z, so the numerator takes two series products.
+    from A and B of the deformed wave `dw` and exact to its weight cap.
+    G(-z) is G with z -> -z, so the numerator takes two series products.
     """
-    a, b = (pair_series(pair, low - 4) for pair in (dw.a, dw.b))
+    a, b = (pair_series(dw.pair(which), low - 4) for which in "AB")
     g = b.derivative() * a.substitute_negate() - a.derivative() * b.substitute_negate()
     f = (g - g.substitute_negate()).shift(-1) * rat(1, 4)
-    return {e: c for e, c in f.coefficients.items() if e >= low and c}
+    return {e: c for e in range(low, _top(f) + 1) if (c := f.coefficient(e))}
 
 
 def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
-    """M with kappa couplings as {y-exponent: s-polynomial} dicts, from the
-    deformed wave `dw` and exact to its weight cap.
+    """M(z; T(s)) with kappa couplings as {y-exponent: s-polynomial} dicts,
+    from the deformed wave `dw` and exact to its weight cap.
 
-    Entries are built from the 2x2 quadratic form in A, B: the wave's exact
-    pair products (`DeformedWave.pair_products`, built once per wave) times
+    Entries are built from the 2x2 quadratic form in psi and psi_x (E
+    cancels, see the module docstring): their exact pair products times
     c c-bar, c q-bar, q c-bar and q q-bar, which alone depend on the floor
     and are read off M itself (`wk.wave_products`).
     """
-    cc, cq, qc, qq = wk.wave_products(2 * floor - 2 * _top(*dw.a, *dw.b) - 2)
+    cc, cq, qc, qq = wk.wave_products(2 * floor - 2 * _top(*dw.psi, *dw.psi_x) - 2)
 
-    def expand(products):
+    def expand(first, second):
         # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
-        p1p2, p1q2, q1p2, q1q2 = products
+        p1p2, p1q2, q1p2, q1q2 = _pair_products(first, second)
         return p1p2 * cc + p1q2 * cq + q1p2 * qc + q1q2 * qq
 
-    abb, aab, bbb = (expand(products) for products in dw.pair_products)
-    # B(z) A(-z) is A(z) B(-z) with z -> -z
-    m11 = (abb + abb.substitute_negate()) * rat(-1, 2)
-    m12 = aab * -1
-    m21 = bbb
+    # psi_x(z) psi(-z) is psi(z) psi_x(-z) with z -> -z
+    cross = expand(dw.psi, dw.psi_x)
+    m11 = (cross + cross.substitute_negate()) * rat(-1, 2)
+    m12 = expand(dw.psi, dw.psi) * -1
+    m21 = expand(dw.psi_x, dw.psi_x)
 
     def to_y(series):
         out = {}
-        for e, c in series.coefficients.items():
-            if e % 2:
-                raise ArithmeticError("odd power in an even matrix entry")
-            if e // 2 >= floor and c:
+        for e in range(2 * floor, _top(series) + 1):
+            if c := series.coefficient(e):  # raises below the series' floor
+                if e % 2:
+                    raise ArithmeticError("odd power in an even matrix entry")
                 out[e // 2] = c
         return out
 

@@ -1,13 +1,25 @@
 """Shared fixtures: the independent oracles of perfbench/oracles.py."""
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, so a
+    child interpreter imports the kdvcorr under test however pytest runs."""
+    env = dict(os.environ)
+    path = (str(ROOT / "src"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    return env
 
 
 @pytest.fixture(scope="session")

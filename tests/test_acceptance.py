@@ -357,7 +357,7 @@ def test_criterion_09_cross_pipeline_consistency():
                 assert got == want, (k, lam)
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(src_env):
     with criterion(
         10, "table output byte-identical across repeat runs and 1/4/8 workers"
     ):
@@ -376,6 +376,7 @@ def test_criterion_10_determinism():
                     workers,
                 ],
                 capture_output=True,
+                env=src_env,
             )
             assert proc.returncode == 0, proc.stderr
             return proc.stdout

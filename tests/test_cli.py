@@ -209,11 +209,12 @@ def test_table_deterministic_across_workers(capsys):
     assert again == outputs[0]
 
 
-def test_module_entry_point():
+def test_module_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "kdvcorr", "tau", "3,2"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "<tau_3 tau_2> = 29/5760 (g=2)\n"

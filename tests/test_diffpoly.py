@@ -207,29 +207,6 @@ def test_flow_derivatives_commute():
         assert a == b, (j, k)
 
 
-def test_riccati_residual_vanishes():
-    K = 10
-    chi = riccati_chi(K)
-    z2 = LaurentSeries.monomial(2, DiffPoly.const(1))
-    two_u = LaurentSeries({0: 2 * U})
-    residual = _map_dx(chi) + chi * chi + two_u - z2
-    assert residual.is_zero_to_truncation()
-
-
-def test_resolvent_solves_its_third_order_equation():
-    # R''' + 4(2u - z^2) R' + 4 u_x R = 0 on every retained order
-    K = 10
-    r = resolvent(K)
-    rx = _map_dx(r)
-    z2 = LaurentSeries.monomial(2, DiffPoly.const(1))
-    residual = (
-        _map_dx(_map_dx(rx))
-        + 4 * ((2 * U) * rx) - 4 * (z2 * rx)
-        + 4 * (UX * r)
-    )
-    assert residual.is_zero_to_truncation()
-
-
 def test_theta_matrix_squares_to_z2():
     K = 8
     th = theta_matrix(K)

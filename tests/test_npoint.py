@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from kdvcorr import npoint, wk, wp
 from kdvcorr.npoint import (
-    TruncationInstability,
     _build_mats,
     _class_term,
     budgets,
@@ -147,23 +145,6 @@ def test_verify_passes_on_consistent_data():
     assert a == b
 
 
-def test_verify_flags_floor_sensitive_matrices():
-    def unstable(floor):
-        bad = rat(floor)
-        return [[{-2: bad}, {0: rat(1)}], [{0: rat(1)}, {-2: -bad}]]
-
-    with pytest.raises(TruncationInstability):
-        npoint_window(2, [(-4, -2), (-4, -2)], unstable, verify=True)
-
-
-def test_verify_flags_half_depth_matrices():
-    def clipped(floor):
-        return wk.m_matrix(-max(2, (-floor) // 2))
-
-    with pytest.raises(TruncationInstability):
-        npoint_window(2, [(-8, -1), (-8, -1)], clipped, verify=True)
-
-
 def test_worker_counts_agree():
     base = npoint_window(3, [(-5, -1)] * 3, wk.m_matrix)
     for workers in (2, 4):
@@ -291,17 +272,14 @@ assert wk.n_point_table(5, 4, workers=2) == wk.n_point_table(5, 4)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_workers_agree_with_serial_under_start_method(method):
+def test_workers_agree_with_serial_under_start_method(method, src_env):
     # a spawned or forkserver worker imports kdvcorr afresh, so it sees no
     # state of the parent process beyond the pickled matrices it receives
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", START_METHOD_SCRIPT, method],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

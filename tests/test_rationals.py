@@ -1,7 +1,6 @@
 """The exact rational scalar layer: Fraction helpers and factorials."""
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 
@@ -71,7 +70,7 @@ def test_factorial_reexported_from_math():
     assert factorial(6) == 720
 
 
-def test_fraction_is_the_one_type_whatever_the_environment():
+def test_fraction_is_the_one_type_whatever_the_environment(src_env):
     # the retired backend switch is ignored, even with a value it rejected
     code = (
         "import kdvcorr;"
@@ -80,7 +79,7 @@ def test_fraction_is_the_one_type_whatever_the_environment():
         "assert kdvcorr.BACKEND == 'fraction', kdvcorr.BACKEND;"
         "print('ok')"
     )
-    env = dict(os.environ, KDVCORR_BACKEND="decimal")
+    env = dict(src_env, KDVCORR_BACKEND="decimal")
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,

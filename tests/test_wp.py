@@ -1,6 +1,7 @@
 """Kappa-class layer: deformed waves, mixed correlators, volume polynomials."""
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache
 from itertools import combinations_with_replacement
 
@@ -49,13 +50,15 @@ SHIFTS = {None: wp.kappa_times, 1: wp._wp_times}
 
 
 def _flow_chain_wave(cap, top_part):
-    """A and B from one KdV flow chain per partition mu, unpruned:
+    """psi and psi_x at the kappa shift, from one KdV flow chain per
+    partition mu, unpruned:
 
-        A = E sum_lam ((-1)^{l(lam)} s_lam/m(lam)!) sum_{|mu|=|lam|} L_{lam,mu}
-            ((-1)^{l(mu)}/m(mu)!) d_{t_{mu_1+1}} ... d_{t_{mu_l+1}} psi |_{t=0},
+        psi = sum_lam ((-1)^{l(lam)} s_lam/m(lam)!) sum_{|mu|=|lam|} L_{lam,mu}
+              ((-1)^{l(mu)}/m(mu)!) d_{t_{mu_1+1}} ... d_{t_{mu_l+1}} psi |_{t=0},
 
-    and B the same with psi_x, over the lam with no part above top_part: a
-    route that shares no code with the triangular solve but E."""
+    and psi_x the same sum over derivatives of psi_x, over the lam with no
+    part above top_part, each coefficient known to weight cap: a route that
+    shares no code with the triangular solve."""
     parts = ({0: SPoly.const(1)}, {}, {}, {1: SPoly.const(1)})
     for w in range(1, cap + 1):
         for lam in partitions_of(w, top_part):
@@ -68,12 +71,14 @@ def _flow_chain_wave(cap, top_part):
                     for part, flow in zip(parts, _flow_pairs(mu)):
                         for e, v in flow.coefficients.items():
                             add_into(part, e, factor * v)
-    e = wp._exp_prefactor(SHIFTS[top_part](cap), cap)
-    return [e * LaurentSeries(part) for part in parts]
+    return [
+        LaurentSeries({e: c.truncate_weight(cap) for e, c in part.items()})
+        for part in parts
+    ]
 
 
-def _terms_and_caps(series) -> dict:
-    return {e: (c.terms, c.cap) for e, c in series.coefficients.items()}
+def _terms_and_caps(coeffs: dict) -> dict:
+    return {e: (c.terms, c.cap) for e, c in coeffs.items()}
 
 
 @pytest.mark.parametrize("top_part,top_cap", [(None, 4), (1, 5)])
@@ -81,8 +86,49 @@ def test_solved_wave_equals_the_flow_chain_wave(top_part, top_cap):
     for cap in range(top_cap + 1):
         dw = wp.deformed_wave(SHIFTS[top_part](cap), cap)
         want = _flow_chain_wave(cap, top_part)
-        for got, ref in zip((*dw.a, *dw.b), want):
-            assert _terms_and_caps(got) == _terms_and_caps(ref), (cap, top_part)
+        for got, ref in zip((*dw.psi, *dw.psi_x), want):
+            got, ref = (_terms_and_caps(x.coefficients) for x in (got, ref))
+            assert got == ref, (cap, top_part)
+
+
+@pytest.mark.parametrize(
+    "times,cap",
+    [(wp.kappa_times(cap), cap) for cap in range(5)]
+    + [(wp._wp_times(cap), cap) for cap in range(7)]
+    + [({a: SPoly.var(1)}, 4) for a in range(4)],
+)
+def test_kappa_matrix_from_the_dressed_wave_is_the_same(times, cap):
+    # E(z) E(-z) = 1, so M^kappa built from A = E psi and B = E psi_x, as a
+    # wave whose psi pairs are those of A and B, equals the one built from
+    # psi and psi_x, terms and caps included
+    dw = wp.deformed_wave(times, cap)
+    dressed = replace(dw, psi=dw.pair("A"), psi_x=dw.pair("B"))
+    for floor in (-1, -3 * cap - 4):
+        got, want = (wp.m_kappa_matrix(w, floor) for w in (dw, dressed))
+        for got_row, want_row in zip(got, want):
+            for got_entry, want_entry in zip(got_row, want_row):
+                assert _terms_and_caps(got_entry) == _terms_and_caps(want_entry)
+
+
+def test_one_point_reader_refuses_a_series_above_its_floor(monkeypatch):
+    # A and B expanded six orders short leave F_1 unknown at z^-10; it must
+    # not read as zero
+    dw = wp.deformed_wave(wp._wp_times(4), 4)
+    assert wp.f_kappa_1(dw, -10)[-10]
+    expand = wp.pair_series
+    monkeypatch.setattr(wp, "pair_series", lambda pair, low: expand(pair, low + 6))
+    with pytest.raises(ValueError, match="floor"):
+        wp.f_kappa_1(dw, -10)
+
+
+def test_kappa_matrix_reader_refuses_a_series_above_its_floor(monkeypatch):
+    # wave products cut at z^-10 leave M^kappa unknown at y^-8; it must not
+    # read as zero
+    dw = wp.deformed_wave(wp._wp_times(4), 4)
+    products = wk.wave_products
+    monkeypatch.setattr(wk, "wave_products", lambda low: products(-10))
+    with pytest.raises(ValueError, match="floor"):
+        wp.m_kappa_matrix(dw, -8)
 
 
 def test_ks_operator_on_basis():
@@ -90,22 +136,6 @@ def test_ks_operator_on_basis():
     one, z = LaurentSeries.one(), LaurentSeries.monomial(1)
     assert wp.ks_pair(one, ZERO) == (ZERO, -z)
     assert wp.ks_pair(ZERO, z) == (-z.shift(1), ZERO)
-
-
-def test_ks_relations_for_first_deformation():
-    dw = wp.deformed_wave(wp.kappa_times(1), 1)
-    a_p, a_q = dw.component((1,), "A")
-    b_p, b_q = dw.component((1,), "B")
-
-    # S A + B reproduces a fixed inhomogeneous right-hand side, and so does
-    # S B + z^2 A; together these pin both first-order components.
-    sp, sq = wp.ks_pair(a_p, a_q)
-    assert sp + b_p == LaurentSeries({0: rat(-1, 6), 3: rat(-1, 3)})
-    assert sq + b_q == LaurentSeries({3: rat(1, 3)})
-
-    sp, sq = wp.ks_pair(b_p, b_q)
-    assert sp + a_p.shift(2) == LaurentSeries({4: rat(1, 3)})
-    assert sq + a_q.shift(2) == LaurentSeries({1: rat(1, 6), 4: rat(-1, 3)})
 
 
 def test_deformed_wave_component_sorts_partition():
@@ -469,8 +499,8 @@ def test_wp_volume_rejects_workers_below_one(g, n):
 
 
 def test_wp_volume_builds_one_wave_and_its_pair_products_once(monkeypatch):
-    # the build and the verify build of M^kappa read one wave and share its
-    # exact pair products: A Bb, A Ab and B Bb, one build each
+    # the build and the verify build of M^kappa read one wave, and each forms
+    # its exact pair products once: psi psi_xb, psi psib and psi_x psi_xb
     calls = {"deformed_wave": 0, "_pair_products": 0, "m_kappa_matrix": 0}
 
     def counted(name, fn):
@@ -483,7 +513,7 @@ def test_wp_volume_builds_one_wave_and_its_pair_products_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(wp, name, counted(name, getattr(wp, name)))
     vol = wp.wp_volume(2, 2, verify=True)
-    assert calls == {"deformed_wave": 1, "_pair_products": 3, "m_kappa_matrix": 2}
+    assert calls == {"deformed_wave": 1, "_pair_products": 6, "m_kappa_matrix": 2}
     monkeypatch.undo()
     assert vol.entries == wp.wp_volume(2, 2).entries
 
@@ -505,7 +535,7 @@ def test_s1_wave_is_the_general_wave_at_s1(cap):
     # caps included
     general = wp.deformed_wave(wp.kappa_times(cap), cap)
     s1 = wp.deformed_wave(wp._wp_times(cap), cap)
-    for got, want in zip((*s1.a, *s1.b), (*general.a, *general.b)):
+    for got, want in zip((*s1.psi, *s1.psi_x), (*general.psi, *general.psi_x)):
         assert all(len(m) <= 1 for c in got.coefficients.values() for m in c.terms)
         assert _s1_slice(got.coefficients) == _s1_slice(want.coefficients)
     floor = -cap - 2
@@ -521,7 +551,8 @@ def test_s1_wave_is_the_general_wave_at_s1(cap):
 def test_deformed_wave_and_kappa_matrix_carry_the_cap():
     # pool workers see the cap only through the polynomials they receive
     dw = wp.deformed_wave(wp.kappa_times(3), 3)
-    coeffs = [c for s in (*dw.a, *dw.b) for c in s.coefficients.values()]
+    series = (*dw.psi, *dw.psi_x, *dw.pair("A"), *dw.pair("B"), dw.prefactor)
+    coeffs = [c for s in series for c in s.coefficients.values()]
     matrix = wp.m_kappa_matrix(dw, -4)
     coeffs += [c for row in matrix for ent in row for c in ent.values()]
     coeffs += list(wp.f_kappa_1(dw, -8).values())
