@@ -366,8 +366,6 @@ def two_point_general(p: int, q: int, K: int) -> DiffPoly:
     acc = DiffPoly()
     for weight, fz, gw in pairs:
         ft = fz._eff_top()
-        if ft is None:
-            continue
         m = 0
         while a + 2 * m + 4 <= ft:
             cf = fz.coefficient(a + 2 * m + 4)

@@ -58,14 +58,16 @@ def _check_wronskian(depth: int) -> None:
 
 
 def _check_closed_products(depth: int) -> None:
-    """The products of c and q read off M's entries vs direct multiplication."""
+    """M's entries vs the quadratic form of (c, z q) in direct products:
+    h = -(c (zq)b + (zq) cb)/2, f = -c cb and e = (zq)(zq)b, Xb := X(-z)."""
     low = -depth
-    c, q = wk.fz_c(low), wk.fz_q(low)
-    cb, qb = c.substitute_negate(), q.substitute_negate()
-    direct = {"cc": c * cb, "cq": c * qb, "qc": q * cb, "qq": q * qb}
-    for (name, want), read in zip(direct.items(), wk.wave_products(low)):
+    c, zq = wk.fz_c(low), wk.fz_q(low).shift(1)
+    cb, zqb = c.substitute_negate(), zq.substitute_negate()
+    direct = {"h": (c * zqb + zq * cb) * rat(-1, 2), "f": -(c * cb), "e": zq * zqb}
+    (h, f), (e, _) = wk.m_matrix_z(low)
+    for (name, want), read in zip(direct.items(), (h, f, e)):
         if read != want:
-            raise AssertionError(f"M gives {name} unlike the direct product")
+            raise AssertionError(f"M's {name} is off by {read - want}")
 
 
 def _check_riccati(depth: int) -> None:
@@ -113,14 +115,13 @@ def _check_theta_at_origin(depth: int) -> None:
 
 
 def _check_one_point_forms(depth: int) -> None:
-    """One-point series from genus coefficients vs the quadratic wave form."""
+    """One-point series from genus coefficients vs M: F_1 = z^2 + (z^2 f + e)/2."""
     low = -depth
     direct = wk.one_point_series(low)
-    cc, _, _, qq = wk.wave_products(low - 2)
-    quad = (cc + qq) * rat(-1, 2)
-    alt = (LaurentSeries.monomial(2, rat(1)) + quad.shift(2)).truncate(low)
+    (_, f), (e, _) = wk.m_matrix_z(low - 2)
+    alt = LaurentSeries.monomial(2, rat(1)) + (f.shift(2) + e) * rat(1, 2)
     if direct != alt:
-        raise AssertionError("one-point series disagrees with wave-pair form")
+        raise AssertionError(f"one-point series is off M's form by {direct - alt}")
 
 
 def _check_bell_rows(depth: int) -> None:

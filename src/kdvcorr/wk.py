@@ -15,10 +15,10 @@ built from the hypergeometric-type series
     c(z) = sum_k C_k z^{-3k},  C_k = (-1)^k (6k)! / (288^k (3k)! (2k)!)
     q(z) = sum_k q_k z^{-3k},  q_k = (1+6k)/(1-6k) * C_k,
 
-so the products c(z) c(-z), c(z) q(-z), q(z) c(-z) and q(z) q(-z) are read
-off its entries (`wave_products`) and c(z) q(-z) + c(-z) q(z) = 2.  The
-n-point expansion of these traces (see npoint) collects all intersection
-numbers of a given width n at once:
+as h = -(c (zq)b + (zq) cb)/2, f = -c cb and e = (zq)(zq)b with
+Xb := X(-z), and c(z) q(-z) + c(-z) q(z) = 2.  The n-point expansion of
+these traces (see npoint) collects all intersection numbers of a given width
+n at once:
 
     <tau_{k_1} ... tau_{k_n}> = [y_1^{-k_1-1} ... y_n^{-k_n-1}] F_n
                                  / prod_i (2 k_i + 1)!!
@@ -114,18 +114,6 @@ def m_matrix_z(low: int) -> list[list[LaurentSeries]]:
          for d in row]
         for row in m_matrix(low // 2)
     ]
-
-
-def wave_products(low: int) -> tuple[LaurentSeries, ...]:
-    """c(z) c(-z), c(z) q(-z), q(z) c(-z) and q(z) q(-z) down to `low`, read
-    off M, the quadratic form of the wave pair (psi, psi_x) = (c, z q):
-
-        c(z) c(-z) = -f(z^2),     c(z) q(-z) = 1 + h(z^2)/z,
-        q(z) q(-z) = -e(z^2)/z^2, q(z) c(-z) = 1 - h(z^2)/z.
-    """
-    (h, f), (e, _) = m_matrix_z(low)
-    one, h = LaurentSeries.monomial(0, rat(1)), h.shift(-1)
-    return tuple(s.truncate(low) for s in (-f, one + h, one - h, -e.shift(-2)))
 
 
 def one_point_series(low: int) -> LaurentSeries:
@@ -280,5 +268,4 @@ __all__ = [
     "n_point_table",
     "one_point",
     "one_point_series",
-    "wave_products",
 ]

@@ -29,14 +29,26 @@ tau-function, so at any point of the KdV times.  `deformed_wave` takes it as
 a time shift T(s) = {a: T_a(s)}, s-polynomials with no constant term, and
 solves psi = psi(z; T(s)) and psi_x there.  The n-point functions follow from
 the same cyclic trace engine run over the s-polynomial ring with
+M^kappa = M(z; T(s)), the quadratic form
 
-    M^kappa = M(z; T(s)) = [[-(psi psi_xb + psib psi_x)/2, -psi psib],
-                            [psi_x psi_xb, (psi psi_xb + psib psi_x)/2]],
+    M = [[-(psi psi_xb + psib psi_x)/2, -psi psib],
+         [psi_x psi_xb, (psi psi_xb + psib psi_x)/2]],     Xb := X(-z).
 
-Xb := X(-z).  The deformed wave A = E psi, B = E psi_x, with
-E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!), gives the same entries, as
-E(z) E(-z) = 1.  The one-point function reads A and B (`f_kappa_1`): psi
-alone gives it only up to the polynomial (log E)'.  The partition function
+The wave stays in the point W_0 of the Grassmannian below: psi = a c + b z q
+and psi_x = c' c + d z q, where a and c' are the solve's P and b and d its
+Q/z, all four even in z (P even, Q odd).  So M^kappa = G M G^-1 with
+G = [[a, -b], [-c', d]], det G = 1, and in the entries of
+M = M(z; 0) = [[h, f], [e, -h]]
+
+    M^kappa_11 = a c' f + (a d + b c') h - b d e = -M^kappa_22,
+    M^kappa_12 = a^2 f + 2 a b h - b^2 e,
+    M^kappa_21 = -c'^2 f - 2 c' d h + d^2 e.
+
+The deformed wave proper is A = E psi, B = E psi_x, with
+E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!).  E(z) E(-z) = 1 cancels from
+the quadratic form, but E is not even, so the pairs of A and B do not fit
+G M G^-1.  The one-point function reads A and B (`f_kappa_1`): psi alone
+gives it only up to the polynomial (log E)'.  The partition function
 with kappa couplings s is the psi-class one at the shift T_{k+1} = -h_k(-s)
 (`kappa_times`).  The Weil-Petersson slice s = (s_1, 0, ...) is the
 one-variable shift T_{k+1} = -(-s_1)^k/k!, so `wp_volume` runs the whole
@@ -188,9 +200,11 @@ def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentS
 @dataclass
 class DeformedWave:
     """The wave at a time shift T(s) as the triangular solve leaves it: the
-    (P, Q) pairs of psi(z; T(s)) and psi_x(z; T(s)), s-polynomials carrying
-    the wave's weight cap; the prefactor E(z;s); and `variables`, the j of
-    every s_j in T(s), the only variables the wave knows."""
+    (P, Q) pairs of psi(z; T(s)) and psi_x(z; T(s)), P even and Q odd in z,
+    s-polynomials carrying the wave's weight cap; the prefactor E(z;s); and
+    `variables`, the j of every s_j in T(s), the only variables the wave
+    knows.  M^kappa = G M G^-1 is a quadratic form of the pairs in the
+    entries of M (`m_kappa_matrix`)."""
 
     psi: tuple[LaurentSeries, LaurentSeries]
     psi_x: tuple[LaurentSeries, LaurentSeries]
@@ -215,13 +229,6 @@ class DeformedWave:
             LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
             for s in self.pair(which)
         )
-
-
-def _pair_products(first: tuple, second: tuple) -> tuple[LaurentSeries, ...]:
-    """P1 P2b, P1 Q2b, Q1 P2b, Q1 Q2b of (P1 c + Q1 q)(z) (P2 c + Q2 q)(-z)."""
-    p1, q1 = first
-    p2, q2 = (s.substitute_negate() for s in second)
-    return p1 * p2, p1 * q2, q1 * p2, q1 * q2
 
 
 def kappa_times(cap: int) -> dict:
@@ -359,35 +366,35 @@ def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
     """M(z; T(s)) with kappa couplings as {y-exponent: s-polynomial} dicts,
     from the deformed wave `dw` and exact to its weight cap.
 
-    Entries are built from the 2x2 quadratic form in psi and psi_x (E
-    cancels, see the module docstring): their exact pair products times
-    c c-bar, c q-bar, q c-bar and q q-bar, which alone depend on the floor
-    and are read off M itself (`wk.wave_products`).
+    M^kappa = G M G^-1 with G = [[a, -b], [-c', d]], where psi = a c + b z q
+    and psi_x = c' c + d z q (see the module docstring), so each entry is a
+    quadratic form of a, b, c', d in the entries h, f, e of M, read once
+    down to the depth the products need.  The even-power check below guards
+    the premise that the pairs' P are even and their Q odd.
     """
-    cc, cq, qc, qq = wk.wave_products(2 * floor - 2 * _top(*dw.psi, *dw.psi_x) - 2)
+    (a, bz), (cp, dz) = dw.psi, dw.psi_x  # cp is c'
+    b, d = bz.shift(-1), dz.shift(-1)
+    # the (f, h, e) coefficients of M^kappa_11, M^kappa_12 and M^kappa_21
+    forms = (
+        (a * cp, a * d + b * cp, -(b * d)),
+        (a * a, a * b * 2, -(b * b)),
+        (-(cp * cp), cp * d * -2, d * d),
+    )
+    top = _top(*(p for form in forms for p in form))
+    (h, f), (e, _) = wk.m_matrix_z(2 * floor - top)
 
-    def expand(first, second):
-        # (p1 c + q1 q)(z) * (p2 c + q2 q)(-z)
-        p1p2, p1q2, q1p2, q1q2 = _pair_products(first, second)
-        return p1p2 * cc + p1q2 * cq + q1p2 * qc + q1q2 * qq
-
-    # psi_x(z) psi(-z) is psi(z) psi_x(-z) with z -> -z
-    cross = expand(dw.psi, dw.psi_x)
-    m11 = (cross + cross.substitute_negate()) * rat(-1, 2)
-    m12 = expand(dw.psi, dw.psi) * -1
-    m21 = expand(dw.psi_x, dw.psi_x)
-
-    def to_y(series):
+    def to_y(form):
+        series = form[0] * f + form[1] * h + form[2] * e
         out = {}
-        for e in range(2 * floor, _top(series) + 1):
-            if c := series.coefficient(e):  # raises below the series' floor
-                if e % 2:
+        for k in range(2 * floor, _top(series) + 1):
+            if v := series.coefficient(k):  # raises below the series' floor
+                if k % 2:
                     raise ArithmeticError("odd power in an even matrix entry")
-                out[e // 2] = c
+                out[k // 2] = v
         return out
 
-    h = to_y(m11)
-    return [[h, to_y(m12)], [to_y(m21), {e: -c for e, c in h.items()}]]
+    m11, m12, m21 = map(to_y, forms)
+    return [[m11, m12], [m21, {k: -v for k, v in m11.items()}]]
 
 
 def f_kappa_n(

@@ -129,10 +129,12 @@ def test_selftest_shallow_truncation_fails(capsys):
     [
         ["tau", "3,x"],
         ["tau", "-1"],
+        ["tau", ""],
         ["wave", "1", "--depth", "0"],
         ["table", "1", "5"],
         ["table", "2", "-1"],
         ["kappa", "0"],
+        ["kappa", ""],
         ["kappa", "1,0", "2"],
         ["wp", "-1", "1"],
         ["wp", "1", "0"],

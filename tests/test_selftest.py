@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from kdvcorr import wk
 from kdvcorr.selftest import CheckResult, check_names, run_selftest
 
 
@@ -44,3 +45,21 @@ def test_shallow_truncation_demo_is_flagged():
 
 def test_deeper_run_still_passes():
     assert all(r.ok for r in run_selftest(depth=16))
+
+
+def test_a_wrong_m_fails_the_checks_that_read_it(monkeypatch):
+    # M_21 doubled at y^-5, its genus-two term: both checks of M against the
+    # series c and q must fail and name the wrong order, z^-10
+    m_matrix = wk.m_matrix
+
+    def wrong(floor):
+        m = m_matrix(floor)
+        if -5 in m[1][0]:
+            m[1][0][-5] *= 2
+        return m
+
+    monkeypatch.setattr(wk, "m_matrix", wrong)
+    results = {r.name: r for r in run_selftest(depth=12)}
+    for name in ("closed-products", "one-point-forms"):
+        assert not results[name].ok
+        assert "z^-10" in results[name].detail

@@ -91,23 +91,46 @@ def test_solved_wave_equals_the_flow_chain_wave(top_part, top_cap):
             assert got == ref, (cap, top_part)
 
 
-@pytest.mark.parametrize(
-    "times,cap",
+# the waves of the M^kappa tests: kappa caps 0-4, WP caps 0-6, the shifts t_a + s_1
+KAPPA_MATRIX_WAVES = (
     [(wp.kappa_times(cap), cap) for cap in range(5)]
     + [(wp._wp_times(cap), cap) for cap in range(7)]
-    + [({a: SPoly.var(1)}, 4) for a in range(4)],
+    + [({a: SPoly.var(1)}, 4) for a in range(4)]
 )
+
+
+def _even_entry(series: LaurentSeries, floor: int) -> dict:
+    """{y-exponent: coefficient} of an even series, read from z^{2 floor} up."""
+    assert all(k % 2 == 0 for k in series.coefficients)
+    return {k // 2: v for k, v in series.coefficients.items() if k >= 2 * floor}
+
+
+@pytest.mark.parametrize("times,cap", KAPPA_MATRIX_WAVES)
 def test_kappa_matrix_from_the_dressed_wave_is_the_same(times, cap):
-    # E(z) E(-z) = 1, so M^kappa built from A = E psi and B = E psi_x, as a
-    # wave whose psi pairs are those of A and B, equals the one built from
-    # psi and psi_x, terms and caps included
+    # M^kappa by definition, the quadratic form of A = E psi and B = E psi_x
+    # in direct (z, -z) products (E(z) E(-z) = 1), equals G M G^-1, terms and
+    # caps included
     dw = wp.deformed_wave(times, cap)
-    dressed = replace(dw, psi=dw.pair("A"), psi_x=dw.pair("B"))
     for floor in (-1, -3 * cap - 4):
-        got, want = (wp.m_kappa_matrix(w, floor) for w in (dw, dressed))
+        a, b = (wp.pair_series(dw.pair(which), 2 * floor - 2) for which in "AB")
+        ab, bb = a.substitute_negate(), b.substitute_negate()
+        m11 = (a * bb + ab * b) * rat(-1, 2)
+        want = [[m11, -(a * ab)], [b * bb, -m11]]
+        got = wp.m_kappa_matrix(dw, floor)
         for got_row, want_row in zip(got, want):
             for got_entry, want_entry in zip(got_row, want_row):
+                want_entry = _even_entry(want_entry, floor)
                 assert _terms_and_caps(got_entry) == _terms_and_caps(want_entry)
+
+
+@pytest.mark.parametrize("times,cap", KAPPA_MATRIX_WAVES[1:5])
+def test_kappa_matrix_refuses_dressed_pairs(times, cap):
+    # the pairs of A = E psi and B = E psi_x have P not even and Q not odd,
+    # so G M G^-1 does not apply; the entries must not read as M^kappa
+    dw = wp.deformed_wave(times, cap)
+    dressed = replace(dw, psi=dw.pair("A"), psi_x=dw.pair("B"))
+    with pytest.raises(ArithmeticError, match="odd power"):
+        wp.m_kappa_matrix(dressed, -1)
 
 
 def test_one_point_reader_refuses_a_series_above_its_floor(monkeypatch):
@@ -122,11 +145,12 @@ def test_one_point_reader_refuses_a_series_above_its_floor(monkeypatch):
 
 
 def test_kappa_matrix_reader_refuses_a_series_above_its_floor(monkeypatch):
-    # wave products cut at z^-10 leave M^kappa unknown at y^-8; it must not
-    # read as zero
+    # h, f and e read six orders short leave M^kappa unknown at y^-8; it must
+    # not read as zero
     dw = wp.deformed_wave(wp._wp_times(4), 4)
-    products = wk.wave_products
-    monkeypatch.setattr(wk, "wave_products", lambda low: products(-10))
+    assert wp.m_kappa_matrix(dw, -8)[1][0][-8]
+    entries = wk.m_matrix_z
+    monkeypatch.setattr(wk, "m_matrix_z", lambda low: entries(low + 6))
     with pytest.raises(ValueError, match="floor"):
         wp.m_kappa_matrix(dw, -8)
 
@@ -498,10 +522,10 @@ def test_wp_volume_rejects_workers_below_one(g, n):
         wp.wp_volume(g, n, workers=0)
 
 
-def test_wp_volume_builds_one_wave_and_its_pair_products_once(monkeypatch):
-    # the build and the verify build of M^kappa read one wave, and each forms
-    # its exact pair products once: psi psi_xb, psi psib and psi_x psi_xb
-    calls = {"deformed_wave": 0, "_pair_products": 0, "m_kappa_matrix": 0}
+def test_wp_volume_builds_one_wave_and_reads_m_once_per_matrix(monkeypatch):
+    # the build and the verify build of M^kappa read one wave, and each reads
+    # the entries h, f, e of M once
+    calls = {"deformed_wave": 0, "m_matrix_z": 0, "m_kappa_matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -511,9 +535,10 @@ def test_wp_volume_builds_one_wave_and_its_pair_products_once(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(wp, name, counted(name, getattr(wp, name)))
+        module = wk if name == "m_matrix_z" else wp
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     vol = wp.wp_volume(2, 2, verify=True)
-    assert calls == {"deformed_wave": 1, "_pair_products": 6, "m_kappa_matrix": 2}
+    assert calls == {"deformed_wave": 1, "m_matrix_z": 2, "m_kappa_matrix": 2}
     monkeypatch.undo()
     assert vol.entries == wp.wp_volume(2, 2).entries
 
