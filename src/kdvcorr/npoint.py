@@ -28,25 +28,26 @@ callers give the windows in any order, and npoint_window traces them
 shallowest first (largest lo first) and hands the keys back in the
 caller's order.
 
-The coefficient ring only needs +, *, unary minus and truth testing, so the
-same engine drives plain rationals and s-polynomial coefficients.  Rationals
-are the hot case, and there each pass clears denominators before tracing:
-`_build_mats` takes L, the lcm of the denominators of the one deepest factory
-matrix, scales that matrix to Python ints and slices every variable's matrix
-from it, so the trace runs with no gcd per product, and each accumulated key
-is divided by L^n once (the trace is linear in each of its n matrix
-factors).  Coefficients without numerator/denominator, such as
-s-polynomials, pass through unscaled; the engine itself stays generic.
+The coefficient ring only needs +, *, unary minus, truth testing and the
+`numerator` and `denominator` of a Fraction, so the same engine drives plain
+rationals and s-polynomial coefficients (a SparsePoly carries both).  Each
+pass clears denominators before tracing: `_build_mats` takes L, the lcm of
+the denominators of the one deepest factory matrix, scales that matrix to
+integer coefficients (Python ints, or s-polynomials over the ints) and
+slices every variable's matrix from it, so the trace runs with no gcd per
+product, and each accumulated key is divided by L^n once (the trace is
+linear in each of its n matrix factors).
 
 Inside one cyclic ordering a partial key is a single Python int: field v
-holds exponent v plus a bias and the last field the key's total plus the
-bias, with a field width taken from the largest exponent or total that the
-factors before a step can reach and the windows still allow after it.  A matrix term adds one precomputed packed
-delta, and an edge term y_small^m y_big^{-m-1} adds a fixed step per m.  Each
-product loop walks only the exponents that keep a key inside the box: the
-matrix exponents form a bisected slice of the sorted entry, and the edge
-index m runs over the one interval the windows leave.  Keys are unpacked to
-exponent tuples once, when the ordering's term returns.
+holds exponent v plus a bias, with a field width taken from the largest
+exponent that the factors before a step can reach and the windows still
+allow after it.  A matrix term adds one precomputed packed delta, and an
+edge term y_small^m y_big^{-m-1} adds a fixed step per m.  Each product loop
+walks only the exponents that keep a key inside the box: the matrix
+exponents form a bisected slice of the sorted entry, and the edge index m
+runs over the one interval the windows leave.  The per-variable ranges
+alone bound the key's total, so the key holds no field for it.  Keys are
+unpacked to exponent tuples once, when the ordering's term returns.
 """
 from __future__ import annotations
 
@@ -102,23 +103,21 @@ def budgets(
 
 
 def _suffix_bounds(factors, n):
-    """Per-variable and total exponent intervals addable by factor suffixes."""
+    """Per factor, the per-variable exponent intervals that the factors after
+    it can add."""
     lo = [0] * n
     hi = [0] * n
-    out = [None] * (len(factors) + 1)
-    out[len(factors)] = (tuple(lo), tuple(hi), 0, 0)
-    for idx in range(len(factors) - 1, -1, -1):
-        for v, add_lo, add_hi in factors[idx][2]:
+    out = []
+    for fac in reversed(factors):
+        out.append((tuple(lo), tuple(hi)))
+        for v, add_lo, add_hi in fac[2]:
             lo[v] += add_lo
             hi[v] += add_hi
-        out[idx] = (tuple(lo), tuple(hi), sum(lo), sum(hi))
-    return out
+    return out[::-1]
 
 
 def _class_term(cycle, mats, exports, windows, n):
     """Coefficient dict of one cyclic ordering's trace over the target box."""
-    total_lo = sum(lo for lo, _ in windows)
-    total_hi = sum(hi for _, hi in windows)
     # ordered factor list: matrix then edge expansion for each cycle position;
     # each carries its per-variable exponent intervals, whose suffix sums
     # bound what later factors can still add to a partial key
@@ -137,50 +136,44 @@ def _class_term(cycle, mats, exports, windows, n):
         factors.append(
             ("geo", (big, small, sign), ((big, -cap - 1, -1), (small, 0, cap)))
         )
-    bounds = _suffix_bounds(factors, n)
-    # after each factor, the exponent ranges a kept key may hold in the
-    # variables it touched, and in the key's total: what the factors so far
-    # can reach, cut by what the later ones can still add
+    # after each factor, the exponent range a kept key may hold in each
+    # variable it touched: what the factors so far can reach, cut by what the
+    # later ones can still add.  An empty range leaves no product.
     ranges = []
     pre_lo, pre_hi = [0] * n, [0] * n
-    for fac, (rlo, rhi, rtlo, rthi) in zip(factors, bounds[1:]):
+    for fac, (rlo, rhi) in zip(factors, _suffix_bounds(factors, n)):
+        var = {}
         for v, add_lo, add_hi in fac[2]:
             pre_lo[v] += add_lo
             pre_hi[v] += add_hi
-        var = {
-            v: (
-                max(pre_lo[v], windows[v][0] - rhi[v]),
-                min(pre_hi[v], windows[v][1] - rlo[v]),
-            )
-            for v, _, _ in fac[2]
-        }
-        tot = (max(sum(pre_lo), total_lo - rthi), min(sum(pre_hi), total_hi - rtlo))
-        ranges.append((var, tot))
+            lo = max(pre_lo[v], windows[v][0] - rhi[v])
+            hi = min(pre_hi[v], windows[v][1] - rlo[v])
+            if lo > hi:
+                return {}
+            var[v] = (lo, hi)
+        ranges.append(var)
 
-    # a partial key is one int: field v < n holds exponent v plus the bias,
-    # field n the key's total plus the bias; every kept exponent and total
-    # lies in a range above, so no field ever borrows from or carries into
-    # the next
-    reach = max(
-        abs(x) for var, tot in ranges for pair in (*var.values(), tot) for x in pair
-    )
+    # a partial key is one int: field v holds exponent v plus the bias.
+    # Between two touches of v no factor moves v's exponent or its range, so
+    # every kept exponent lies in a range above (an untouched one is 0), and
+    # no field ever borrows from or carries into the next
+    reach = max(abs(x) for var in ranges for pair in var.values() for x in pair)
     width = reach.bit_length() + 1
     bias = 1 << (width - 1)
     mask = (1 << width) - 1
-    tot_shift = n * width
-    zero_key = sum(bias << (v * width) for v in range(n + 1))
+    zero_key = sum(bias << (v * width) for v in range(n))
 
     P = [[{zero_key: 1}, {}], [{}, {zero_key: 1}]]
-    for fac, (var, (t_lo, t_hi)) in zip(factors, ranges):
+    for fac, var in zip(factors, ranges):
         new = [[{}, {}], [{}, {}]]
         if fac[0] == "mat":
-            # exponent e of variable v moves field v and the total by e, so
-            # each term is one packed delta; the e that keep a key inside
-            # both ranges are a slice of the sorted entry
+            # exponent e of variable v moves field v by e, so each term is
+            # one packed delta; the e that keep a key inside v's range are a
+            # slice of the sorted entry
             v = fac[1]
             win_lo, win_hi = var[v]
             v_shift = v * width
-            unit = (1 << v_shift) + (1 << tot_shift)
+            unit = 1 << v_shift
             rows = [
                 [([e for e, _ in it], [(e * unit, c) for e, c in it]) for it in row]
                 for row in mats[v]
@@ -197,16 +190,8 @@ def _class_term(cycle, mats, exports, windows, n):
                     ]
                     for key, c1 in pe.items():
                         kv = ((key >> v_shift) & mask) - bias
-                        tot = (key >> tot_shift) - bias
-                        # plain comparisons cost less than max/min calls
                         lo = win_lo - kv
-                        if t_lo - tot > lo:
-                            lo = t_lo - tot
                         hi = win_hi - kv
-                        if t_hi - tot < hi:
-                            hi = t_hi - tot
-                        if lo > hi:
-                            continue
                         for exps, terms, dst in targets:
                             a = bisect_left(exps, lo)
                             for d, c2 in terms[a : bisect_right(exps, hi, a)]:
@@ -220,8 +205,8 @@ def _class_term(cycle, mats, exports, windows, n):
                                     # zero product for a key never stored
                                     dst.pop(nk, None)
         else:
-            # y_small^m y_big^{-m-1} lowers the total by exactly 1, so the
-            # total is checked once per key and m walks only its own range
+            # y_small^m y_big^{-m-1}: m walks the one interval that keeps
+            # both fields inside their ranges
             big, small, sign = fac[1]
             blo, bhi = var[big]
             slo, shi = var[small]
@@ -229,7 +214,7 @@ def _class_term(cycle, mats, exports, windows, n):
             big_shift = big * width
             small_shift = small * width
             step = (1 << small_shift) - (1 << big_shift)
-            drop = (1 << big_shift) + (1 << tot_shift)
+            drop = 1 << big_shift
             for i in range(2):
                 for k in range(2):
                     pe = P[i][k]
@@ -237,11 +222,9 @@ def _class_term(cycle, mats, exports, windows, n):
                         continue
                     dst = new[i][k]
                     for key, c1 in pe.items():
-                        tot = (key >> tot_shift) - bias - 1
-                        if tot < t_lo or tot > t_hi:
-                            continue
                         kb = ((key >> big_shift) & mask) - bias
                         ks = ((key >> small_shift) & mask) - bias
+                        # plain comparisons cost less than max/min calls
                         m_lo = kb - 1 - bhi
                         if slo - ks > m_lo:
                             m_lo = slo - ks
@@ -273,24 +256,6 @@ def _class_term(cycle, mats, exports, windows, n):
     }
 
 
-def _clear_denominators(mat):
-    """(L, mat times L as ints) when every coefficient is a rational, with L
-    the lcm of all its denominators; (None, mat) otherwise."""
-    scale = 1
-    for row in mat:
-        for it in row:
-            for _, c in it:
-                try:
-                    scale = lcm(scale, c.denominator)
-                except AttributeError:
-                    return None, mat
-    scaled = [
-        [[(e, c.numerator * (scale // c.denominator)) for e, c in it] for it in row]
-        for row in mat
-    ]
-    return scale, scaled
-
-
 def _compute(n, windows, scale, mats, exports, classes, pool=None):
     cycles = [cyc for cyc, _ in classes]
     terms = (map if pool is None else pool.map)(
@@ -300,9 +265,8 @@ def _compute(n, windows, scale, mats, exports, classes, pool=None):
     for (cyc, weight), term in zip(classes, terms):
         for key, c in term.items():
             add_into(acc, key, -weight * c)
-    if scale is not None:
-        den = scale**n
-        acc = {key: rat(c, den) for key, c in acc.items()}
+    inv = rat(1, scale**n)
+    acc = {key: c * inv for key, c in acc.items()}
     if n == 2:
         # subtract the expansion of (y_1+y_2)/(y_1-y_2)^2
         lo0, hi0 = windows[0]
@@ -382,21 +346,26 @@ def npoint_window(
 
 def _build_mats(mat_factory, floors):
     """(L, mats): each variable's matrix as sorted (exponent, coefficient)
-    lists, cut at its own floor.  One factory call at the deepest floor
-    serves them all: the factory is complete down to the floor it is given,
-    so each slice equals the matrix the factory would build at that
-    variable's floor.  Every slice is part of the deepest one, so clearing
-    that one's denominators (L = their lcm, None for coefficients without
-    one) scales every slice by the same L.  The budgets assume no term
-    above y^1, so one raises ValueError."""
+    lists, cut at its own floor and scaled by L to integer coefficients.
+    One factory call at the deepest floor serves them all: the factory is
+    complete down to the floor it is given, so each slice equals the matrix
+    the factory would build at that variable's floor.  Every slice is part
+    of the deepest one, so clearing that one's denominators (L = their lcm)
+    scales every slice by the same L.  The budgets assume no term above y^1,
+    so one raises ValueError."""
     deepest = min(floors)
     ent = mat_factory(deepest)
     if any(e > 1 for row in ent for it in row for e in it):
         raise ValueError("matrix factory returned a term above y^1")
-    scale, full = _clear_denominators(
-        [[sorted(t for t in ent[i][k].items() if t[0] >= deepest) for k in range(2)]
-         for i in range(2)]
-    )
+    full = [
+        [sorted(t for t in ent[i][k].items() if t[0] >= deepest) for k in range(2)]
+        for i in range(2)
+    ]
+    scale = lcm(*(c.denominator for row in full for it in row for _, c in it))
+    full = [
+        [[(e, c.numerator * (scale // c.denominator)) for e, c in it] for it in row]
+        for row in full
+    ]
     return scale, [
         [[[(e, c) for e, c in it if e >= fl] for it in row] for row in full]
         for fl in floors

@@ -340,6 +340,23 @@ def _mixed_m_matrix(floor):
     ]
 
 
+def _capped_s1_factory(cap):
+    """wk.m_matrix with the coefficient c of y^e read as c s_1^(1-e) over the
+    s-polynomials, at weight cap `cap` (None: exact)."""
+
+    def coefficient(e, c):
+        p = SPoly({(1 - e,): c})
+        return p if cap is None else p.truncate_weight(cap)
+
+    def build(floor):
+        return [
+            [{e: coefficient(e, c) for e, c in ent.items()} for ent in row]
+            for row in wk.m_matrix(floor)
+        ]
+
+    return build
+
+
 @pytest.mark.parametrize(
     "n, windows",
     [
@@ -348,7 +365,10 @@ def _mixed_m_matrix(floor):
         (4, [(-4, -1)] * 4),
     ],
 )
-@pytest.mark.parametrize("factory", [wk.m_matrix, _mixed_m_matrix])
+@pytest.mark.parametrize(
+    "factory",
+    [wk.m_matrix, _mixed_m_matrix, pytest.param(_capped_s1_factory(6), id="s1_cap6")],
+)
 def test_scaled_trace_matches_unscaled(n, windows, factory):
     expected = _unscaled_window(n, windows, factory)
     got = npoint_window(n, windows, factory)
@@ -391,8 +411,9 @@ def _weighted(oracles, value, ks):
 
 
 # an index window [a, b] is the exponent window [-b-1, -a-1]; an index of -1
-# or -2 reaches the exponents 0 and 1, where the n-point function has no term
-_index_windows = st.tuples(st.integers(-2, 8), st.integers(0, 8)).map(
+# or -2 reaches the exponents 0 and 1, where the n-point function has no term,
+# and a window of indices -4 and -3 alone lies wholly above y^1
+_index_windows = st.tuples(st.integers(-4, 8), st.integers(-4, 8)).map(
     lambda ab: (-max(ab) - 1, -min(ab) - 1)
 )
 
@@ -410,9 +431,25 @@ def test_random_boxes_equal_dvv_numbers(oracles, psi, windows):
     assert npoint_window(len(windows), windows, wk.m_matrix) == want
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_index_windows, min_size=3, max_size=4, unique=True),
+       st.integers(0, 9))
+def test_random_boxes_over_capped_s1_scale_the_psi_trace(windows, cap):
+    # every product reaching a key weighs minus the key's total, so over the
+    # s_1 ring each coefficient is the psi one times s_1^(-total), kept up to
+    # the cap (n >= 3: the two-point correction is no trace term)
+    psi = npoint_window(len(windows), windows, wk.m_matrix)
+    want = {
+        key: SPoly({(-sum(key),): c}) for key, c in psi.items() if -sum(key) <= cap
+    }
+    got = npoint_window(len(windows), windows, _capped_s1_factory(cap))
+    assert got == want
+    assert all(c.cap == cap for c in got.values())
+
+
 def test_packed_keys_hold_large_exponents(oracles):
-    # <tau_100 tau_4> at genus 35: exponents near -100 and totals near -106
-    # fill every bit of the packed fields
+    # <tau_100 tau_4> at genus 35: partial exponents down to -107 take 8-bit
+    # packed fields, near both ends of their range
     two = oracles.two_point_numbers(104)
     got = npoint_window(2, [(-101, -101), (-5, -5)], wk.m_matrix)
     assert got == {(-101, -5): _weighted(oracles, two[(4, 100)], (100, 4))}
@@ -436,28 +473,22 @@ def test_capped_ring_never_returns_a_zero_key():
     # edge, so every product reaching a key weighs what its total and step
     # fix, and a whole key weighs minus its total.  At weight cap 8 the keys
     # of total below -8, and every partial product on the way to them, vanish
-    def factory(cap):
-        def coefficient(e, c):
-            p = SPoly({(1 - e,): c})
-            return p if cap is None else p.truncate_weight(cap)
-
-        def build(floor):
-            return [
-                [{e: coefficient(e, c) for e, c in ent.items()} for ent in row]
-                for row in wk.m_matrix(floor)
-            ]
-
-        return build
-
     n, windows = 3, [(-6, -1), (-5, -2), (-7, -1)]
-    exact = npoint_window(n, windows, factory(None))
-    got = npoint_window(n, windows, factory(8))
+    exact = npoint_window(n, windows, _capped_s1_factory(None))
+    got = npoint_window(n, windows, _capped_s1_factory(8))
     want = {key: c for key, c in exact.items() if -sum(key) <= 8}
     assert got == want
     assert want and len(want) < len(exact)
     floors, exports = budgets(windows)
-    scale, mats = _build_mats(factory(8), floors)
-    assert scale is None
+    scale, mats = _build_mats(_capped_s1_factory(8), floors)
+    # the s-polynomials clear their denominators like rationals: the trace
+    # runs over integer coefficients and keeps the cap
+    assert type(scale) is int and scale > 1
+    entries = [c for mat in mats for row in mat for it in row for _, c in it]
+    assert entries
+    for c in entries:
+        assert isinstance(c, SPoly) and c.cap == 8
+        assert all(type(x) is int for x in c.terms.values())
     for cyc, _ in cycle_classes(n):
         term = _class_term(cyc, mats, exports, windows, n)
         assert term and all(term.values())
