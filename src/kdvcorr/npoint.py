@@ -17,37 +17,40 @@ reversal pairs.
 Truncation budgets: for target windows [lo_i, hi_i] per variable in
 magnitude order, the positive powers a variable can absorb are bounded by the
 exports of the larger ones, each export being capped by its own window and
-by y^1, the top term of M.  That yields per-variable matrix floors and
-per-edge expansion caps, fixed by the windows alone, under which every
-retained coefficient is exact; each pass calls the matrix factory once, and
-verify=True recomputes with widened budgets and insists on equality.  The
-n-point function is symmetric in its variables, so the magnitude order is
-free, but the budgets are not: a variable's floor sinks by the exports of
-every larger variable, and each export grows as its window deepens.  So
-callers give the windows in any order, and npoint_window traces them
-shallowest first (largest lo first) and hands the keys back in the
-caller's order.
+by y^1, the top term of M.  That yields one matrix floor per pass (the
+deepest any variable needs) and per-edge expansion caps, fixed by the
+windows alone, under which every retained coefficient is exact; each pass
+calls the matrix factory once, and verify=True recomputes with widened
+budgets and insists on equality.  The n-point function is symmetric in its
+variables, so the magnitude order is free, but the budgets are not: a
+variable's depth sinks by the exports of every larger variable, and each
+export grows as its window deepens.  So callers give the windows in any
+order, and npoint_window traces them shallowest first (largest lo first)
+and hands the keys back in the caller's order.
 
 The coefficient ring only needs +, *, unary minus, truth testing and the
 `numerator` and `denominator` of a Fraction, so the same engine drives plain
 rationals and s-polynomial coefficients (a SparsePoly carries both).  Each
-pass clears denominators before tracing: `_build_mats` takes L, the lcm of
-the denominators of the one deepest factory matrix, scales that matrix to
-integer coefficients (Python ints, or s-polynomials over the ints) and
-slices every variable's matrix from it, so the trace runs with no gcd per
-product, and each accumulated key is divided by L^n once (the trace is
-linear in each of its n matrix factors).
+pass clears denominators before tracing: `_build_mat` scales the one
+factory matrix by L, the lcm of its denominators, to integer coefficients
+(Python ints, or s-polynomials over the ints), so the trace runs with no gcd
+per product, and each accumulated key is divided by L^n once (the trace is
+linear in each of its n matrix factors).  Every variable reads that matrix:
+a term deeper than its own variable needs is still a true coefficient of M,
+and the key ranges drop each product that uses one (none reaches the box).
 
 Inside one cyclic ordering a partial key is a single Python int: field v
 holds exponent v plus a bias, with a field width taken from the largest
 exponent that the factors before a step can reach and the windows still
 allow after it.  A matrix term adds one precomputed packed delta, and an
 edge term y_small^m y_big^{-m-1} adds a fixed step per m.  Each product loop
-walks only the exponents that keep a key inside the box: the matrix
-exponents form a bisected slice of the sorted entry, and the edge index m
-runs over the one interval the windows leave.  The per-variable ranges
-alone bound the key's total, so the key holds no field for it.  Keys are
-unpacked to exponent tuples once, when the ordering's term returns.
+walks only the exponents that keep a key inside the box: a matrix factor
+cuts each sorted entry to the exponents that lead from its variable's range
+before it to the range after it, each key bisects a slice of that cut, and
+the edge index m runs over the one interval the windows leave.  The
+per-variable ranges alone bound the key's total, so the key holds no field
+for it.  Keys are unpacked to exponent tuples once, when the ordering's
+term returns.
 """
 from __future__ import annotations
 
@@ -56,9 +59,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from itertools import permutations, repeat
 from math import lcm
+from operator import itemgetter
 
 from .rationals import rat
 from .series import add_into
+
+
+_EXP = itemgetter(0)  # the exponent of an (exponent, coefficient) term
 
 
 class TruncationInstability(RuntimeError):
@@ -78,19 +85,20 @@ def cycle_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 def budgets(
     windows: list[tuple[int, int]], *, widen: int = 0
-) -> tuple[list[int], list[int]]:
-    """Matrix floors per variable and export caps per variable, for windows
-    in magnitude order (largest variable first).
+) -> tuple[int, list[int]]:
+    """The matrix floor of a pass and the export cap per variable, for
+    windows in magnitude order (largest variable first).
 
     M^2 = y Id with leading part [[0, -1], [-y, 0]], so M tops out at y^1,
     in its lower-left entry; a matrix with a lower top gets wider budgets
     than it needs.  With pos_v the positive powers variable v can absorb
-    from the larger ones, floor_v = lo_v - pos_v, export_v = 1 + pos_v - lo_v
-    and pos_{v+1} = pos_v + export_v = 2 pos_v + 1 - lo_v (at widen = 0).
-    A deep window placed early therefore sinks every later floor, doubled
-    at each step; npoint_window passes its windows shallowest first, which
-    keeps the budgets smallest.  widen > 0 loosens every bound
-    (for the verification pass).
+    from the larger ones, no term below lo_v - pos_v reaches v's window,
+    export_v = 1 + pos_v - lo_v and pos_{v+1} = pos_v + export_v =
+    2 pos_v + 1 - lo_v (at widen = 0); the floor is min_v(lo_v - pos_v).
+    A deep window placed early therefore sinks the floor, doubled at each
+    step; npoint_window passes its windows shallowest first, which keeps
+    the budgets smallest.  widen > 0 loosens every bound (for the
+    verification pass).
     """
     floors, exports = [], []
     pos_total = 0
@@ -99,35 +107,21 @@ def budgets(
         floors.append(lo - pos)
         exports.append(1 + pos - lo + widen)
         pos_total += exports[-1]
-    return floors, exports
+    return min(floors), exports
 
 
-def _suffix_bounds(factors, n):
-    """Per factor, the per-variable exponent intervals that the factors after
-    it can add."""
-    lo = [0] * n
-    hi = [0] * n
-    out = []
-    for fac in reversed(factors):
-        out.append((tuple(lo), tuple(hi)))
-        for v, add_lo, add_hi in fac[2]:
-            lo[v] += add_lo
-            hi[v] += add_hi
-    return out[::-1]
-
-
-def _class_term(cycle, mats, exports, windows, n):
+def _class_term(cycle, mat, exports, windows, n):
     """Coefficient dict of one cyclic ordering's trace over the target box."""
+    ent = [it for row in mat for it in row if it]
+    if not ent:  # the floor is above the matrix's top term: no product
+        return {}
+    mat_lo = min(it[0][0] for it in ent)
+    mat_hi = max(it[-1][0] for it in ent)
     # ordered factor list: matrix then edge expansion for each cycle position;
-    # each carries its per-variable exponent intervals, whose suffix sums
-    # bound what later factors can still add to a partial key
+    # each carries its per-variable exponent intervals, and the totals of
+    # those bound what later factors can still add to a partial key
     factors = []
     for j, v in enumerate(cycle):
-        ent = [it for row in mats[v] for it in row if it]
-        if not ent:  # v's floor is above the matrix's top term: no product
-            return {}
-        mat_lo = min(it[0][0] for it in ent)
-        mat_hi = max(it[-1][0] for it in ent)
         factors.append(("mat", v, ((v, mat_lo, mat_hi),)))
         a, b = v, cycle[(j + 1) % n]
         big, small = (a, b) if a < b else (b, a)
@@ -136,18 +130,23 @@ def _class_term(cycle, mats, exports, windows, n):
         factors.append(
             ("geo", (big, small, sign), ((big, -cap - 1, -1), (small, 0, cap)))
         )
+    tot_lo, tot_hi = [0] * n, [0] * n
+    for v, add_lo, add_hi in (add for fac in factors for add in fac[2]):
+        tot_lo[v] += add_lo
+        tot_hi[v] += add_hi
     # after each factor, the exponent range a kept key may hold in each
     # variable it touched: what the factors so far can reach, cut by what the
-    # later ones can still add.  An empty range leaves no product.
+    # later ones can still add (the totals minus the prefix).  An empty range
+    # leaves no product.
     ranges = []
     pre_lo, pre_hi = [0] * n, [0] * n
-    for fac, (rlo, rhi) in zip(factors, _suffix_bounds(factors, n)):
+    for fac in factors:
         var = {}
         for v, add_lo, add_hi in fac[2]:
             pre_lo[v] += add_lo
             pre_hi[v] += add_hi
-            lo = max(pre_lo[v], windows[v][0] - rhi[v])
-            hi = min(pre_hi[v], windows[v][1] - rlo[v])
+            lo = max(pre_lo[v], windows[v][0] - tot_hi[v] + pre_hi[v])
+            hi = min(pre_hi[v], windows[v][1] - tot_lo[v] + pre_lo[v])
             if lo > hi:
                 return {}
             var[v] = (lo, hi)
@@ -164,19 +163,28 @@ def _class_term(cycle, mats, exports, windows, n):
     zero_key = sum(bias << (v * width) for v in range(n))
 
     P = [[{zero_key: 1}, {}], [{}, {zero_key: 1}]]
-    for fac, var in zip(factors, ranges):
+    for j, (fac, var) in enumerate(zip(factors, ranges)):
         new = [[{}, {}], [{}, {}]]
         if fac[0] == "mat":
             # exponent e of variable v moves field v by e, so each term is
-            # one packed delta; the e that keep a key inside v's range are a
-            # slice of the sorted entry
+            # one packed delta.  A key enters with v in its range before this
+            # factor (the edge into v touched it; 0 at the first factor) and
+            # leaves within var[v], so each entry is cut to the e that can
+            # bridge the two, and per key to a slice of that
             v = fac[1]
             win_lo, win_hi = var[v]
+            prev_lo, prev_hi = ranges[j - 1][v] if j else (0, 0)
             v_shift = v * width
             unit = 1 << v_shift
+            e_lo, e_hi = win_lo - prev_hi, win_hi - prev_lo
+            cut = [
+                [it[bisect_left(it, e_lo, key=_EXP) : bisect_right(it, e_hi, key=_EXP)]
+                 for it in row]
+                for row in mat
+            ]
             rows = [
                 [([e for e, _ in it], [(e * unit, c) for e, c in it]) for it in row]
-                for row in mats[v]
+                for row in cut
             ]
             for i in range(2):
                 for k in range(2):
@@ -210,7 +218,6 @@ def _class_term(cycle, mats, exports, windows, n):
             big, small, sign = fac[1]
             blo, bhi = var[big]
             slo, shi = var[small]
-            cap = exports[big]
             big_shift = big * width
             small_shift = small * width
             step = (1 << small_shift) - (1 << big_shift)
@@ -231,10 +238,9 @@ def _class_term(cycle, mats, exports, windows, n):
                         if m_lo < 0:
                             m_lo = 0
                         m_hi = kb - 1 - blo
+                        # m <= exports[big] needs no test: the ranges imply it
                         if shi - ks < m_hi:
                             m_hi = shi - ks
-                        if cap < m_hi:
-                            m_hi = cap
                         if m_lo > m_hi:
                             continue
                         c1s = -c1 if sign < 0 else c1
@@ -256,10 +262,10 @@ def _class_term(cycle, mats, exports, windows, n):
     }
 
 
-def _compute(n, windows, scale, mats, exports, classes, pool=None):
+def _compute(n, windows, scale, mat, exports, classes, pool=None):
     cycles = [cyc for cyc, _ in classes]
     terms = (map if pool is None else pool.map)(
-        _class_term, cycles, repeat(mats), repeat(exports), repeat(windows), repeat(n)
+        _class_term, cycles, repeat(mat), repeat(exports), repeat(windows), repeat(n)
     )
     acc: dict = {}
     for (cyc, weight), term in zip(classes, terms):
@@ -309,7 +315,7 @@ def npoint_window(
     # same coefficients; shallowest first keeps every budget smallest
     order = sorted(range(n), key=lambda v: -windows[v][0])
     windows = [windows[v] for v in order]
-    floors, exports = budgets(windows)
+    floor, exports = budgets(windows)
     classes = cycle_classes(n)
     # one pool serves the trace and the verify pass; it may start all its
     # workers at once, and any beyond one per class would only idle
@@ -318,14 +324,14 @@ def npoint_window(
         ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext()
     ) as pool:
         result = _compute(
-            n, windows, *_build_mats(mat_factory, floors), exports, classes, pool
+            n, windows, *_build_mat(mat_factory, floor), exports, classes, pool
         )
         if verify:
-            floors2, exports2 = budgets(windows, widen=4)
-            floors2 = [min(f2, 2 * f1) for f1, f2 in zip(floors, floors2)]
+            floor2, exports2 = budgets(windows, widen=4)
+            floor2 = min(floor2, 2 * floor)
             exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
             check = _compute(
-                n, windows, *_build_mats(mat_factory, floors2), exports2, classes, pool
+                n, windows, *_build_mat(mat_factory, floor2), exports2, classes, pool
             )
     if verify and check != result:
         changed = sum(
@@ -344,31 +350,23 @@ def npoint_window(
     return result
 
 
-def _build_mats(mat_factory, floors):
-    """(L, mats): each variable's matrix as sorted (exponent, coefficient)
-    lists, cut at its own floor and scaled by L to integer coefficients.
-    One factory call at the deepest floor serves them all: the factory is
-    complete down to the floor it is given, so each slice equals the matrix
-    the factory would build at that variable's floor.  Every slice is part
-    of the deepest one, so clearing that one's denominators (L = their lcm)
-    scales every slice by the same L.  The budgets assume no term above y^1,
-    so one raises ValueError."""
-    deepest = min(floors)
-    ent = mat_factory(deepest)
+def _build_mat(mat_factory, floor):
+    """(L, mat): the factory's matrix at `floor` as sorted (exponent,
+    coefficient) lists, cut at the floor and scaled by L, the lcm of its
+    denominators, to integer coefficients.  One matrix serves every
+    variable of the pass.  The budgets assume no term above y^1, so one
+    raises ValueError."""
+    ent = mat_factory(floor)
     if any(e > 1 for row in ent for it in row for e in it):
         raise ValueError("matrix factory returned a term above y^1")
-    full = [
-        [sorted(t for t in ent[i][k].items() if t[0] >= deepest) for k in range(2)]
+    mat = [
+        [sorted(t for t in ent[i][k].items() if t[0] >= floor) for k in range(2)]
         for i in range(2)
     ]
-    scale = lcm(*(c.denominator for row in full for it in row for _, c in it))
-    full = [
-        [[(e, c.numerator * (scale // c.denominator)) for e, c in it] for it in row]
-        for row in full
-    ]
+    scale = lcm(*(c.denominator for row in mat for it in row for _, c in it))
     return scale, [
-        [[[(e, c) for e, c in it if e >= fl] for it in row] for row in full]
-        for fl in floors
+        [[(e, c.numerator * (scale // c.denominator)) for e, c in it] for it in row]
+        for row in mat
     ]
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kdvcorr import npoint, wk, wp
 from kdvcorr.npoint import (
-    _build_mats,
+    _build_mat,
     _class_term,
     budgets,
     cycle_classes,
@@ -45,12 +45,17 @@ def test_cycle_classes_counts():
 
 
 def test_budgets_cover_windows():
-    windows = [(-5, -1), (-7, -2)]
-    floors, exports = budgets(windows)
-    assert all(f <= lo for f, (lo, _) in zip(floors, windows))
-    wide_floors, wide_exports = budgets(windows, widen=4)
-    assert all(w <= f for w, f in zip(wide_floors, floors))
-    assert all(w >= e for w, e in zip(wide_exports, exports))
+    # one floor per pass, min_v(lo_v - pos_v) with pos_v the exports of the
+    # larger variables, and one export cap per variable
+    for windows, floor, exports in (
+        ([(-5, -1), (-7, -2), (-3, -1)], -23, [6, 14, 24]),  # pos 0, 6, 20
+        ([(-20, -1), (-1, -1), (40, 40)], -22, [21, 23, 5]),  # pos 0, 21, 44
+        ([(-4, -1)] * 3, -19, [5, 10, 20]),  # pos 0, 5, 15
+    ):
+        assert budgets(windows) == (floor, exports)
+        wide_floor, wide_exports = budgets(windows, widen=4)
+        assert wide_floor < floor
+        assert all(w >= e for w, e in zip(wide_exports, exports))
     with pytest.raises(TypeError):
         budgets(windows, 4)  # widen is keyword-only
 
@@ -307,18 +312,17 @@ def test_process_pool_matches_serial(monkeypatch, n, windows):
 
 def _unscaled_window(n, windows, mat_factory, correct=True):
     """npoint_window rebuilt by hand from _class_term on the factory's own
-    (unscaled) coefficients: same budgets, each variable's matrix cut at its
-    own floor, classes summed with their multiplicities, and the two-point
+    (unscaled) coefficients: same budgets, one matrix cut at the pass's
+    floor, classes summed with their multiplicities, and the two-point
     correction added here."""
-    floors, exports = budgets(windows)
-    mats = [
-        [[sorted(t for t in ent.items() if t[0] >= fl) for ent in row]
-         for row in mat_factory(fl)]
-        for fl in floors
+    floor, exports = budgets(windows)
+    mat = [
+        [sorted(t for t in ent.items() if t[0] >= floor) for ent in row]
+        for row in mat_factory(floor)
     ]
     acc = {}
     for cyc, weight in cycle_classes(n):
-        for key, c in _class_term(cyc, mats, exports, windows, n).items():
+        for key, c in _class_term(cyc, mat, exports, windows, n).items():
             acc[key] = acc.get(key, 0) - weight * c
     if n == 2 and correct:
         # -(y_1 + y_2)/(y_1 - y_2)^2 = -sum_m (2m+1) y_2^m y_1^{-m-1}
@@ -413,26 +417,43 @@ def _weighted(oracles, value, ks):
 # an index window [a, b] is the exponent window [-b-1, -a-1]; an index of -1
 # or -2 reaches the exponents 0 and 1, where the n-point function has no term,
 # and a window of indices -4 and -3 alone lies wholly above y^1
-_index_windows = st.tuples(st.integers(-4, 8), st.integers(-4, 8)).map(
-    lambda ab: (-max(ab) - 1, -min(ab) - 1)
-)
+def _index_windows(top):
+    """Exponent windows of index windows [a, b] with -4 <= a <= b <= top."""
+    return st.tuples(st.integers(-4, top), st.integers(-4, top)).map(
+        lambda ab: (-max(ab) - 1, -min(ab) - 1)
+    )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_index_windows, min_size=2, max_size=4, unique=True))
-def test_random_boxes_equal_dvv_numbers(oracles, psi, windows):
-    # distinct windows drawn in any order, so a higher or wider window may
-    # stand before or after a lower one in the magnitude order
+def _dvv_box(oracles, psi, windows):
+    """The DVV numbers of a box, weighted as the trace keys them."""
     want = {}
     for key in product(*(range(lo, hi + 1) for lo, hi in windows)):
         ks = [-e - 1 for e in key]
         if min(ks) >= 0 and oracles.genus_of(ks) is not None:
             want[key] = _weighted(oracles, psi(ks), ks)
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_index_windows(8), min_size=2, max_size=4, unique=True))
+def test_random_boxes_equal_dvv_numbers(oracles, psi, windows):
+    # distinct windows drawn in any order, so a higher or wider window may
+    # stand before or after a lower one in the magnitude order
+    want = _dvv_box(oracles, psi, windows)
     assert npoint_window(len(windows), windows, wk.m_matrix) == want
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_index_windows(5), min_size=5, max_size=5, unique=True))
+def test_random_five_point_boxes_equal_dvv_numbers(oracles, psi, windows):
+    # at five variables the depths that the variables' windows need lie
+    # furthest apart, and the one matrix of the pass serves them all
+    want = _dvv_box(oracles, psi, windows)
+    assert npoint_window(5, windows, wk.m_matrix) == want
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(_index_windows, min_size=3, max_size=4, unique=True),
+@given(st.lists(_index_windows(8), min_size=3, max_size=4, unique=True),
        st.integers(0, 9))
 def test_random_boxes_over_capped_s1_scale_the_psi_trace(windows, cap):
     # every product reaching a key weighs minus the key's total, so over the
@@ -479,17 +500,17 @@ def test_capped_ring_never_returns_a_zero_key():
     want = {key: c for key, c in exact.items() if -sum(key) <= 8}
     assert got == want
     assert want and len(want) < len(exact)
-    floors, exports = budgets(windows)
-    scale, mats = _build_mats(_capped_s1_factory(8), floors)
+    floor, exports = budgets(windows)
+    scale, mat = _build_mat(_capped_s1_factory(8), floor)
     # the s-polynomials clear their denominators like rationals: the trace
     # runs over integer coefficients and keeps the cap
     assert type(scale) is int and scale > 1
-    entries = [c for mat in mats for row in mat for it in row for _, c in it]
+    entries = [c for row in mat for it in row for _, c in it]
     assert entries
     for c in entries:
         assert isinstance(c, SPoly) and c.cap == 8
         assert all(type(x) is int for x in c.terms.values())
     for cyc, _ in cycle_classes(n):
-        term = _class_term(cyc, mats, exports, windows, n)
+        term = _class_term(cyc, mat, exports, windows, n)
         assert term and all(term.values())
         assert all(-sum(key) <= 8 for key in term)

@@ -113,6 +113,19 @@ def test_equality_compares_above_common_floor():
     assert f != series({0: rat(2)}, low=-3)
 
 
+def test_non_series_operands_are_refused():
+    # __add__ and __eq__ return NotImplemented for a non-series, so Python
+    # raises for the sum and falls back to identity for the comparison
+    with pytest.raises(TypeError):
+        LaurentSeries.one() + 1
+    assert (LaurentSeries.one() == 1) is False
+
+
+def test_zero_series_repr():
+    assert repr(LaurentSeries.zero()) == "0"
+    assert repr(series({}, low=-3)) == "0 + O(z^-4)"
+
+
 def test_ring_generic_coefficients():
     from kdvcorr.diffpoly import DiffPoly
 
