@@ -28,44 +28,50 @@ export grows as its window deepens.  So callers give the windows in any
 order, and npoint_window traces them shallowest first (largest lo first)
 and hands the keys back in the caller's order.
 
-The coefficient ring only needs +, *, unary minus, truth testing and the
-`numerator` and `denominator` of a Fraction, so the same engine drives plain
-rationals and s-polynomial coefficients (a SparsePoly carries both).  Each
-pass clears denominators before tracing: `_build_mat` scales the one
-factory matrix by L, the lcm of its denominators, to integer coefficients
-(Python ints, or s-polynomials over the ints), so the trace runs with no gcd
-per product, and each accumulated key is divided by L^n once (the trace is
-linear in each of its n matrix factors).  Every variable reads that matrix:
-a term deeper than its own variable needs is still a true coefficient of M,
-and the key ranges drop each product that uses one (none reaches the box).
+The coefficients are rationals (int or Fraction), or SparsePoly
+polynomials of one class (the s-polynomials of the kappa and WP waves,
+Theta's jet polynomials), and the trace multiplies only ints either way.
+Each pass clears denominators before tracing: `_build_mat` scales the one
+factory matrix by L, the lcm of its denominators, and explodes each
+polynomial entry into one (y-exponent, monomial, int) term per monomial,
+so the trace runs with no gcd and no polynomial product, and `_compute`
+divides each accumulated key by L^n once (the trace is linear in each of
+its n matrix factors) and gathers a polynomial key's monomials back into
+the ring's class and weight cap.  A rational is the case with no monomial.
+Every variable reads that matrix: a term deeper than its own variable needs
+is still a true coefficient of M, and the key ranges drop each product that
+uses one (none reaches the box).
 
-Inside one cyclic ordering a partial key is a single Python int: field v
-holds exponent v plus a bias, with a field width taken from the largest
-exponent that the factors before a step can reach and the windows still
-allow after it.  A matrix term adds one precomputed packed delta, and an
-edge term y_small^m y_big^{-m-1} adds a fixed step per m.  Each product loop
-walks only the exponents that keep a key inside the box: a matrix factor
-cuts each sorted entry to the exponents that lead from its variable's range
-before it to the range after it, each key bisects a slice of that cut, and
-the edge index m runs over the one interval the windows leave.  The
-per-variable ranges alone bound the key's total, so the key holds no field
-for it.  Keys are unpacked to exponent tuples once, when the ordering's
-term returns.
+Inside one cyclic ordering a partial key is a single Python int: its low
+bits pack the monomial, each ring variable in its own field, and above them
+field v holds y-exponent v plus a bias, with a field width taken from the
+largest exponent that the factors before a step can reach and the windows
+still allow after it.  A matrix term adds one precomputed packed delta, and
+an edge term y_small^m y_big^{-m-1} adds a fixed step per m.  Each product
+loop walks only the exponents that keep a key inside the box: a matrix
+factor cuts each sorted entry to the exponents that lead from its
+variable's range before it to the range after it, each key bisects a slice
+of that cut, and the edge index m runs over the one interval the windows
+leave.  The per-variable ranges alone bound the key's total, so the key
+holds no field for it.  Over a capped ring the partial keys are held by
+weight and an entry's terms are grouped by weight, so a product above the
+cap is skipped a group at a time and never formed.  Keys are unpacked to
+exponent tuples once, when the ordering's term returns.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from itertools import permutations, repeat
+from itertools import groupby, permutations, repeat
 from math import lcm
 from operator import itemgetter
 
 from .rationals import rat
-from .series import add_into
+from .series import SparsePoly, add_into
 
 
-_EXP = itemgetter(0)  # the exponent of an (exponent, coefficient) term
+_EXP = itemgetter(0)  # a term's exponent, or the weight of (weight, term ...)
 
 
 class TruncationInstability(RuntimeError):
@@ -110,13 +116,17 @@ def budgets(
     return min(floors), exports
 
 
-def _class_term(cycle, mat, exports, windows, n):
-    """Coefficient dict of one cyclic ordering's trace over the target box."""
-    ent = [it for row in mat for it in row if it]
-    if not ent:  # the floor is above the matrix's top term: no product
+def _class_term(cycle, mat, cap, low, exports, windows, n):
+    """Coefficient dict of one cyclic ordering's trace over the target box,
+    over `_build_mat`'s exploded matrix whose packed monomials take the `low`
+    bits of a key.  Keys are the n y-exponents, then the packed monomial if
+    low > 0, and no product of weight above `cap` is formed (0 for a ring
+    whose weights all read 0)."""
+    groups = [grp for row in mat for it in row for grp in it]
+    if not groups:  # the floor is above the matrix's top term: no product
         return {}
-    mat_lo = min(it[0][0] for it in ent)
-    mat_hi = max(it[-1][0] for it in ent)
+    mat_lo = min(terms[0][0] for _, terms in groups)
+    mat_hi = max(terms[-1][0] for _, terms in groups)
     # ordered factor list: matrix then edge expansion for each cycle position;
     # each carries its per-variable exponent intervals, and the totals of
     # those bound what later factors can still add to a partial key
@@ -126,9 +136,9 @@ def _class_term(cycle, mat, exports, windows, n):
         a, b = v, cycle[(j + 1) % n]
         big, small = (a, b) if a < b else (b, a)
         sign = 1 if a == big else -1
-        cap = exports[big]
+        export = exports[big]
         factors.append(
-            ("geo", (big, small, sign), ((big, -cap - 1, -1), (small, 0, cap)))
+            ("geo", (big, small, sign), ((big, -export - 1, -1), (small, 0, export)))
         )
     tot_lo, tot_hi = [0] * n, [0] * n
     for v, add_lo, add_hi in (add for fac in factors for add in fac[2]):
@@ -152,134 +162,180 @@ def _class_term(cycle, mat, exports, windows, n):
             var[v] = (lo, hi)
         ranges.append(var)
 
-    # a partial key is one int: field v holds exponent v plus the bias.
-    # Between two touches of v no factor moves v's exponent or its range, so
-    # every kept exponent lies in a range above (an untouched one is 0), and
-    # no field ever borrows from or carries into the next
+    # a partial key is one int: its `low` bits hold the packed monomial, and
+    # field v above them y-exponent v plus the bias.  Between two touches of
+    # v no factor moves v's exponent or its range, so every kept exponent
+    # lies in a range above (an untouched one is 0), and no field ever
+    # borrows from or carries into the next
     reach = max(abs(x) for var in ranges for pair in var.values() for x in pair)
     width = reach.bit_length() + 1
     bias = 1 << (width - 1)
     mask = (1 << width) - 1
-    zero_key = sum(bias << (v * width) for v in range(n))
+    shifts = [low + v * width for v in range(n)]
+    zero_key = sum(bias << sh for sh in shifts)
 
-    P = [[{zero_key: 1}, {}], [{}, {zero_key: 1}]]
+    # P maps a state (i, k, weight) to the partial keys of matrix entry
+    # (i, k) whose monomials have that weight; no product of weight above
+    # the cap is formed
+    P = {(0, 0, 0): {zero_key: 1}, (1, 1, 0): {zero_key: 1}}
     for j, (fac, var) in enumerate(zip(factors, ranges)):
-        new = [[{}, {}], [{}, {}]]
+        new = {}
         if fac[0] == "mat":
-            # exponent e of variable v moves field v by e, so each term is
-            # one packed delta.  A key enters with v in its range before this
-            # factor (the edge into v touched it; 0 at the first factor) and
-            # leaves within var[v], so each entry is cut to the e that can
-            # bridge the two, and per key to a slice of that
+            # exponent e of variable v moves field v by e and a monomial m
+            # the low bits by m, so each term is one packed delta.  A key
+            # enters with v in its range before this factor (the edge into v
+            # touched it; 0 at the first factor) and leaves within var[v], so
+            # each weight group is cut to the e that can bridge the two, and
+            # per key to a slice of that
             v = fac[1]
             win_lo, win_hi = var[v]
             prev_lo, prev_hi = ranges[j - 1][v] if j else (0, 0)
-            v_shift = v * width
-            unit = 1 << v_shift
+            unit = 1 << shifts[v]
             e_lo, e_hi = win_lo - prev_hi, win_hi - prev_lo
-            cut = [
-                [it[bisect_left(it, e_lo, key=_EXP) : bisect_right(it, e_hi, key=_EXP)]
-                 for it in row]
+            rows = [
+                [
+                    (kk, w, [e for e, _, _ in cut],
+                     [(e * unit + m, c) for e, m, c in cut])
+                    for kk, it in enumerate(row)
+                    for w, terms in it
+                    if (cut := terms[bisect_left(terms, e_lo, key=_EXP)
+                                     : bisect_right(terms, e_hi, key=_EXP)])
+                ]
                 for row in mat
             ]
-            rows = [
-                [([e for e, _ in it], [(e * unit, c) for e, c in it]) for it in row]
-                for row in cut
-            ]
-            for i in range(2):
-                for k in range(2):
-                    pe = P[i][k]
-                    if not pe:
-                        continue
-                    targets = [
-                        (exps, terms, new[i][kk])
-                        for kk, (exps, terms) in enumerate(rows[k])
-                        if terms
-                    ]
-                    for key, c1 in pe.items():
-                        kv = ((key >> v_shift) & mask) - bias
-                        lo = win_lo - kv
-                        hi = win_hi - kv
-                        for exps, terms, dst in targets:
-                            a = bisect_left(exps, lo)
-                            for d, c2 in terms[a : bisect_right(exps, hi, a)]:
-                                nk = key + d
-                                s = dst.get(nk)
-                                s = c1 * c2 if s is None else s + c1 * c2
-                                if s:
-                                    dst[nk] = s
-                                else:
-                                    # a capped coefficient ring can produce a
-                                    # zero product for a key never stored
-                                    dst.pop(nk, None)
+            v_shift = shifts[v]
+            for (i, k, kw), pe in P.items():
+                targets = [
+                    (exps, terms, new.setdefault((i, kk, kw + w), {}))
+                    for kk, w, exps, terms in rows[k]
+                    if kw + w <= cap
+                ]
+                for key, c1 in pe.items():
+                    kv = ((key >> v_shift) & mask) - bias
+                    lo = win_lo - kv
+                    hi = win_hi - kv
+                    for exps, terms, dst in targets:
+                        # ints multiply to 0 only from a 0 coefficient, and
+                        # _compute drops every key that sums to 0
+                        a = bisect_left(exps, lo)
+                        for d, c2 in terms[a : bisect_right(exps, hi, a)]:
+                            nk = key + d
+                            s = dst.get(nk)
+                            if s is None:
+                                dst[nk] = c1 * c2
+                            elif s := s + c1 * c2:
+                                dst[nk] = s
+                            else:
+                                del dst[nk]
         else:
             # y_small^m y_big^{-m-1}: m walks the one interval that keeps
             # both fields inside their ranges
             big, small, sign = fac[1]
             blo, bhi = var[big]
             slo, shi = var[small]
-            big_shift = big * width
-            small_shift = small * width
+            big_shift = shifts[big]
+            small_shift = shifts[small]
             step = (1 << small_shift) - (1 << big_shift)
             drop = 1 << big_shift
-            for i in range(2):
-                for k in range(2):
-                    pe = P[i][k]
-                    if not pe:
+            for state, pe in P.items():
+                dst = new[state] = {}
+                for key, c1 in pe.items():
+                    kb = ((key >> big_shift) & mask) - bias
+                    ks = ((key >> small_shift) & mask) - bias
+                    # plain comparisons cost less than max/min calls
+                    m_lo = kb - 1 - bhi
+                    if slo - ks > m_lo:
+                        m_lo = slo - ks
+                    if m_lo < 0:
+                        m_lo = 0
+                    m_hi = kb - 1 - blo
+                    # m <= exports[big] needs no test: the ranges imply it
+                    if shi - ks < m_hi:
+                        m_hi = shi - ks
+                    if m_lo > m_hi:
                         continue
-                    dst = new[i][k]
-                    for key, c1 in pe.items():
-                        kb = ((key >> big_shift) & mask) - bias
-                        ks = ((key >> small_shift) & mask) - bias
-                        # plain comparisons cost less than max/min calls
-                        m_lo = kb - 1 - bhi
-                        if slo - ks > m_lo:
-                            m_lo = slo - ks
-                        if m_lo < 0:
-                            m_lo = 0
-                        m_hi = kb - 1 - blo
-                        # m <= exports[big] needs no test: the ranges imply it
-                        if shi - ks < m_hi:
-                            m_hi = shi - ks
-                        if m_lo > m_hi:
-                            continue
-                        c1s = -c1 if sign < 0 else c1
-                        first = key - drop + m_lo * step
-                        for nk in range(first, first + (m_hi - m_lo + 1) * step, step):
-                            s = dst.get(nk)
-                            s = c1s if s is None else s + c1s
-                            if s:
-                                dst[nk] = s
-                            else:
-                                dst.pop(nk, None)
+                    c1s = -c1 if sign < 0 else c1
+                    first = key - drop + m_lo * step
+                    for nk in range(first, first + (m_hi - m_lo + 1) * step, step):
+                        s = dst.get(nk)
+                        if s is None:
+                            dst[nk] = c1s
+                        elif s := s + c1s:
+                            dst[nk] = s
+                        else:
+                            del dst[nk]
         P = new
-    out = P[0][0]
-    for key, c in P[1][1].items():
-        add_into(out, key, c)
-    shifts = [v * width for v in range(n)]
+    # the trace sums the diagonal entries; keys of different weights differ
+    diag = [pe for (i, k, _), pe in P.items() if i == k]
+    out = diag.pop() if diag else {}
+    for pe in diag:
+        for key, c in pe.items():
+            add_into(out, key, c)
+    if not low:
+        return {
+            tuple([((key >> sh) & mask) - bias for sh in shifts]): c
+            for key, c in out.items()
+        }
+    low_mask = (1 << low) - 1
     return {
-        tuple(((key >> sh) & mask) - bias for sh in shifts): c for key, c in out.items()
+        (*[((key >> sh) & mask) - bias for sh in shifts], key & low_mask): c
+        for key, c in out.items()
     }
 
 
-def _compute(n, windows, scale, mat, exports, classes, pool=None):
+class _Ring:
+    """How a pass packs its SparsePoly coefficients: `zero` carries their
+    class and cap, and the `low` bits of a key hold the monomial, the
+    exponent of variable j in the `width` bits from j * width up."""
+
+    __slots__ = ("zero", "width", "low")
+
+    def __init__(self, zero: SparsePoly, width: int, low: int):
+        self.zero, self.width, self.low = zero, width, low
+
+
+def _compute(n, windows, scale, ring, mat, exports, classes, pool=None):
     cycles = [cyc for cyc, _ in classes]
+    cap, low = (0, 0) if ring is None else (ring.zero.cap or 0, ring.low)
     terms = (map if pool is None else pool.map)(
-        _class_term, cycles, repeat(mat), repeat(exports), repeat(windows), repeat(n)
+        _class_term,
+        cycles,
+        repeat(mat),
+        repeat(cap),
+        repeat(low),
+        repeat(exports),
+        repeat(windows),
+        repeat(n),
     )
     acc: dict = {}
     for (cyc, weight), term in zip(classes, terms):
         for key, c in term.items():
             add_into(acc, key, -weight * c)
-    inv = rat(1, scale**n)
-    acc = {key: c * inv for key, c in acc.items()}
+    den = scale**n
+    if ring is None:
+        acc = {key: rat(c, den) for key, c in acc.items()}
+    else:
+        # gather each y-key's monomials back into one polynomial of the
+        # ring's class and cap; with no monomial bits (constants only) a key
+        # is the y-exponents alone
+        mask = (1 << ring.width) - 1
+        polys: dict = {}
+        for key, c in acc.items():
+            mono, m = [], key[n] if ring.low else 0
+            while m:  # the top field is nonzero, so no trailing zero
+                mono.append(m & mask)
+                m >>= ring.width
+            polys.setdefault(key[:n], {})[tuple(mono)] = rat(c, den)
+        zero = ring.zero
+        acc = {key: zero._make(terms, zero.cap) for key, terms in polys.items()}
     if n == 2:
         # subtract the expansion of (y_1+y_2)/(y_1-y_2)^2
+        one = 1 if ring is None else ring.zero._make({(): rat(1)}, ring.zero.cap)
         lo0, hi0 = windows[0]
         lo1, hi1 = windows[1]
         for m in range(max(0, lo1), hi1 + 1):
             if lo0 <= -m - 1 <= hi0:
-                add_into(acc, (-m - 1, m), -(2 * m + 1))
+                add_into(acc, (-m - 1, m), -(2 * m + 1) * one)
     return acc
 
 
@@ -301,8 +357,12 @@ def npoint_window(
     smallest (see budgets), and every key is mapped back to the order given.
     mat_factory(floor) must return the 2x2 matrix M as {exponent: coefficient}
     dicts in y, complete down to `floor`, with no term above y^1 (else
-    ValueError); it is called once per pass.  Returns {(e_1, ..., e_n):
-    coefficient} including only nonzero entries.
+    ValueError); it is called once per pass.  Its coefficients are
+    rationals, or SparsePoly polynomials of one class (else TypeError), whose
+    variables the trace packs into key fields; a capped polynomial ring
+    keeps its smallest cap, and no term above it is formed.  Returns
+    {(e_1, ..., e_n): coefficient} including only nonzero entries, each a
+    rational, or a polynomial of the factory's class with that cap.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -324,14 +384,14 @@ def npoint_window(
         ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext()
     ) as pool:
         result = _compute(
-            n, windows, *_build_mat(mat_factory, floor), exports, classes, pool
+            n, windows, *_build_mat(mat_factory, floor, n), exports, classes, pool
         )
         if verify:
             floor2, exports2 = budgets(windows, widen=4)
             floor2 = min(floor2, 2 * floor)
             exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
             check = _compute(
-                n, windows, *_build_mat(mat_factory, floor2), exports2, classes, pool
+                n, windows, *_build_mat(mat_factory, floor2, n), exports2, classes, pool
             )
     if verify and check != result:
         changed = sum(
@@ -350,23 +410,79 @@ def npoint_window(
     return result
 
 
-def _build_mat(mat_factory, floor):
-    """(L, mat): the factory's matrix at `floor` as sorted (exponent,
-    coefficient) lists, cut at the floor and scaled by L, the lcm of its
-    denominators, to integer coefficients.  One matrix serves every
-    variable of the pass.  The budgets assume no term above y^1, so one
-    raises ValueError."""
+def _build_mat(mat_factory, floor, n):
+    """(L, ring, mat): the factory's matrix at `floor`, cut at the floor and
+    exploded into int terms (e, m, c L) for an n-point pass, where L is the
+    lcm of the denominators.
+
+    A rational coefficient c of y^e is the one term (e, 0, c L), and ring
+    is None; polynomial coefficients are exploded by `_explode`.  Each entry
+    of mat is a list of (weight, terms) groups by rising weight, with its
+    terms sorted by exponent.  One matrix serves every variable of the pass.
+    The budgets assume no term above y^1, so one raises ValueError."""
     ent = mat_factory(floor)
     if any(e > 1 for row in ent for it in row for e in it):
         raise ValueError("matrix factory returned a term above y^1")
-    mat = [
-        [sorted(t for t in ent[i][k].items() if t[0] >= floor) for k in range(2)]
-        for i in range(2)
+    cut = [
+        [sorted(t for t in it.items() if t[0] >= floor) for it in row]
+        for row in ent
     ]
-    scale = lcm(*(c.denominator for row in mat for it in row for _, c in it))
-    return scale, [
-        [[(e, c.numerator * (scale // c.denominator)) for e, c in it] for it in row]
-        for row in mat
+    try:
+        scale = lcm(*(c.denominator for row in cut for it in row for _, c in it))
+    except AttributeError:  # a polynomial has no denominator
+        return _explode(cut, n)
+    # rationals: one group of weight 0 per entry, and no monomial
+    return scale, None, [
+        [
+            [(0, [(e, 0, c.numerator * (scale // c.denominator)) for e, c in it])]
+            if it else []
+            for it in row
+        ]
+        for row in cut
+    ]
+
+
+def _explode(cut, n):
+    """`_build_mat` over SparsePoly coefficients of one class (else
+    TypeError): each monomial of a coefficient of y^e is a term (e, m, c L)
+    whose m packs the monomial as `ring` (a _Ring) says, with fields wide
+    enough for the product of n terms.  ring.zero carries the class and the
+    smallest cap, a term above that cap is dropped, an uncapped ring weighs
+    every term 0, and a rational coefficient is a constant."""
+    polys = [p for row in cut for it in row for _, p in it if isinstance(p, SparsePoly)]
+    if len({type(p) for p in polys}) > 1:
+        raise TypeError("matrix factory mixes polynomial rings")
+    caps = [p.cap for p in polys if p.cap is not None]
+    zero = polys[0]._make({}, min(caps, default=None))
+    weight = (lambda m: 0) if zero.cap is None else zero._weight
+    # (weight, e, monomial, c) per monomial, in the order of e
+    exploded = [
+        [
+            [
+                (w, e, m, c)
+                for e, p in it
+                for m, c in (p.terms if isinstance(p, SparsePoly) else {(): p}).items()
+                if (w := weight(m)) <= (zero.cap or 0)
+            ]
+            for it in row
+        ]
+        for row in cut
+    ]
+    terms = [t for row in exploded for it in row for t in it]
+    scale = lcm(*(c.denominator for _, _, _, c in terms))
+    # a key's exponents are sums of n terms' exponents, which never go below 0
+    width = (n * max((x for _, _, m, _ in terms for x in m), default=0)).bit_length()
+    low = width * max((len(m) for _, _, m, _ in terms), default=0)
+    return scale, _Ring(zero, width, low), [
+        [
+            [
+                (w, [(e, sum(x << (j * width) for j, x in enumerate(m)),
+                      c.numerator * (scale // c.denominator)) for _, e, m, c in grp])
+                for w, grp in groupby(sorted(it, key=_EXP), key=_EXP)
+            ]
+            for it in row
+        ]
+        for row in exploded
     ]
 
 

@@ -30,12 +30,9 @@ weight cap, the counterpart of the floor `low`: only its terms of weight <=
 cap are known, and `cap=None` is the exact form.  Sums and products take the
 smaller cap of their operands and drop every term above it, so a cap set on
 a seed constant travels with all that is built from it, into pool workers too.
-A sparse polynomial has the `numerator` and `denominator` of a Fraction, so
-code that clears rational denominators clears its denominators too.
 """
 from __future__ import annotations
 
-from math import lcm
 from operator import add, itemgetter
 
 from .rationals import rat
@@ -237,11 +234,7 @@ class SparsePoly:
     smaller cap of their operands and products truncate there, as the floor
     `low` of a LaurentSeries rises.
     Both operands of a ring operation must be of the same subclass; anything
-    else is coerced as an exact rational constant.  Like a Fraction, a
-    polynomial has a `denominator`, the lcm of its coefficients'
-    denominators, and a `numerator`, itself times that with int
-    coefficients; so the trace engine clears its denominators as it does a
-    rational's.
+    else is coerced as an exact rational constant.
     """
 
     __slots__ = ("terms", "cap")
@@ -340,20 +333,6 @@ class SparsePoly:
     def __rmul__(self, other):
         # through self.__mul__, so a wrapper installed on the class sees it
         return self.__mul__(other)
-
-    @property
-    def denominator(self) -> int:
-        """The lcm of the coefficients' denominators; 1 for zero."""
-        return lcm(1, *(c.denominator for c in self.terms.values()))
-
-    @property
-    def numerator(self):
-        """self times its denominator, with int coefficients and the same cap."""
-        den = self.denominator
-        return self._make(
-            {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()},
-            self.cap,
-        )
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -21,7 +21,8 @@ from kdvcorr.npoint import (
     cycle_classes,
     npoint_window,
 )
-from kdvcorr.partitions import SPoly
+from kdvcorr.diffpoly import DiffPoly
+from kdvcorr.partitions import SPoly, monomial_weight
 from kdvcorr.rationals import odd_double_factorial, rat
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -313,17 +314,47 @@ def test_process_pool_matches_serial(monkeypatch, n, windows):
 def _unscaled_window(n, windows, mat_factory, correct=True):
     """npoint_window rebuilt by hand from _class_term on the factory's own
     (unscaled) coefficients: same budgets, one matrix cut at the pass's
-    floor, classes summed with their multiplicities, and the two-point
-    correction added here."""
+    floor, each s-polynomial exploded here into (weight, terms) groups with
+    its monomials packed into the low bits of a key, classes summed with
+    their multiplicities, the monomials unpacked into s-polynomials, and
+    the two-point correction added here."""
     floor, exports = budgets(windows)
+    ent = mat_factory(floor)
+    coeffs = [c for row in ent for it in row for c in it.values()]
+    ring = isinstance(coeffs[0], SPoly)
+    cap = coeffs[0].cap if ring else None
+    monos = [m for c in coeffs if ring for m in c.terms]
+    # n terms' exponents add up in a field of `width` bits per s-variable
+    width = (n * max((x for m in monos for x in m), default=0)).bit_length()
+    nvars = max(map(len, monos), default=0)
+
+    def groups(it):
+        by_weight = {}
+        for e, c in sorted(it.items()):
+            for m, x in c.terms.items() if ring else [((), c)]:
+                w = 0 if cap is None else monomial_weight(m)
+                packed = sum(a << (j * width) for j, a in enumerate(m))
+                by_weight.setdefault(w, []).append((e, packed, x))
+        return sorted(by_weight.items())
+
     mat = [
-        [sorted(t for t in ent.items() if t[0] >= floor) for ent in row]
-        for row in mat_factory(floor)
+        [groups({e: c for e, c in it.items() if e >= floor}) for it in row]
+        for row in ent
     ]
-    acc = {}
+    sums = {}
     for cyc, weight in cycle_classes(n):
-        for key, c in _class_term(cyc, mat, exports, windows, n).items():
-            acc[key] = acc.get(key, 0) - weight * c
+        term = _class_term(cyc, mat, cap or 0, width * nvars, exports, windows, n)
+        for key, c in term.items():
+            m = tuple((key[n] >> (j * width)) % (1 << width) for j in range(nvars))
+            terms = sums.setdefault(key[:n], {})
+            terms[m] = terms.get(m, 0) - weight * c
+    if ring:
+        acc = {}
+        for key, terms in sums.items():
+            p = SPoly(terms)
+            acc[key] = p if cap is None else p.truncate_weight(cap)
+    else:
+        acc = {key: terms[()] for key, terms in sums.items()}
     if n == 2 and correct:
         # -(y_1 + y_2)/(y_1 - y_2)^2 = -sum_m (2m+1) y_2^m y_1^{-m-1}
         (lo0, hi0), (lo1, hi1) = windows
@@ -361,6 +392,13 @@ def _capped_s1_factory(cap):
     return build
 
 
+def _kappa_m_matrix(cap):
+    """M^kappa over s_1, s_2, ...: the matrix of the kappa wave at weight cap
+    `cap`, whose entries carry every s_j with j <= cap."""
+    dw = wp.deformed_wave(wp.kappa_times(cap), cap)
+    return lambda floor: wp.m_kappa_matrix(dw, floor)
+
+
 @pytest.mark.parametrize(
     "n, windows",
     [
@@ -370,14 +408,29 @@ def _capped_s1_factory(cap):
     ],
 )
 @pytest.mark.parametrize(
-    "factory",
-    [wk.m_matrix, _mixed_m_matrix, pytest.param(_capped_s1_factory(6), id="s1_cap6")],
+    "factory, fields",
+    [
+        pytest.param(wk.m_matrix, set(), id="m_matrix"),
+        pytest.param(_mixed_m_matrix, set(), id="_mixed_m_matrix"),
+        pytest.param(_capped_s1_factory(6), {1}, id="s1_cap6"),
+        pytest.param(_kappa_m_matrix(3), {1, 2, 3}, id="kappa_cap3"),
+    ],
 )
-def test_scaled_trace_matches_unscaled(n, windows, factory):
+def test_scaled_trace_matches_unscaled(n, windows, factory, fields):
     expected = _unscaled_window(n, windows, factory)
     got = npoint_window(n, windows, factory)
     assert got == expected
     assert expected
+    # each s_j that reaches the box has its own key field: s_1 in the s_1
+    # ring, and s_2 and s_3 too in the kappa wave's
+    used = {j + 1 for c in got.values() if isinstance(c, SPoly)
+            for m in c.terms for j, x in enumerate(m) if x}
+    assert used == fields
+    if fields:
+        # every coefficient comes back in the factory's class with its cap,
+        # the two-point correction's keys included
+        cap = next(iter(factory(-1)[1][0].values())).cap
+        assert all(type(c) is SPoly and c.cap == cap for c in got.values())
     if n == 2:
         # the window reaches keys where the correction term matters
         assert _unscaled_window(n, windows, factory, correct=False) != expected
@@ -390,18 +443,37 @@ def test_mixed_factory_really_mixes():
 
 
 def test_spoly_coefficients_stay_spoly():
-    def spoly_m_matrix(floor):
-        return [
+    # a rational coefficient among s-polynomials is a constant, and an
+    # explicit zero coefficient adds no key
+    def spoly_m_matrix(floor, mixed):
+        mat = [
             [{e: SPoly.const(c) for e, c in ent.items()} for ent in row]
             for row in wk.m_matrix(floor)
         ]
+        if mixed:
+            mat[1] = wk.m_matrix(floor)[1]
+            for ent in mat[1]:
+                ent[next(e for e in range(-1, floor, -1) if e not in ent)] = rat(0)
+        return mat
 
     windows = [(-6, -1)] * 3
-    got = npoint_window(3, windows, spoly_m_matrix)
     plain = npoint_window(3, windows, wk.m_matrix)
-    assert got.keys() == plain.keys()
-    assert all(isinstance(c, SPoly) for c in got.values())
-    assert all(got[key] == plain[key] for key in plain)
+    for mixed in (False, True):
+        got = npoint_window(3, windows, lambda floor: spoly_m_matrix(floor, mixed))
+        assert got.keys() == plain.keys()
+        assert all(isinstance(c, SPoly) for c in got.values())
+        assert all(got[key] == plain[key] for key in plain)
+
+
+def test_factory_mixing_polynomial_rings_is_refused():
+    def mixed(floor):
+        mat = wk.m_matrix(floor)
+        mat[0][1] = {e: DiffPoly.const(c) for e, c in mat[0][1].items()}
+        mat[1][0] = {e: SPoly.const(c) for e, c in mat[1][0].items()}
+        return mat
+
+    with pytest.raises(TypeError, match="mixes polynomial rings"):
+        npoint_window(2, [(-4, -1), (-4, -1)], mixed)
 
 
 # Oracle checks of the engine that share nothing with it: DVV numbers and
@@ -501,16 +573,26 @@ def test_capped_ring_never_returns_a_zero_key():
     assert got == want
     assert want and len(want) < len(exact)
     floor, exports = budgets(windows)
-    scale, mat = _build_mat(_capped_s1_factory(8), floor)
-    # the s-polynomials clear their denominators like rationals: the trace
-    # runs over integer coefficients and keeps the cap
+    scale, ring, mat = _build_mat(_capped_s1_factory(8), floor, n)
+    # the s-polynomials are exploded into int terms: an entry is a list of
+    # (weight, terms) groups by rising weight, each term (y-exponent, packed
+    # s_1 exponent, int) with its s_1 exponent the group's weight, none above
+    # the cap; the ring keeps the class and the cap for the result, and the
+    # one s_1 field holds n times the largest exponent
     assert type(scale) is int and scale > 1
-    entries = [c for row in mat for it in row for _, c in it]
-    assert entries
-    for c in entries:
-        assert isinstance(c, SPoly) and c.cap == 8
-        assert all(type(x) is int for x in c.terms.values())
+    zero = ring.zero
+    assert type(zero) is SPoly and zero.cap == 8 and not zero
+    assert ring.low == ring.width == (n * 8).bit_length()
+    groups = [grp for row in mat for it in row for grp in it]
+    assert groups
+    for row in mat:
+        for it in row:
+            assert [w for w, _ in it] == sorted({w for w, _ in it})
+    for w, terms in groups:
+        assert 0 <= w <= 8 and terms == sorted(terms)
+        for e, mono, c in terms:
+            assert mono == w and type(c) is int and c
     for cyc, _ in cycle_classes(n):
-        term = _class_term(cyc, mat, exports, windows, n)
+        term = _class_term(cyc, mat, zero.cap, ring.low, exports, windows, n)
         assert term and all(term.values())
-        assert all(-sum(key) <= 8 for key in term)
+        assert all(len(key) == n + 1 and key[n] == -sum(key[:n]) <= 8 for key in term)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvcorr.diffpoly import DiffPoly
@@ -100,25 +100,6 @@ def test_capped_ring_axioms(t1, t2, t3, cap):
     assert (p * (q + r)).terms == (p * q + p * r).terms
     # a capped polynomial equals the exact one up to its cap
     assert p == SPoly(t1) and SPoly(t1) == p
-
-
-@pytest.mark.parametrize("cls", CLASSES)
-@_props
-@given(_terms, _caps)
-@example({}, 0)
-def test_numerator_and_denominator_clear_the_denominators(cls, t, cap):
-    # the rational protocol the trace engine reads: p = numerator / denominator
-    p = cls(t)
-    if cls is SPoly:
-        p = p.truncate_weight(cap)
-    num, den = p.numerator, p.denominator
-    assert type(den) is int and den >= 1
-    if not p:
-        assert den == 1
-    assert all(c.denominator == 1 or den % c.denominator == 0 for c in p.terms.values())
-    assert all(type(c) is int for c in num.terms.values())
-    assert type(num) is cls and num.cap == p.cap
-    assert num * rat(1, den) == p and (num * rat(1, den)).terms == p.terms
 
 
 @pytest.mark.parametrize("cls", CLASSES)

@@ -397,7 +397,7 @@ def test_grouped_kappa_one_oracle_matches_set_partitions(oracles, psi, kappa1_nu
 
 
 @pytest.mark.parametrize(
-    "g,n", [(3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3), (1, 4), (4, 2)]
+    "g,n", [(3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3), (1, 4), (4, 2), (2, 4)]
 )
 def test_volume_matches_dvv_oracle(kappa1_number, g, n):
     # <kappa_1^d tau_K> on M_{g,n} by the grouped set-partition pushforward
