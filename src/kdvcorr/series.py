@@ -18,9 +18,10 @@ where top() is the largest exponent that can carry a nonzero coefficient;
 multiplying by z^2 therefore *raises* the floor by two, it does not create
 knowledge below it.
 
-Coefficients may live in any commutative ring whose elements support +, -, *
-and truth testing and absorb the integer 0 (rationals, differential
-polynomials, s-polynomials); mixed int/ring arithmetic is used for zero.
+Coefficients are rationals (int or Fraction) or SparsePoly polynomials of
+one class (differential polynomials, s-polynomials); a product of series or
+of polynomials that mixes two classes, or meets any other coefficient,
+raises TypeError.
 
 The module also holds the shared sparse-polynomial core: `SparsePoly`, the
 {exponent tuple: coefficient} ring behind the differential polynomials and
@@ -30,10 +31,24 @@ weight cap, the counterpart of the floor `low`: only its terms of weight <=
 cap are known, and `cap=None` is the exact form.  Sums and products take the
 smaller cap of their operands and drop every term above it, so a cap set on
 a seed constant travels with all that is built from it, into pool workers too.
+
+Every product of two series, and every product of two polynomials (the case
+of one exponent), runs through one multiply-accumulate kernel, `_product`.
+It scales each factor once to int numerators by the lcm of its denominators
+and packs each monomial into one int, accumulates every exponent's int
+products in one mutable {monomial: int} dict, forms no term pair above the
+weight cap of the exponent it lands on, and divides each output term once by
+the two scales.  Ints in give ints out; a Fraction in either factor gives
+Fractions, even at denominator 1.  An exponent that a polynomial pair
+reaches gets a polynomial at the smallest cap among its pairs, and one that
+only rational pairs reach keeps a rational.
 """
 from __future__ import annotations
 
-from operator import add, itemgetter
+from bisect import bisect_right
+from fractions import Fraction
+from math import inf, lcm
+from operator import itemgetter
 
 from .rationals import rat
 
@@ -130,13 +145,7 @@ class LaurentSeries:
         low = _product_floor(self, other)
         if low == "zero":
             return LaurentSeries.zero()
-        coeffs: dict = {}
-        for e1, c1 in self.coefficients.items():
-            for e2, c2 in other.coefficients.items():
-                e = e1 + e2
-                if low is None or e >= low:
-                    add_into(coeffs, e, c1 * c2)
-        return LaurentSeries(coeffs, low)
+        return LaurentSeries(_product(self.coefficients, other.coefficients, low), low)
 
     def __rmul__(self, other):
         return LaurentSeries(
@@ -222,6 +231,127 @@ def _strip(mono: tuple) -> tuple:
     return mono[:k]
 
 
+_NO_CAP = inf  # the cap of an exact polynomial, and of a rational
+
+
+def _factor(coeffs: dict, proto):
+    """One factor of `_product`, read once: (L, fraction, proto, top, capped,
+    rows).  L is the lcm of the denominators, `fraction` whether any
+    coefficient is a Fraction, proto a polynomial of the one class of this
+    factor and of the given proto (None while every coefficient is
+    rational), top the largest variable exponent and `capped` whether any
+    polynomial has a cap.  rows holds (exponent, cap, polynomial?, terms) per
+    coefficient, a rational c being the constant term {(): c}."""
+    den, fraction, top, capped, rows = 1, False, 0, False, []
+    for e, c in coeffs.items():
+        if isinstance(c, SparsePoly):
+            if proto is None:
+                proto = c
+            elif type(c) is not type(proto):
+                raise TypeError("a product mixes polynomial classes")
+            terms = c.terms
+            for m in terms:
+                if m and max(m) > top:
+                    top = max(m)
+            capped = capped or c.cap is not None
+            rows.append((e, _NO_CAP if c.cap is None else c.cap, True, terms))
+        else:
+            terms = {(): c}
+            rows.append((e, _NO_CAP, False, terms))
+        for v in terms.values():
+            if type(v) is not int:
+                if not isinstance(v, Fraction):
+                    raise TypeError(f"{v!r} is neither a rational nor a SparsePoly")
+                fraction = True
+                den = lcm(den, v.denominator)
+    return den, fraction, proto, top, capped, rows
+
+
+def _product(f: dict, g: dict, low: int | None) -> dict:
+    """sum_{e1, e2} f[e1] g[e2] z^(e1 + e2) as an {exponent: coefficient}
+    dict on the exponents >= low (all for None), with no zero coefficient:
+    the one product kernel of the module docstring.
+
+    A monomial is packed into one int, the exponent of variable j in the
+    `width` bits from j * width up, wide enough that a sum of two never
+    carries.  Each factor's terms are sorted by weight, read once, so a term
+    pair above the cap of the exponent it lands on (the smallest cap among
+    the pairs that reach that exponent) is cut off by one bisection and never
+    formed."""
+    f_den, f_frac, proto, f_top, f_capped, f_rows = _factor(f, None)
+    g_den, g_frac, proto, g_top, g_capped, g_rows = _factor(g, proto)
+    weight = proto._weight if f_capped or g_capped else None
+    width = (f_top + g_top).bit_length()
+
+    def scaled(rows, den):
+        # (exponent, cap, polynomial?, weights, [(weight, packed, numerator)])
+        # per row, its terms in the order of their weights (all 0 uncapped)
+        out = []
+        for e, cap, poly, terms in rows:
+            items = []
+            for m, v in terms.items():
+                key = 0
+                for x in reversed(m):
+                    key = key << width | x
+                n, d = v.as_integer_ratio()
+                if d != den:
+                    n *= den // d
+                items.append((weight(m) if weight else 0, key, n))
+            items.sort(key=itemgetter(0))
+            out.append((e, cap, poly, [w for w, _, _ in items], items))
+        return out
+
+    # the smallest cap at each exponent that a polynomial pair reaches
+    caps = {}
+    g_rows = scaled(g_rows, g_den)
+    f_rows = scaled(f_rows, f_den)
+    for e1, cap1, poly1, _, _ in f_rows:
+        for e2, cap2, poly2, _, _ in g_rows:
+            if poly1 or poly2:
+                e = e1 + e2
+                cap = cap1 if cap1 < cap2 else cap2
+                old = caps.get(e)
+                if old is None or cap < old:
+                    caps[e] = cap
+    if low is None:
+        low = -inf
+    acc: dict = {}
+    for e1, _, _, ws1, kn1 in f_rows:
+        for e2, _, _, ws2, kn2 in g_rows:
+            e = e1 + e2
+            if e < low:
+                continue
+            dst = acc.setdefault(e, {})
+            cap = caps.get(e, _NO_CAP)
+            for w1, k1, n1 in kn1:
+                row = kn2 if cap == _NO_CAP else kn2[: bisect_right(ws2, cap - w1)]
+                if not row:
+                    break  # f's later terms weigh no less
+                for _, k2, n2 in row:
+                    k = k1 + k2
+                    dst[k] = dst.get(k, 0) + n1 * n2
+    den = f_den * g_den
+    fraction = f_frac or g_frac
+    mask = (1 << width) - 1
+    out = {}
+    for e, dst in acc.items():
+        terms = {}
+        for key, s in dst.items():
+            if s:
+                mono = []
+                while key:  # the top field is nonzero, so no trailing zero
+                    mono.append(key & mask)
+                    key >>= width
+                terms[tuple(mono)] = Fraction(s, den) if fraction else s
+        if terms:
+            cap = caps.get(e)
+            out[e] = (
+                terms[()] if cap is None
+                else proto._make(terms, None if cap == _NO_CAP else cap)
+            )
+    return out
+
+
 class SparsePoly:
     """Sparse polynomial {exponent tuple: nonzero coefficient} over the exact
     rationals, in variables x_0, x_1, ...; exponent tuples never end in zero.
@@ -233,8 +363,8 @@ class SparsePoly:
     weight <= cap and stores none above it.  Sums and products carry the
     smaller cap of their operands and products truncate there, as the floor
     `low` of a LaurentSeries rises.
-    Both operands of a ring operation must be of the same subclass; anything
-    else is coerced as an exact rational constant.
+    Both operands of a ring operation must be of the same subclass (else
+    TypeError); a rational operand is an exact constant.
     """
 
     __slots__ = ("terms", "cap")
@@ -301,34 +431,17 @@ class SparsePoly:
         return self._make({m: -c for m, c in self.terms.items()}, self.cap)
 
     def __mul__(self, other):
-        """self * other; a product of two polynomials of this subclass keeps
-        only the terms whose `_weight` is at most the factors' smaller cap.
-        The weight adds under products, so a pair of terms is skipped before
-        it is formed: `other`'s terms are sorted by weight once, and each term
-        of self walks only the prefix that fits under the cap."""
+        """self * other; a product of two polynomials, of one subclass (else
+        TypeError), keeps only the terms whose `_weight` is at most the
+        factors' smaller cap.  It is the one-exponent case of the series
+        product kernel, which forms no term pair above the cap."""
         if isinstance(other, LaurentSeries):
             return NotImplemented
-        if not isinstance(other, type(self)):  # a scalar; zero leaves no term
+        if not isinstance(other, SparsePoly):  # a scalar; zero leaves no term
             terms = {m: c * other for m, c in self.terms.items()} if other else {}
             return self._make(terms, self.cap)
-        cap = _tighter(self.cap, other.cap, min)
-        if cap is None:  # uncapped: every weight reads 0
-            weighted = [(0, m, c) for m, c in other.terms.items()]
-        else:
-            weight = self._weight
-            weighted = sorted(
-                ((weight(m), m, c) for m, c in other.terms.items()), key=itemgetter(0)
-            )
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            room = 0 if cap is None else cap - weight(m1)
-            for w, m2, c2 in weighted:
-                if w > room:
-                    break
-                # the longer factor's tail survives, so no trailing zero
-                mono = tuple(map(add, m1, m2)) + (m1[len(m2):] or m2[len(m1):])
-                add_into(terms, mono, c1 * c2)
-        return self._make(terms, cap)
+        out = _product({0: self}, {0: other}, None)
+        return out.get(0) or self._make({}, _tighter(self.cap, other.cap, min))
 
     def __rmul__(self, other):
         # through self.__mul__, so a wrapper installed on the class sees it

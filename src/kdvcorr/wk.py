@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
 
-from .npoint import npoint_window
+from .npoint import _pool, _window, npoint_window
 from .rationals import double_factorial, factorial, odd_double_factorial, rat
 from .series import LaurentSeries
 
@@ -55,21 +55,25 @@ def genus(ks) -> int | None:
 
 def fz_c(low: int) -> LaurentSeries:
     """c(z) = sum C_k z^{-3k} down to exponent floor `low`."""
-    coeffs = {}
-    for k in range(0, (-low) // 3 + 1):
-        if -3 * k >= low:
-            c = rat((-1) ** k * factorial(6 * k), 288**k)
-            coeffs[-3 * k] = c / (factorial(3 * k) * factorial(2 * k))
-    return LaurentSeries(coeffs, low=low)
+    return LaurentSeries(_fz_coefficients(low)[0], low=low)
 
 
 def fz_q(low: int) -> LaurentSeries:
     """q(z) = sum (1+6k)/(1-6k) C_k z^{-3k} down to exponent floor `low`."""
-    c = fz_c(low)
-    coeffs = {
-        e: rat(1 - 2 * e) / rat(1 + 2 * e) * v for e, v in c.coefficients.items()
-    }
-    return LaurentSeries(coeffs, low=low)
+    return LaurentSeries(_fz_coefficients(low)[1], low=low)
+
+
+@cache
+def _fz_coefficients(low: int) -> tuple[dict, dict]:
+    """The coefficients of c(z) and q(z) down to `low`, built once per floor;
+    shared, so only ever read (the LaurentSeries constructor copies them)."""
+    c = {}
+    for k in range(0, (-low) // 3 + 1):
+        if -3 * k >= low:
+            v = rat((-1) ** k * factorial(6 * k), 288**k)
+            c[-3 * k] = v / (factorial(3 * k) * factorial(2 * k))
+    q = {e: rat(1 - 2 * e) / rat(1 + 2 * e) * v for e, v in c.items()}
+    return c, q
 
 
 @cache
@@ -247,13 +251,15 @@ def n_point_table(
     @cache
     def box(m):
         windows = [(-k_max - 1, -max(k_min, 2) - 1)] * m
-        return npoint_window(m, windows, m_matrix, verify=verify, workers=workers)
+        return _window(m, windows, m_matrix, verify=verify, pool=pool)
 
     value = reducer(lambda ks: _read(box(len(ks)), ks))
     table = CorrelatorTable(n=n, k_min=k_min, k_max=k_max)
-    for ks in combinations_with_replacement(range(k_min, k_max + 1), n):
-        if genus(ks) is not None and (v := value(ks)):
-            table.entries[ks] = v
+    # one pool serves the boxes of every width, and is shut down on return
+    with _pool(workers, n) as pool:
+        for ks in combinations_with_replacement(range(k_min, k_max + 1), n):
+            if genus(ks) is not None and (v := value(ks)):
+                table.entries[ks] = v
     return table
 
 

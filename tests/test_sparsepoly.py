@@ -3,6 +3,7 @@ SPoly, and of the accumulate helper they and the series share."""
 from __future__ import annotations
 
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from kdvcorr.diffpoly import DiffPoly
 from kdvcorr.partitions import SPoly, monomial_weight
 from kdvcorr.rationals import rat
-from kdvcorr.series import add_into
+from kdvcorr.series import LaurentSeries, add_into
 
 CLASSES = [DiffPoly, SPoly]
 
@@ -64,16 +65,31 @@ def _upto(p, cap) -> dict:
     return {m: c for m, c in p.terms.items() if monomial_weight(m) <= cap}
 
 
+_int_terms = st.dictionaries(_monos, st.integers(-3, 3), max_size=4)
+
+
 @_props
-@given(_terms, _terms, _caps, st.one_of(st.none(), _caps))
+@given(st.one_of(_terms, _int_terms), st.one_of(_terms, _int_terms), _caps,
+       st.one_of(st.none(), _caps))
 def test_capped_product_truncates_the_uncapped_one(t1, t2, cap, other_cap):
     p, q = SPoly(t1), SPoly(t2)
     low = cap if other_cap is None else min(cap, other_cap)
     if other_cap is not None:
         q = q.truncate_weight(other_cap)
-    for capped in (p.truncate_weight(cap) * q, q * p.truncate_weight(cap)):
+    pc = p.truncate_weight(cap)
+    exact = _upto(SPoly(t1) * SPoly(t2), low)
+    # ints stay ints, and a Fraction in either factor makes every term one
+    kind = int if all(type(c) is int for c in (*t1.values(), *t2.values())) else Fraction
+    for capped in (pc * q, q * pc):
         assert capped.cap == low
-        assert capped.terms == _upto(SPoly(t1) * SPoly(t2), low)
+        assert capped.terms == exact
+        assert all(type(c) is kind for c in capped.terms.values())
+    # the same product as the one coefficient of two series, dropped if zero
+    in_series = (LaurentSeries({0: pc}) * LaurentSeries({0: q})).coefficients
+    if exact:
+        assert (in_series[0].cap, in_series[0].terms) == (low, exact)
+    else:
+        assert not in_series
 
 
 @_props

@@ -5,12 +5,13 @@ tests/test_acceptance.py (criteria 01-03).
 """
 from __future__ import annotations
 
+import multiprocessing
 from itertools import combinations_with_replacement
 
 import pytest
 
-from kdvcorr import wk
-from kdvcorr.npoint import npoint_window
+from kdvcorr import npoint, wk
+from kdvcorr.npoint import _window, npoint_window
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 
 
@@ -160,14 +161,32 @@ def test_reduced_table_verify_and_workers(n, k_max):
     assert wk.n_point_table(n, k_max, workers=2).entries == want
 
 
+def test_table_starts_one_pool_and_shuts_it_down(monkeypatch):
+    # widths 4 and 5 have 3 and 12 cycle classes, so both boxes run pooled;
+    # widths 2 and 3 have one class each and are traced in this process
+    pools = []
+
+    class CountingPool(npoint.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(npoint, "ProcessPoolExecutor", CountingPool)
+    pooled = wk.n_point_table(5, 4, workers=2, verify=True)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    assert pooled.entries == wk.n_point_table(5, 4).entries
+    assert pools == [2]
+
+
 def test_table_traces_each_width_box_at_most_once(monkeypatch):
     calls = []
 
     def recording(n, windows, build, **kw):
         calls.append(windows)
-        return npoint_window(n, windows, build, **kw)
+        return _window(n, windows, build, **kw)
 
-    monkeypatch.setattr(wk, "npoint_window", recording)
+    monkeypatch.setattr(wk, "_window", recording)
     wk.n_point_table(5, 4)
     assert calls and all(w == [(-5, -3)] * len(w) for w in calls), calls
     assert len({len(w) for w in calls}) == len(calls)
