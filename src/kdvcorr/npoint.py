@@ -31,13 +31,14 @@ and hands the keys back in the caller's order.
 The coefficients are rationals (int or Fraction), or SparsePoly
 polynomials of one class (the s-polynomials of the kappa and WP waves,
 Theta's jet polynomials), and the trace multiplies only ints either way.
-Each pass clears denominators before tracing: `_build_mat` scales the one
-factory matrix by L, the lcm of its denominators, and explodes each
-polynomial entry into one (y-exponent, monomial, int) term per monomial,
-so the trace runs with no gcd and no polynomial product, and `_compute`
-divides each accumulated key by L^n once (the trace is linear in each of
-its n matrix factors) and gathers a polynomial key's monomials back into
-the ring's class and weight cap.  A rational is the case with no monomial.
+Each pass reads the one factory matrix with the series kernel's reader
+(`series._factor` and `_scaled`): `_build_mat` scales it by L, the lcm of
+its denominators, and turns each coefficient into one (y-exponent, packed
+monomial, int) term per monomial, so the trace runs with no gcd and no
+polynomial product, and `_compute` divides each accumulated key by L^n once
+(the trace is linear in each of its n matrix factors) and unpacks a
+polynomial key's monomials (`series._unpack`) back into the ring's class and
+weight cap.  A rational is the case with no monomial.
 Every variable reads that matrix: a term deeper than its own variable needs
 is still a true coefficient of M, and the key ranges drop each product that
 uses one (none reaches the box).
@@ -63,12 +64,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from itertools import groupby, permutations, repeat
-from math import lcm
+from itertools import chain, islice, permutations, repeat
 from operator import itemgetter
 
 from .rationals import rat
-from .series import SparsePoly, add_into
+from .series import _NO_CAP, _factor, _scaled, _unpack, add_into
 
 
 _EXP = itemgetter(0)  # a term's exponent, or the weight of (weight, term ...)
@@ -118,7 +118,7 @@ def budgets(
 
 def _class_term(cycle, mat, cap, low, exports, windows, n):
     """Coefficient dict of one cyclic ordering's trace over the target box,
-    over `_build_mat`'s exploded matrix whose packed monomials take the `low`
+    over `_build_mat`'s int matrix whose packed monomials take the `low`
     bits of a key.  Keys are the n y-exponents, then the packed monomial if
     low > 0, and no product of weight above `cap` is formed (0 for a ring
     whose weights all read 0)."""
@@ -283,20 +283,9 @@ def _class_term(cycle, mat, cap, low, exports, windows, n):
     }
 
 
-class _Ring:
-    """How a pass packs its SparsePoly coefficients: `zero` carries their
-    class and cap, and the `low` bits of a key hold the monomial, the
-    exponent of variable j in the `width` bits from j * width up."""
-
-    __slots__ = ("zero", "width", "low")
-
-    def __init__(self, zero: SparsePoly, width: int, low: int):
-        self.zero, self.width, self.low = zero, width, low
-
-
-def _compute(n, windows, scale, ring, mat, exports, classes, pool=None):
+def _compute(n, windows, scale, zero, width, low, mat, exports, classes, pool=None):
     cycles = [cyc for cyc, _ in classes]
-    cap, low = (0, 0) if ring is None else (ring.zero.cap or 0, ring.low)
+    cap = 0 if zero is None else zero.cap or 0
     terms = (map if pool is None else pool.map)(
         _class_term,
         cycles,
@@ -312,25 +301,20 @@ def _compute(n, windows, scale, ring, mat, exports, classes, pool=None):
         for key, c in term.items():
             add_into(acc, key, -weight * c)
     den = scale**n
-    if ring is None:
+    if zero is None:
         acc = {key: rat(c, den) for key, c in acc.items()}
     else:
         # gather each y-key's monomials back into one polynomial of the
         # ring's class and cap; with no monomial bits (constants only) a key
         # is the y-exponents alone
-        mask = (1 << ring.width) - 1
         polys: dict = {}
         for key, c in acc.items():
-            mono, m = [], key[n] if ring.low else 0
-            while m:  # the top field is nonzero, so no trailing zero
-                mono.append(m & mask)
-                m >>= ring.width
-            polys.setdefault(key[:n], {})[tuple(mono)] = rat(c, den)
-        zero = ring.zero
+            mono = _unpack(key[n], width) if low else ()
+            polys.setdefault(key[:n], {})[mono] = rat(c, den)
         acc = {key: zero._make(terms, zero.cap) for key, terms in polys.items()}
     if n == 2:
         # subtract the expansion of (y_1+y_2)/(y_1-y_2)^2
-        one = 1 if ring is None else ring.zero._make({(): rat(1)}, ring.zero.cap)
+        one = 1 if zero is None else zero._make({(): rat(1)}, zero.cap)
         lo0, hi0 = windows[0]
         lo1, hi1 = windows[1]
         for m in range(max(0, lo1), hi1 + 1):
@@ -423,79 +407,53 @@ def _window(n, windows, mat_factory, *, verify, pool):
 
 
 def _build_mat(mat_factory, floor, n):
-    """(L, ring, mat): the factory's matrix at `floor`, cut at the floor and
-    exploded into int terms (e, m, c L) for an n-point pass, where L is the
-    lcm of the denominators.
+    """(L, zero, width, low, mat): the factory's matrix at `floor`, cut at
+    the floor and read by the series kernel's reader (`series._factor`) into
+    int terms (e, m, c L) for an n-point pass, where L is the lcm of the
+    denominators and m the packed monomial of a polynomial term.
 
-    A rational coefficient c of y^e is the one term (e, 0, c L), and ring
-    is None; polynomial coefficients are exploded by `_explode`.  Each entry
-    of mat is a list of (weight, terms) groups by rising weight, with its
-    terms sorted by exponent.  One matrix serves every variable of the pass.
-    The budgets assume no term above y^1, so one raises ValueError."""
+    Rational coefficients give zero None and no monomial: c of y^e is the
+    one term (e, 0, c L).  Over SparsePoly coefficients of one class (else
+    TypeError), zero is an empty polynomial of that class at the smallest
+    cap, each monomial of a coefficient of y^e is one term, packed by
+    `series._scaled` at `width` bits a variable, wide enough for the product
+    of n terms, into the `low` bits of a key (0 when every monomial is the
+    constant); a term above the cap is dropped, and an uncapped ring weighs
+    every term 0.  Each entry of mat is a list of (weight, terms) groups by
+    rising weight, with its terms sorted by exponent.  One matrix serves
+    every variable of the pass.  The budgets assume no term above y^1, so
+    one raises ValueError."""
     ent = mat_factory(floor)
     if any(e > 1 for row in ent for it in row for e in it):
         raise ValueError("matrix factory returned a term above y^1")
-    cut = [
-        [sorted(t for t in it.items() if t[0] >= floor) for it in row]
-        for row in ent
-    ]
-    try:
-        scale = lcm(*(c.denominator for row in cut for it in row for _, c in it))
-    except AttributeError:  # a polynomial has no denominator
-        return _explode(cut, n)
-    # rationals: one group of weight 0 per entry, and no monomial
-    return scale, None, [
-        [
+    cut = [sorted(t for t in it.items() if t[0] >= floor) for row in ent for it in row]
+    scale, _, proto, top, cap, rows = _factor(chain.from_iterable(cut), None)
+    if proto is None:
+        # rationals: one group of weight 0 per entry, and no monomial
+        groups = [
             [(0, [(e, 0, c.numerator * (scale // c.denominator)) for e, c in it])]
             if it else []
-            for it in row
+            for it in cut
         ]
-        for row in cut
-    ]
-
-
-def _explode(cut, n):
-    """`_build_mat` over SparsePoly coefficients of one class (else
-    TypeError): each monomial of a coefficient of y^e is a term (e, m, c L)
-    whose m packs the monomial as `ring` (a _Ring) says, with fields wide
-    enough for the product of n terms.  ring.zero carries the class and the
-    smallest cap, a term above that cap is dropped, an uncapped ring weighs
-    every term 0, and a rational coefficient is a constant."""
-    polys = [p for row in cut for it in row for _, p in it if isinstance(p, SparsePoly)]
-    if len({type(p) for p in polys}) > 1:
-        raise TypeError("matrix factory mixes polynomial rings")
-    caps = [p.cap for p in polys if p.cap is not None]
-    zero = polys[0]._make({}, min(caps, default=None))
-    weight = (lambda m: 0) if zero.cap is None else zero._weight
-    # (weight, e, monomial, c) per monomial, in the order of e
-    exploded = [
-        [
-            [
-                (w, e, m, c)
-                for e, p in it
-                for m, c in (p.terms if isinstance(p, SparsePoly) else {(): p}).items()
-                if (w := weight(m)) <= (zero.cap or 0)
-            ]
-            for it in row
-        ]
-        for row in cut
-    ]
-    terms = [t for row in exploded for it in row for t in it]
-    scale = lcm(*(c.denominator for _, _, _, c in terms))
+        return scale, None, 0, 0, [groups[:2], groups[2:]]
+    zero = proto._make({}, None if cap == _NO_CAP else cap)
     # a key's exponents are sums of n terms' exponents, which never go below 0
-    width = (n * max((x for _, _, m, _ in terms for x in m), default=0)).bit_length()
-    low = width * max((len(m) for _, _, m, _ in terms), default=0)
-    return scale, _Ring(zero, width, low), [
-        [
-            [
-                (w, [(e, sum(x << (j * width) for j, x in enumerate(m)),
-                      c.numerator * (scale // c.denominator)) for _, e, m, c in grp])
-                for w, grp in groupby(sorted(it, key=_EXP), key=_EXP)
-            ]
-            for it in row
-        ]
-        for row in exploded
-    ]
+    width = (n * top).bit_length()
+    rows = iter(_scaled(rows, scale, width, None if zero.cap is None else zero._weight))
+    groups, top_key = [], 0
+    for it in cut:
+        by_weight: dict = {}
+        for e, _, _, _, items in islice(rows, len(it)):
+            for w, key, c in items:
+                if w <= cap:
+                    by_weight.setdefault(w, []).append((e, key, c))
+                    if key > top_key:
+                        top_key = key
+        groups.append(sorted(by_weight.items()))
+    # a key's monomial is a sum of n packed ones, which never carries, so it
+    # is at most n times the largest
+    low = (n * top_key).bit_length()
+    return scale, zero, width, low, [groups[:2], groups[2:]]
 
 
 __all__ = [

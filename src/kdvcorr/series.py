@@ -41,7 +41,13 @@ weight cap of the exponent it lands on, and divides each output term once by
 the two scales.  Ints in give ints out; a Fraction in either factor gives
 Fractions, even at denominator 1.  An exponent that a polynomial pair
 reaches gets a polynomial at the smallest cap among its pairs, and one that
-only rational pairs reach keeps a rational.
+only rational pairs reach keeps a rational.  A scalar factor is a rational,
+of a series also a polynomial; any other raises TypeError.
+
+The kernel's reader is the one place that turns coefficients into ints:
+`_factor` checks the coefficients and takes their lcm, class, top exponent
+and caps, `_scaled` scales and packs them, and `_unpack` reads a packed
+monomial back.  The trace engine (`npoint`) reads its matrices with them.
 """
 from __future__ import annotations
 
@@ -138,7 +144,8 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
-            # ring scalar
+            if not isinstance(other, (int, Fraction, SparsePoly)):
+                return NotImplemented
             return LaurentSeries(
                 {e: c * other for e, c in self.coefficients.items()}, self.low
             )
@@ -148,6 +155,8 @@ class LaurentSeries:
         return LaurentSeries(_product(self.coefficients, other.coefficients, low), low)
 
     def __rmul__(self, other):
+        if not isinstance(other, (int, Fraction, SparsePoly)):
+            return NotImplemented
         return LaurentSeries(
             {e: other * c for e, c in self.coefficients.items()}, self.low
         )
@@ -234,37 +243,77 @@ def _strip(mono: tuple) -> tuple:
 _NO_CAP = inf  # the cap of an exact polynomial, and of a rational
 
 
-def _factor(coeffs: dict, proto):
-    """One factor of `_product`, read once: (L, fraction, proto, top, capped,
+def _factor(items, proto):
+    """One factor of `_product`, or the four entries of a trace matrix, read
+    once from (exponent, coefficient) pairs: (L, fraction, proto, top, cap,
     rows).  L is the lcm of the denominators, `fraction` whether any
-    coefficient is a Fraction, proto a polynomial of the one class of this
-    factor and of the given proto (None while every coefficient is
-    rational), top the largest variable exponent and `capped` whether any
-    polynomial has a cap.  rows holds (exponent, cap, polynomial?, terms) per
-    coefficient, a rational c being the constant term {(): c}."""
-    den, fraction, top, capped, rows = 1, False, 0, False, []
-    for e, c in coeffs.items():
+    coefficient is a Fraction, proto a polynomial of the one class of these
+    coefficients and of the given proto (None while every coefficient is
+    rational), top the largest variable exponent and cap the smallest weight
+    cap (_NO_CAP when none is capped).  rows holds (exponent, cap,
+    polynomial?, terms) per pair, terms being a polynomial's terms dict or
+    the rational itself."""
+    dens, fraction, top, cap, rows = set(), False, 0, _NO_CAP, []
+    for e, c in items:
         if isinstance(c, SparsePoly):
             if proto is None:
                 proto = c
             elif type(c) is not type(proto):
-                raise TypeError("a product mixes polynomial classes")
+                raise TypeError(
+                    f"{type(c).__name__} beside {type(proto).__name__}"
+                    " mixes polynomial rings"
+                )
             terms = c.terms
             for m in terms:
                 if m and max(m) > top:
                     top = max(m)
-            capped = capped or c.cap is not None
-            rows.append((e, _NO_CAP if c.cap is None else c.cap, True, terms))
+            c_cap = _NO_CAP if c.cap is None else c.cap
+            if c_cap < cap:
+                cap = c_cap
+            rows.append((e, c_cap, True, terms))
+            values = terms.values()
         else:
-            terms = {(): c}
-            rows.append((e, _NO_CAP, False, terms))
-        for v in terms.values():
+            rows.append((e, _NO_CAP, False, c))
+            values = (c,)
+        for v in values:
             if type(v) is not int:
                 if not isinstance(v, Fraction):
                     raise TypeError(f"{v!r} is neither a rational nor a SparsePoly")
                 fraction = True
-                den = lcm(den, v.denominator)
-    return den, fraction, proto, top, capped, rows
+                dens.add(v.denominator)
+    return lcm(*dens), fraction, proto, top, cap, rows
+
+
+def _scaled(rows, den, width, weight):
+    """`_factor`'s rows over the denominator `den` as ints: (exponent, cap,
+    polynomial?, weights, [(weight, packed monomial, numerator)]) per row,
+    its terms in the order of their weights (all 0 when weight is None).  A
+    monomial is packed into one int, the exponent of variable j in the
+    `width` bits from j * width up; a rational is the constant monomial."""
+    out = []
+    for e, cap, poly, terms in rows:
+        items = []
+        for m, v in terms.items() if poly else (((), terms),):
+            key = 0
+            for x in reversed(m):
+                key = key << width | x
+            n, d = v.as_integer_ratio()
+            if d != den:
+                n *= den // d
+            items.append((weight(m) if weight else 0, key, n))
+        items.sort(key=itemgetter(0))
+        out.append((e, cap, poly, [w for w, _, _ in items], items))
+    return out
+
+
+def _unpack(key: int, width: int) -> tuple:
+    """The exponent tuple that `_scaled` packed into `key` at `width`."""
+    mask = (1 << width) - 1
+    mono = []
+    while key:  # the top field is nonzero, so no trailing zero
+        mono.append(key & mask)
+        key >>= width
+    return tuple(mono)
 
 
 def _product(f: dict, g: dict, low: int | None) -> dict:
@@ -272,39 +321,20 @@ def _product(f: dict, g: dict, low: int | None) -> dict:
     dict on the exponents >= low (all for None), with no zero coefficient:
     the one product kernel of the module docstring.
 
-    A monomial is packed into one int, the exponent of variable j in the
-    `width` bits from j * width up, wide enough that a sum of two never
+    Monomials are packed by `_scaled`, wide enough that a sum of two never
     carries.  Each factor's terms are sorted by weight, read once, so a term
     pair above the cap of the exponent it lands on (the smallest cap among
     the pairs that reach that exponent) is cut off by one bisection and never
     formed."""
-    f_den, f_frac, proto, f_top, f_capped, f_rows = _factor(f, None)
-    g_den, g_frac, proto, g_top, g_capped, g_rows = _factor(g, proto)
-    weight = proto._weight if f_capped or g_capped else None
+    f_den, f_frac, proto, f_top, f_cap, f_rows = _factor(f.items(), None)
+    g_den, g_frac, proto, g_top, g_cap, g_rows = _factor(g.items(), proto)
+    weight = proto._weight if f_cap != _NO_CAP or g_cap != _NO_CAP else None
     width = (f_top + g_top).bit_length()
-
-    def scaled(rows, den):
-        # (exponent, cap, polynomial?, weights, [(weight, packed, numerator)])
-        # per row, its terms in the order of their weights (all 0 uncapped)
-        out = []
-        for e, cap, poly, terms in rows:
-            items = []
-            for m, v in terms.items():
-                key = 0
-                for x in reversed(m):
-                    key = key << width | x
-                n, d = v.as_integer_ratio()
-                if d != den:
-                    n *= den // d
-                items.append((weight(m) if weight else 0, key, n))
-            items.sort(key=itemgetter(0))
-            out.append((e, cap, poly, [w for w, _, _ in items], items))
-        return out
 
     # the smallest cap at each exponent that a polynomial pair reaches
     caps = {}
-    g_rows = scaled(g_rows, g_den)
-    f_rows = scaled(f_rows, f_den)
+    g_rows = _scaled(g_rows, g_den, width, weight)
+    f_rows = _scaled(f_rows, f_den, width, weight)
     for e1, cap1, poly1, _, _ in f_rows:
         for e2, cap2, poly2, _, _ in g_rows:
             if poly1 or poly2:
@@ -332,17 +362,13 @@ def _product(f: dict, g: dict, low: int | None) -> dict:
                     dst[k] = dst.get(k, 0) + n1 * n2
     den = f_den * g_den
     fraction = f_frac or g_frac
-    mask = (1 << width) - 1
     out = {}
     for e, dst in acc.items():
-        terms = {}
-        for key, s in dst.items():
-            if s:
-                mono = []
-                while key:  # the top field is nonzero, so no trailing zero
-                    mono.append(key & mask)
-                    key >>= width
-                terms[tuple(mono)] = Fraction(s, den) if fraction else s
+        terms = {
+            _unpack(key, width): Fraction(s, den) if fraction else s
+            for key, s in dst.items()
+            if s
+        }
         if terms:
             cap = caps.get(e)
             out[e] = (
@@ -438,6 +464,8 @@ class SparsePoly:
         if isinstance(other, LaurentSeries):
             return NotImplemented
         if not isinstance(other, SparsePoly):  # a scalar; zero leaves no term
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             terms = {m: c * other for m, c in self.terms.items()} if other else {}
             return self._make(terms, self.cap)
         out = _product({0: self}, {0: other}, None)

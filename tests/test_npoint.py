@@ -465,6 +465,23 @@ def test_spoly_coefficients_stay_spoly():
         assert all(got[key] == plain[key] for key in plain)
 
 
+def test_factory_of_mixed_caps_traces_at_the_smallest():
+    # one entry known to weight 12 and the rest to 8: the pass keeps cap 8,
+    # and no term above it reaches the int matrix
+    def mixed(floor):
+        mat = _capped_s1_factory(8)(floor)
+        mat[0][1] = _capped_s1_factory(12)(floor)[0][1]
+        return mat
+
+    n, windows = 3, [(-6, -1), (-5, -2), (-7, -1)]
+    got = npoint_window(n, windows, mixed)
+    assert got == npoint_window(n, windows, _capped_s1_factory(8))
+    assert all(c.cap == 8 for c in got.values())
+    _, zero, _, _, mat = _build_mat(mixed, budgets(windows)[0], n)
+    assert zero.cap == 8
+    assert max(w for row in mat for it in row for w, _ in it) == 8
+
+
 def test_factory_mixing_polynomial_rings_is_refused():
     def mixed(floor):
         mat = wk.m_matrix(floor)
@@ -474,6 +491,25 @@ def test_factory_mixing_polynomial_rings_is_refused():
 
     with pytest.raises(TypeError, match="mixes polynomial rings"):
         npoint_window(2, [(-4, -1), (-4, -1)], mixed)
+
+
+@pytest.mark.parametrize(
+    "coefficient",
+    [
+        pytest.param(lambda c: float(c), id="float"),
+        pytest.param(lambda c: SPoly({(1,): float(c)}), id="float_in_spoly"),
+    ],
+)
+def test_factory_with_a_foreign_coefficient_is_refused(coefficient):
+    # one entry of the psi matrix read into a coefficient that is neither a
+    # rational nor a SparsePoly, or a SparsePoly over one
+    def foreign(floor):
+        mat = wk.m_matrix(floor)
+        mat[0][1] = {e: coefficient(c) for e, c in mat[0][1].items()}
+        return mat
+
+    with pytest.raises(TypeError, match="neither a rational nor a SparsePoly"):
+        npoint_window(2, [(-4, -1), (-4, -1)], foreign)
 
 
 # Oracle checks of the engine that share nothing with it: DVV numbers and
@@ -573,16 +609,15 @@ def test_capped_ring_never_returns_a_zero_key():
     assert got == want
     assert want and len(want) < len(exact)
     floor, exports = budgets(windows)
-    scale, ring, mat = _build_mat(_capped_s1_factory(8), floor, n)
-    # the s-polynomials are exploded into int terms: an entry is a list of
+    scale, zero, width, low, mat = _build_mat(_capped_s1_factory(8), floor, n)
+    # the s-polynomials are read into int terms: an entry is a list of
     # (weight, terms) groups by rising weight, each term (y-exponent, packed
     # s_1 exponent, int) with its s_1 exponent the group's weight, none above
-    # the cap; the ring keeps the class and the cap for the result, and the
-    # one s_1 field holds n times the largest exponent
+    # the cap; zero keeps the class and the cap for the result, and the one
+    # s_1 field, all the monomial bits, holds n times the largest exponent
     assert type(scale) is int and scale > 1
-    zero = ring.zero
     assert type(zero) is SPoly and zero.cap == 8 and not zero
-    assert ring.low == ring.width == (n * 8).bit_length()
+    assert low == width == (n * 8).bit_length()
     groups = [grp for row in mat for it in row for grp in it]
     assert groups
     for row in mat:
@@ -593,6 +628,6 @@ def test_capped_ring_never_returns_a_zero_key():
         for e, mono, c in terms:
             assert mono == w and type(c) is int and c
     for cyc, _ in cycle_classes(n):
-        term = _class_term(cyc, mat, zero.cap, ring.low, exports, windows, n)
+        term = _class_term(cyc, mat, zero.cap, low, exports, windows, n)
         assert term and all(term.values())
         assert all(len(key) == n + 1 and key[n] == -sum(key[:n]) <= 8 for key in term)

@@ -127,6 +127,24 @@ def test_non_series_operands_are_refused():
     assert (LaurentSeries.one() == 1) is False
 
 
+@pytest.mark.parametrize(
+    "product",
+    [
+        pytest.param(lambda: SPoly.var(1) * "x", id="spoly_times_str"),
+        pytest.param(lambda: SPoly.var(1) * 2.5, id="spoly_times_float"),
+        pytest.param(lambda: 2.5 * SPoly.var(1), id="float_times_spoly"),
+        pytest.param(lambda: series({0: SPoly.var(1)}) * 2.5, id="series_times_float"),
+        pytest.param(lambda: 2.5 * series({0: 1}), id="float_times_series"),
+        pytest.param(lambda: series({0: 1}) * "ab", id="series_times_str"),
+    ],
+)
+def test_a_non_rational_scalar_is_refused(product):
+    # a polynomial's scalars are the rationals, and a series' the rationals
+    # and polynomials; any other scalar leaves no coefficient outside the ring
+    with pytest.raises(TypeError):
+        product()
+
+
 def test_zero_series_repr():
     assert repr(LaurentSeries.zero()) == "0"
     assert repr(series({}, low=-3)) == "0 + O(z^-4)"
