@@ -27,6 +27,7 @@ from .diffpoly import (
     two_point_general,
 )
 from .partitions import (
+    DegreePoly,
     SPoly,
     bell_number,
     h_polynomials,
@@ -39,20 +40,20 @@ from .partitions import (
 from .npoint import TruncationInstability, npoint_window
 from .wk import (
     CorrelatorTable,
+    DeformedWave,
     correlator,
+    deformed_wave,
     genus,
     n_point_table,
     one_point,
+    pair_series,
 )
 from .wp import (
-    DeformedWave,
     WpVolume,
-    deformed_wave,
     kappa_linear,
     kappa_times,
     mixed_correlator,
     mixed_genus,
-    pair_series,
     wp_volume,
 )
 from .selftest import CheckResult, check_names, run_selftest
@@ -62,6 +63,7 @@ __all__ = [
     "CheckResult",
     "CorrelatorTable",
     "DeformedWave",
+    "DegreePoly",
     "DiffPoly",
     "LaurentSeries",
     "SPoly",

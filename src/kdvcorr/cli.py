@@ -293,7 +293,11 @@ def _add_common(sub, *, verify: bool = False, workers: bool = False) -> None:
         )
     if workers:
         sub.add_argument(
-            "--workers", type=int, default=1, help="worker processes for the trace"
+            "--workers",
+            type=int,
+            default=1,
+            help="worker processes for a trace of more than one cyclic class"
+            " (wp; every trace of a table has one, so it starts none)",
         )
 
 

@@ -350,22 +350,6 @@ def npoint_window(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    with _pool(workers, n) as pool:
-        return _window(n, windows, mat_factory, verify=verify, pool=pool)
-
-
-def _pool(workers: int, n: int):
-    """A process pool for traces of width at most n, or a null context where
-    it would have one worker: a pool may start all its workers at once, and
-    any beyond one per cyclic class of width n would only idle."""
-    size = 1 if workers < 2 or n < 2 else min(workers, len(cycle_classes(n)))
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
-
-
-def _window(n, windows, mat_factory, *, verify, pool):
-    """npoint_window over an open pool (None: serial).  The pool serves the
-    trace and the verify pass of a width with more than one cyclic class, so
-    a caller tracing several widths starts one pool for all of them."""
     windows = [tuple(w) for w in windows]
     if len(windows) != n:
         raise ValueError(f"{len(windows)} windows for {n} variables")
@@ -377,33 +361,42 @@ def _window(n, windows, mat_factory, *, verify, pool):
     windows = [windows[v] for v in order]
     floor, exports = budgets(windows)
     classes = cycle_classes(n)
-    if len(classes) < 2:
-        pool = None
-    result = _compute(
-        n, windows, *_build_mat(mat_factory, floor, n), exports, classes, pool
-    )
-    if verify:
-        floor2, exports2 = budgets(windows, widen=4)
-        floor2 = min(floor2, 2 * floor)
-        exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
-        check = _compute(
-            n, windows, *_build_mat(mat_factory, floor2, n), exports2, classes, pool
+    # one pool serves the trace and the verify pass
+    with _pool(workers, n) as pool:
+        result = _compute(
+            n, windows, *_build_mat(mat_factory, floor, n), exports, classes, pool
         )
-        if check != result:
-            changed = sum(
-                1
-                for key in set(check) | set(result)
-                if check.get(key) != result.get(key)
+        if verify:
+            floor2, exports2 = budgets(windows, widen=4)
+            floor2 = min(floor2, 2 * floor)
+            exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
+            check = _compute(
+                n, windows, *_build_mat(mat_factory, floor2, n), exports2, classes,
+                pool,
             )
-            raise TruncationInstability(
-                f"widened truncation changed {changed} coefficients"
-            )
+            if check != result:
+                changed = sum(
+                    1
+                    for key in set(check) | set(result)
+                    if check.get(key) != result.get(key)
+                )
+                raise TruncationInstability(
+                    f"widened truncation changed {changed} coefficients"
+                )
     if order != sorted(order):
         # entry j of a traced key is the exponent of the caller's variable
         # order[j], so the caller's variable v reads entry back[v]
         back = sorted(range(n), key=order.__getitem__)
         result = {tuple(key[j] for j in back): c for key, c in result.items()}
     return result
+
+
+def _pool(workers: int, n: int):
+    """A process pool for a trace of width n, or a null context where it
+    would have one worker: a pool may start all its workers at once, and any
+    beyond one per cyclic class would only idle."""
+    size = 1 if workers < 2 or n < 2 else min(workers, len(cycle_classes(n)))
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
 
 
 def _build_mat(mat_factory, floor, n):

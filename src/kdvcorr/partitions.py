@@ -13,9 +13,14 @@ box sums mu_1, ..., mu_l.  kappa[lam, mu] = L[lam, mu]/m(mu)! is still lower
 triangular with unit diagonal and integer entries, and its row sums are the
 Bell numbers B_{len(lam)}.
 
-The s-variables carry weight(s_j) = j.  Every kappa computation bounds its
-total weight: `truncate_weight(cap)` gives a polynomial the weight cap `cap`,
-and sums and products with it keep that cap and drop the terms above it.
+Two rings of polynomials in s_1, s_2, ... differ only in how they weigh a
+monomial.  In `SPoly`, the ring of the kappa couplings, s_j weighs j
+(`monomial_weight`), so every kappa computation bounds its total weight.  In
+`DegreePoly`, the ring of a psi time shift t_a -> t_a + s_{v(a)}, every s_j
+weighs 1, so a cap bounds the total degree, the number of insertions that a
+coefficient reads.  `truncate_weight(cap)` gives a polynomial of either ring
+the cap `cap`, and sums and products with it keep that cap and drop the terms
+above it.
 """
 from __future__ import annotations
 
@@ -94,18 +99,16 @@ class SPoly(SparsePoly):
     _first_index = 1
     _weight = staticmethod(monomial_weight)
 
-    @classmethod
-    def var(cls, j: int) -> "SPoly":
-        """The variable s_j."""
-        if j < 1:
-            raise ValueError("s-variables are indexed from 1")
-        return cls({tuple(0 if i < j - 1 else 1 for i in range(j)): 1})
 
-    def truncate_weight(self, cap: int) -> "SPoly":
-        """self known only to weight cap: the terms above it dropped and the
-        cap recorded, so everything built from the result truncates there."""
-        cap = cap if self.cap is None else min(self.cap, cap)
-        return self._make(self._upto(cap), cap)
+class DegreePoly(SparsePoly):
+    """Sparse polynomial in s_1, s_2, ... with exact rational coefficients,
+    weighed by total degree; after `truncate_weight(cap)` it and every sum
+    and product built from it are known to degree cap."""
+
+    __slots__ = ()
+    _var = "s"
+    _first_index = 1
+    _weight = staticmethod(sum)
 
 
 _H = [SPoly.const(1)]  # h_0, h_1, ... as far as any call has needed
@@ -156,6 +159,7 @@ __all__ = [
     "monomial_weight",
     "partition_to_monomial",
     "SPoly",
+    "DegreePoly",
     "h_polynomials",
     "negate_variables",
 ]

@@ -382,10 +382,11 @@ class SparsePoly:
     """Sparse polynomial {exponent tuple: nonzero coefficient} over the exact
     rationals, in variables x_0, x_1, ...; exponent tuples never end in zero.
 
-    Subclasses name their variables (`_var`, `_first_index`, used by repr);
+    Subclasses name their variables (`_var`, `_first_index`, used by `var`
+    and repr);
     a subclass that caps its polynomials weighs monomials by an additive
     `_weight`.  A polynomial built by the constructor is exact (`cap` None); a
-    capped one, as made by `SPoly.truncate_weight`, knows only its terms of
+    capped one, as made by `truncate_weight`, knows only its terms of
     weight <= cap and stores none above it.  Sums and products carry the
     smaller cap of their operands and products truncate there, as the floor
     `low` of a LaurentSeries rises.
@@ -416,6 +417,21 @@ class SparsePoly:
     @classmethod
     def const(cls, c):
         return cls({(): c})
+
+    @classmethod
+    def var(cls, j: int):
+        """The variable numbered j, counted from `_first_index`."""
+        if j < cls._first_index:
+            raise ValueError(
+                f"{cls._var}-variables are indexed from {cls._first_index}"
+            )
+        return cls({(0,) * (j - cls._first_index) + (1,): 1})
+
+    def truncate_weight(self, cap: int):
+        """self known only to weight cap: the terms above it dropped and the
+        cap recorded, so everything built from the result truncates there."""
+        cap = cap if self.cap is None else min(self.cap, cap)
+        return self._make(self._upto(cap), cap)
 
     def _coerce(self, other):
         if isinstance(other, type(self)):

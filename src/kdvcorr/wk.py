@@ -26,22 +26,83 @@ n at once:
 with the one-point values carried by the explicit series
 F_1 = sum_{g>=1} (6g-3)!!/(24^g g!) z^{-6g+2}.
 
+The matrix-resolvent formula holds for any KdV tau-function, so at any point
+of the KdV times.  `deformed_wave` takes a time shift T(s) = {a: T_a(s)},
+polynomials of one SparsePoly ring with no constant term, and solves
+psi = psi(z; T(s)) and psi_x there, exact to a cap in that ring's `_weight`:
+in `SPoly`, the ring of the kappa couplings (see wp), s_j weighs j; in
+`DegreePoly`, the ring of a psi shift, every s_j weighs 1.  The n-point
+functions at the shift follow from the same cyclic trace engine run over that
+ring with M(z; T(s)), the quadratic form
+
+    M = [[-(psi psi_xb + psib psi_x)/2, -psi psib],
+         [psi_x psi_xb, (psi psi_xb + psib psi_x)/2]],     Xb := X(-z).
+
+The wave stays in the point W_0 of the Grassmannian below: psi = a c + b z q
+and psi_x = c' c + d z q, where a and c' are the solve's P and b and d its
+Q/z, all four even in z (P even, Q odd).  So M(z; T(s)) = G M G^-1 with
+G = [[a, -b], [-c', d]], det G = 1, and in the entries of
+M = M(z; 0) = [[h, f], [e, -h]]
+
+    M_11 = a c' f + (a d + b c') h - b d e = -M_22,
+    M_12 = a^2 f + 2 a b h - b^2 e,
+    M_21 = -c'^2 f - 2 c' d h + d^2 e.
+
+The deformed wave proper is A = E psi, B = E psi_x, with
+E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!).  E(z) E(-z) = 1 cancels from
+the quadratic form, but E is not even, so the pairs of A and B do not fit
+G M G^-1.
+
+The wave is one triangular solve (Sato-Segal-Wilson, Kac-Schwarz).  At every
+time psi and psi_x lie in the same point W_0 of the Grassmannian, which at
+the Kontsevich-Witten point is C[z^2] c + C[z^2] z q, with psi|_0 = c and
+psi_x|_0 = z q.  So psi = P c + Q q with P in C[z^2][s], Q in z C[z^2][s],
+and since psi = e^{xi} (1 + w_1/z + ...) with E = e^{-xi}, A = 1 + O(1/z)
+and B = z + [z^-1]A + O(1/z).  With E_e the weight-e part of E (E_0 = 1), the
+weight-w parts of P and Q solve
+
+    [P_w c + Q_w q]_{>=0}
+        = delta_{w0} - [sum_{e=1}^{w} E_e (P_{w-e} c + Q_{w-e} q)]_{>=0},
+
+a polynomial in z.  z^{2j} c and z^{2j+1} q lead with z^{2j} and z^{2j+1}
+(c, q = 1 + O(z^-3)), so it is solved from the top degree down.  B is the
+same solve with the right side delta_{w0} z + [z^-1]A_w.
+
 Only multisets with every index >= 2 are traced: one memoized reduction
 (reducer) removes each tau_0 and tau_1 by the string and dilaton equations
 (_lower_terms), down to the closed one-point values and <tau_0^3> = 1, and
-reads each remaining multiset from a leaf: the trace of its own point window
-(point_leaf, for single correlators) or of the table's box at its width
-(n_point_table).
+reads each remaining multiset from a leaf, by one of two routes:
+
+- a point window, the width-n trace of its own exponents (point_leaf), over
+  (n-1)!/2 cyclic classes;
+- a shifted trace.  At the psi shift t_a -> t_a + s_{v(a)}, over DegreePoly
+  and exact to degree n - 2,
+
+      <prod_a tau_a^{m_a} tau_b tau_c> = prod_a m_a! [prod_a s_{v(a)}^{m_a}] F_2(b, c),
+
+  with F_2 read as the point windows are.  Taking b and c as the two largest
+  indices, one wave and one width-2 trace give every multiset of width n or
+  less over the shifted indices (_shifted_reader).
+
+A single correlator (correlator_leaf) takes the point window below width 6
+and the shifted trace, which shifts the distinct indices of the rest, from
+width 6 up.  A table (n_point_table) traces its box [max(k_min, 2), k_max]^m
+at widths 2 and 3, and reads every wider multiset from one shifted trace over
+that box.  The crossover widths were measured: a shifted trace pays for a
+wave and for an M(z; T(s)) in several variables, which a narrow point window
+does not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
+from math import prod
 
-from .npoint import _pool, _window, npoint_window
+from .npoint import npoint_window
+from .partitions import DegreePoly, SPoly, partition_to_monomial
 from .rationals import double_factorial, factorial, odd_double_factorial, rat
-from .series import LaurentSeries
+from .series import LaurentSeries, SparsePoly, add_into
 
 
 def genus(ks) -> int | None:
@@ -138,10 +199,198 @@ def one_point(k: int):
     return rat(1, 24**g * factorial(g))
 
 
+# ---------------------------------------------------------------------------
+# the wave at a time shift
+
+
+@dataclass
+class DeformedWave:
+    """The wave at a time shift T(s) as the triangular solve leaves it: the
+    (P, Q) pairs of psi(z; T(s)) and psi_x(z; T(s)), P even and Q odd in z,
+    polynomials in s carrying the wave's weight cap; the prefactor E(z;s);
+    and `variables`, the j of every s_j in T(s), the only variables the wave
+    knows.  M(z; T(s)) = G M G^-1 is a quadratic form of the pairs in the
+    entries of M (`m_kappa_matrix`)."""
+
+    psi: tuple[LaurentSeries, LaurentSeries]
+    psi_x: tuple[LaurentSeries, LaurentSeries]
+    prefactor: LaurentSeries
+    variables: frozenset[int]
+
+    def pair(self, which: str) -> tuple[LaurentSeries, LaurentSeries]:
+        """The (P, Q) pair of A = E psi ("A") or of B = E psi_x ("B")."""
+        if which not in ("A", "B"):
+            raise ValueError(f'which must be "A" or "B", got {which!r}')
+        pair = self.psi if which == "A" else self.psi_x
+        return tuple(self.prefactor * s for s in pair)
+
+    def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
+        """The (P, Q) pair of the s_lam component of wave `which`, "A" or
+        "B", with rational coefficients."""
+        mono = partition_to_monomial(lam)
+        outside = set(lam) - self.variables
+        if outside:
+            raise ValueError(f"s_{max(outside)} is not a variable of this wave")
+        return tuple(
+            LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
+            for s in self.pair(which)
+        )
+
+
+def _shift_ring(times: dict) -> type:
+    """The one SparsePoly class of the shift's polynomials (else TypeError);
+    an empty shift solves over SPoly."""
+    rings = {type(p) for p in times.values()}
+    if len(rings) > 1 or not all(issubclass(r, SparsePoly) for r in rings):
+        names = ", ".join(sorted(r.__name__ for r in rings))
+        raise TypeError(f"a time shift takes polynomials of one ring, got {names}")
+    return rings.pop() if rings else SPoly
+
+
+def _exp_prefactor(times: dict, cap: int, ring: type) -> LaurentSeries:
+    """E(z;s) = exp(-sum_a T_a z^{2a+1}/(2a+1)!!) to weight cap in `ring`."""
+    t = LaurentSeries(
+        {2 * a + 1: -p * rat(1, odd_double_factorial(a)) for a, p in times.items()}
+    )
+    acc = power = LaurentSeries({0: ring.const(1).truncate_weight(cap)})
+    for m in range(1, cap + 1):
+        power = power * t
+        if power.is_zero_to_truncation():
+            break
+        acc = acc + power * rat(1, factorial(m))
+    return acc
+
+
+def _ks_solve(rhs: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
+    """The pair (P, Q), P in C[z^2] and Q in z C[z^2], with
+    [P c + Q q]_{>=0} = [rhs]_{>=0}, solved from the top degree down: z^d c
+    (d even) or z^d q (d odd) takes the residual's z^d coefficient, and its
+    lower terms z^{d-3i} leave the residual."""
+    rest = rhs.truncate(0).coefficients  # a fresh dict
+    top = max(rest, default=0)
+    bases = fz_c(-top), fz_q(-top)
+    pair: tuple[dict, dict] = ({}, {})
+    for d in range(top, -1, -1):
+        r = rest.pop(d, None)
+        if r is not None:
+            pair[d % 2][d] = r
+            for e, v in bases[d % 2].coefficients.items():
+                if e and d + e >= 0:
+                    add_into(rest, d + e, r * -v)
+    return LaurentSeries(pair[0]), LaurentSeries(pair[1])
+
+
+def _lower_weights(grades: list, xs: list, low: int) -> LaurentSeries:
+    """sum_{e>=1} E_e X_{w-e} on the exponents >= low, where xs holds the
+    expansions X_0 .. X_{w-1} and grades[e] is E_e."""
+    terms = (g * x.truncate(low - _top(g)) for g, x in zip(grades[1:], xs[::-1]))
+    return sum(terms, LaurentSeries({}, low))
+
+
+def deformed_wave(times: dict, cap: int) -> DeformedWave:
+    """psi and psi_x at the time shift `times` = {a: T_a(s)}, as pairs over
+    the ring of the T_a, exact to weight cap in that ring's `_weight`, by the
+    triangular solve of the module docstring, with their prefactor E.  The
+    T_a must be of one SparsePoly class (else TypeError; an empty shift
+    solves over SPoly), and each must vanish at s = 0 (E_0 = 1);
+    `wp.kappa_times(cap)` gives the kappa-coupled wave."""
+    if cap < 0:
+        raise ValueError("negative weight cap")
+    ring = _shift_ring(times)
+    for a, p in times.items():
+        if a < 0:
+            raise ValueError(f"time index must be non-negative, got {a}")
+        if () in p.terms:
+            raise ValueError(f"the shift of t_{a} has a constant term")
+    e = _exp_prefactor(times, cap, ring)
+    grades: list = [{} for _ in range(cap + 1)]  # E_w: {z-exponent: {mono: c}}
+    for z_exp, c in e.coefficients.items():
+        for mono, v in c.terms.items():
+            grades[ring._weight(mono)].setdefault(z_exp, {})[mono] = v
+    grades = [LaurentSeries({z: ring(t) for z, t in g.items()}) for g in grades]
+    # [z^-1] of A_w needs each E_e X_{w-e} down to z^{-deg E_e - 1}
+    low = -_top(e) - 1
+    # the (P_w, Q_w) of psi and of psi_x, from c and z q at weight 0, and
+    # their expansions X_w = P_w c + Q_w q and Y_w
+    one, zero = LaurentSeries({0: ring.const(1)}), LaurentSeries.zero()
+    a_pairs, b_pairs = [(one, zero)], [(zero, one.shift(1))]
+    xs, ys = ([pair_series(ps[0], low)] for ps in (a_pairs, b_pairs))
+    for _ in range(cap):
+        known = _lower_weights(grades, xs, -1)
+        a_pairs.append(_ks_solve(-known))
+        xs.append(pair_series(a_pairs[-1], low))
+        # [B_w]_{>=0} is [z^-1] A_w, less what the lower weights give
+        a_1 = LaurentSeries({0: known.coefficient(-1) + xs[-1].coefficient(-1)})
+        b_pairs.append(_ks_solve(a_1 - _lower_weights(grades, ys, 0)))
+        ys.append(pair_series(b_pairs[-1], low))
+    # the sums hold no term above the cap; a capped 1 records it on each
+    capped = ring.const(1).truncate_weight(cap)
+    psi, psi_x = (
+        tuple(sum(s, zero) * capped for s in zip(*ps)) for ps in (a_pairs, b_pairs)
+    )
+    variables = frozenset(
+        j + 1 for p in times.values() for m in p.terms for j, x in enumerate(m) if x
+    )
+    return DeformedWave(psi, psi_x, e, variables)
+
+
+def _top(*series: LaurentSeries) -> int:
+    """Largest exponent stored in any of the exact series, at least 0."""
+    return max([0, *(e for s in series for e in s.coefficients)])
+
+
+def pair_series(pair: tuple, low: int) -> LaurentSeries:
+    """Expand a (P, Q) pair into the Laurent series P c + Q q down to `low`:
+    `dw.psi` gives psi(z; T(s)), `dw.pair("A")` A(z;s) and
+    `dw.component(lam)` its s_lam part."""
+    p, q = pair
+    base_low = low - _top(p, q)
+    return (p * fz_c(base_low) + q * fz_q(base_low)).truncate(low)
+
+
+def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
+    """M(z; T(s)) as {y-exponent: polynomial} dicts, from the deformed wave
+    `dw` and exact to its weight cap; at the kappa shift it is M^kappa.
+
+    M(z; T(s)) = G M G^-1 with G = [[a, -b], [-c', d]], where psi = a c + b z q
+    and psi_x = c' c + d z q (see the module docstring), so each entry is a
+    quadratic form of a, b, c', d in the entries h, f, e of M, read once
+    down to the depth the products need.  The even-power check below guards
+    the premise that the pairs' P are even and their Q odd.
+    """
+    (a, bz), (cp, dz) = dw.psi, dw.psi_x  # cp is c'
+    b, d = bz.shift(-1), dz.shift(-1)
+    # the (f, h, e) coefficients of M_11, M_12 and M_21
+    forms = (
+        (a * cp, a * d + b * cp, -(b * d)),
+        (a * a, a * b * 2, -(b * b)),
+        (-(cp * cp), cp * d * -2, d * d),
+    )
+    top = _top(*(p for form in forms for p in form))
+    (h, f), (e, _) = m_matrix_z(2 * floor - top)
+
+    def to_y(form):
+        series = form[0] * f + form[1] * h + form[2] * e
+        out = {}
+        for k in range(2 * floor, _top(series) + 1):
+            if v := series.coefficient(k):  # raises below the series' floor
+                if k % 2:
+                    raise ArithmeticError("odd power in an even matrix entry")
+                out[k // 2] = v
+        return out
+
+    m11, m12, m21 = map(to_y, forms)
+    return [[m11, m12], [m21, {k: -v for k, v in m11.items()}]]
+
+
+# ---------------------------------------------------------------------------
+# psi numbers: the reduction and its leaves
+
+
 def correlator(ks, *, verify: bool = False):
     """<tau_{k_1} ... tau_{k_n}> as an exact rational, by the reduction with
-    point leaves: only all->=2 multisets are traced, and `verify` re-checks
-    those traces."""
+    the leaves of `correlator_leaf`: only all->=2 multisets are traced, and
+    `verify` re-checks those traces."""
     ks = tuple(sorted(int(k) for k in ks))
     if not ks:
         raise ValueError("need at least one index")
@@ -149,7 +398,7 @@ def correlator(ks, *, verify: bool = False):
         raise ValueError("negative index")
     if genus(ks) is None:
         return rat(0)
-    return reducer(point_leaf(verify))(ks)
+    return reducer(correlator_leaf(verify))(ks)
 
 
 def reducer(leaf):
@@ -213,6 +462,59 @@ def point_leaf(verify: bool):
     return leaf
 
 
+def _shifted_reader(indices, cap: int, windows, verify: bool):
+    """A reader of <tau_K> from one width-2 trace over `windows` of F_2 at the
+    psi shift t_a -> t_a + s_{v(a)}, v numbering the sorted `indices` from 1,
+    over DegreePoly and exact to degree cap.  It takes a sorted K whose two
+    largest indices b and c have their exponents in the windows, and whose
+    rest K' has at most cap indices, all shifted: the module docstring's
+    prod m_a! [prod s_{v(a)}^{m_a}] F_2(b, c) over (2b+1)!! (2c+1)!!."""
+    v = {a: j for j, a in enumerate(indices)}
+    dw = deformed_wave({a: DegreePoly.var(j + 1) for a, j in v.items()}, cap)
+    coeffs = npoint_window(
+        2, windows, lambda floor: m_kappa_matrix(dw, floor), verify=verify
+    )
+
+    def read(ks):
+        *rest, b, c = ks
+        poly = coeffs.get((-b - 1, -c - 1))
+        if poly is None:
+            return rat(0)
+        mono = [0] * len(v)
+        for a in rest:
+            mono[v[a]] += 1
+        value = rat(poly.coefficient(mono)) * prod(map(factorial, mono))
+        return value / (odd_double_factorial(b) * odd_double_factorial(c))
+
+    return read
+
+
+def shifted_leaf(verify: bool):
+    """The leaf that reads each multiset it is given from its own shifted
+    trace: the point windows of its two largest indices, at the shift of the
+    distinct indices of the rest, exact to the degree the rest needs."""
+
+    def leaf(ks):
+        *rest, b, c = ks
+        windows = [(-b - 1, -b - 1), (-c - 1, -c - 1)]
+        return _shifted_reader(sorted(set(rest)), len(rest), windows, verify)(ks)
+
+    return leaf
+
+
+# the narrowest multiset, and the narrowest table box, that the shifted trace
+# reads faster than the point window (see the module docstring)
+_SHIFTED_WIDTH = 6
+_SHIFTED_TABLE_WIDTH = 4
+
+
+def correlator_leaf(verify: bool):
+    """The leaf of single correlators: point_leaf below width 6 and
+    shifted_leaf from width 6 up."""
+    point, shifted = point_leaf(verify), shifted_leaf(verify)
+    return lambda ks: (shifted if len(ks) >= _SHIFTED_WIDTH else point)(ks)
+
+
 @dataclass
 class CorrelatorTable:
     """All <tau_{k_1} ... tau_{k_n}> with k_min <= k_1 <= ... <= k_n <= k_max."""
@@ -236,10 +538,14 @@ def n_point_table(
 ) -> CorrelatorTable:
     """Every width-n correlator with all indices in [k_min, k_max].
 
-    Each multiset with a genus goes through the reduction.  Its leaf at
-    width m reads the box [max(k_min, 2), k_max]^m, traced once, when the
-    first key of that width needs it; a string or dilaton step never leaves
-    [k_min, k_max], so every leaf key lies in its box.
+    Each multiset with a genus goes through the reduction, whose leaves lie
+    in [k_lo, k_max], k_lo = max(k_min, 2): a string or dilaton step never
+    leaves [k_min, k_max].  A leaf of width 2 or 3 reads the box
+    [k_lo, k_max]^m, and a wider one the shifted trace of the box
+    [k_lo, k_max]^2 at the shift of every index in it, exact to degree n - 2;
+    each is traced once, when the first key that needs it does.  No box has
+    more than one cyclic class, so no pool starts: `workers` is checked, and
+    serves no trace.
     """
     if n < 1:
         raise ValueError("width must be positive")
@@ -247,31 +553,44 @@ def n_point_table(
         raise ValueError("bad index range")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    k_lo = max(k_min, 2)
 
     @cache
     def box(m):
-        windows = [(-k_max - 1, -max(k_min, 2) - 1)] * m
-        return _window(m, windows, m_matrix, verify=verify, pool=pool)
+        windows = [(-k_max - 1, -k_lo - 1)] * m
+        return npoint_window(m, windows, m_matrix, verify=verify)
 
-    value = reducer(lambda ks: _read(box(len(ks)), ks))
+    @cache
+    def shifted():
+        windows = [(-k_max - 1, -k_lo - 1)] * 2
+        return _shifted_reader(range(k_lo, k_max + 1), n - 2, windows, verify)
+
+    def leaf(ks):
+        if len(ks) >= _SHIFTED_TABLE_WIDTH:
+            return shifted()(ks)
+        return _read(box(len(ks)), ks)
+
+    value = reducer(leaf)
     table = CorrelatorTable(n=n, k_min=k_min, k_max=k_max)
-    # one pool serves the boxes of every width, and is shut down on return
-    with _pool(workers, n) as pool:
-        for ks in combinations_with_replacement(range(k_min, k_max + 1), n):
-            if genus(ks) is not None and (v := value(ks)):
-                table.entries[ks] = v
+    for ks in combinations_with_replacement(range(k_min, k_max + 1), n):
+        if genus(ks) is not None and (v := value(ks)):
+            table.entries[ks] = v
     return table
 
 
 __all__ = [
     "CorrelatorTable",
+    "DeformedWave",
     "correlator",
+    "deformed_wave",
     "fz_c",
     "fz_q",
     "genus",
+    "m_kappa_matrix",
     "m_matrix",
     "m_matrix_z",
     "n_point_table",
     "one_point",
     "one_point_series",
+    "pair_series",
 ]

@@ -24,52 +24,22 @@ For a single kappa the w-extraction collapses to the closed trace
 
 with []_+ the polynomial part.
 
-Route two (deformed wave): the matrix-resolvent formula holds for any KdV
-tau-function, so at any point of the KdV times.  `deformed_wave` takes it as
-a time shift T(s) = {a: T_a(s)}, s-polynomials with no constant term, and
-solves psi = psi(z; T(s)) and psi_x there.  The n-point functions follow from
-the same cyclic trace engine run over the s-polynomial ring with
-M^kappa = M(z; T(s)), the quadratic form
-
-    M = [[-(psi psi_xb + psib psi_x)/2, -psi psib],
-         [psi_x psi_xb, (psi psi_xb + psib psi_x)/2]],     Xb := X(-z).
-
-The wave stays in the point W_0 of the Grassmannian below: psi = a c + b z q
-and psi_x = c' c + d z q, where a and c' are the solve's P and b and d its
-Q/z, all four even in z (P even, Q odd).  So M^kappa = G M G^-1 with
-G = [[a, -b], [-c', d]], det G = 1, and in the entries of
-M = M(z; 0) = [[h, f], [e, -h]]
-
-    M^kappa_11 = a c' f + (a d + b c') h - b d e = -M^kappa_22,
-    M^kappa_12 = a^2 f + 2 a b h - b^2 e,
-    M^kappa_21 = -c'^2 f - 2 c' d h + d^2 e.
-
-The deformed wave proper is A = E psi, B = E psi_x, with
-E(z;s) = exp(-sum_a T_a(s) z^{2a+1}/(2a+1)!!).  E(z) E(-z) = 1 cancels from
-the quadratic form, but E is not even, so the pairs of A and B do not fit
-G M G^-1.  The one-point function reads A and B (`f_kappa_1`): psi alone
-gives it only up to the polynomial (log E)'.  The partition function
-with kappa couplings s is the psi-class one at the shift T_{k+1} = -h_k(-s)
-(`kappa_times`).  The Weil-Petersson slice s = (s_1, 0, ...) is the
-one-variable shift T_{k+1} = -(-s_1)^k/k!, so `wp_volume` runs the whole
-route over polynomials in s_1 alone.  A psi shift T_a = s_1 reads
-<tau_a^m tau_b tau_c> as m! times the s_1^m coefficient of the two-point
-function.
-
-The wave is one triangular solve (Sato-Segal-Wilson, Kac-Schwarz).  At every
-time psi and psi_x lie in the same point W_0 of the Grassmannian, which at
-the Kontsevich-Witten point is C[z^2] c + C[z^2] z q, with psi|_0 = c and
-psi_x|_0 = z q.  So psi = P c + Q q with P in C[z^2][s], Q in z C[z^2][s],
-and since psi = e^{xi} (1 + w_1/z + ...) with E = e^{-xi}, A = 1 + O(1/z)
-and B = z + [z^-1]A + O(1/z).  With E_e the weight-e part of E (E_0 = 1), the
-weight-w parts of P and Q solve
-
-    [P_w c + Q_w q]_{>=0}
-        = delta_{w0} - [sum_{e=1}^{w} E_e (P_{w-e} c + Q_{w-e} q)]_{>=0},
-
-a polynomial in z.  z^{2j} c and z^{2j+1} q lead with z^{2j} and z^{2j+1}
-(c, q = 1 + O(z^-3)), so it is solved from the top degree down.  B is the
-same solve with the right side delta_{w0} z + [z^-1]A_w.
+Route two (deformed wave): the matrix-resolvent formula holds at any point
+of the KdV times, and wk's `deformed_wave` solves the wave at a time shift
+T(s) over the ring of its polynomials.  The partition function with kappa
+couplings s is the psi-class one at the shift T_{k+1} = -h_k(-s)
+(`kappa_times`), over SPoly, where s_j weighs j.  The n-point functions with
+kappa couplings follow from the cyclic trace engine run over SPoly with
+M^kappa = M(z; T(s)) = G M G^-1 (wk's `m_kappa_matrix`, whose module
+docstring has the wave, G and the solve).  The one-point function reads the
+deformed wave A = E psi and B = E psi_x (`f_kappa_1`): psi alone gives it
+only up to the polynomial (log E)'.  The Weil-Petersson slice
+s = (s_1, 0, ...) is the one-variable shift T_{k+1} = -(-s_1)^k/k!, so
+`wp_volume` runs the whole route over polynomials in s_1 alone.  A psi shift
+t_a -> t_a + s_{v(a)} is graded by total degree instead (wk's DegreePoly
+route, where every s_j weighs 1): s_j weighs j only in SPoly, whose weight
+cap would keep every monomial up to weight sum_a v(a), where the psi numbers
+read only those of degree n - 2.
 
 Time derivatives of the wave function stay inside the module
 span{psi, psi_x} over differential polynomials:
@@ -106,7 +76,6 @@ from .partitions import (
     SPoly,
     h_polynomials,
     l_entry,
-    monomial_weight,
     mult_factorial,
     negate_variables,
     partition_to_monomial,
@@ -114,6 +83,7 @@ from .partitions import (
 )
 from .rationals import factorial, odd_double_factorial, rat
 from .series import LaurentSeries, add_into
+from .wk import DeformedWave, _top, deformed_wave, m_kappa_matrix, pair_series
 
 # ---------------------------------------------------------------------------
 # wave-pair flow machinery: a state (a, b) stands for a psi + b psi_x, with a
@@ -194,41 +164,7 @@ def ks_pair(p: LaurentSeries, q: LaurentSeries) -> tuple[LaurentSeries, LaurentS
 
 
 # ---------------------------------------------------------------------------
-# deformed wave data (route two)
-
-
-@dataclass
-class DeformedWave:
-    """The wave at a time shift T(s) as the triangular solve leaves it: the
-    (P, Q) pairs of psi(z; T(s)) and psi_x(z; T(s)), P even and Q odd in z,
-    s-polynomials carrying the wave's weight cap; the prefactor E(z;s); and
-    `variables`, the j of every s_j in T(s), the only variables the wave
-    knows.  M^kappa = G M G^-1 is a quadratic form of the pairs in the
-    entries of M (`m_kappa_matrix`)."""
-
-    psi: tuple[LaurentSeries, LaurentSeries]
-    psi_x: tuple[LaurentSeries, LaurentSeries]
-    prefactor: LaurentSeries
-    variables: frozenset[int]
-
-    def pair(self, which: str) -> tuple[LaurentSeries, LaurentSeries]:
-        """The (P, Q) pair of A = E psi ("A") or of B = E psi_x ("B")."""
-        if which not in ("A", "B"):
-            raise ValueError(f'which must be "A" or "B", got {which!r}')
-        pair = self.psi if which == "A" else self.psi_x
-        return tuple(self.prefactor * s for s in pair)
-
-    def component(self, lam, which: str = "A") -> tuple[LaurentSeries, LaurentSeries]:
-        """The (P, Q) pair of the s_lam component of wave `which`, "A" or
-        "B", with rational coefficients."""
-        mono = partition_to_monomial(lam)
-        outside = set(lam) - self.variables
-        if outside:
-            raise ValueError(f"s_{max(outside)} is not a variable of this wave")
-        return tuple(
-            LaurentSeries({e: c.coefficient(mono) for e, c in s.coefficients.items()})
-            for s in self.pair(which)
-        )
+# the kappa time shifts (route two)
 
 
 def kappa_times(cap: int) -> dict:
@@ -244,104 +180,6 @@ def _wp_times(cap: int) -> dict:
         k + 1: SPoly({(k,): rat((-1) ** (k + 1), factorial(k))})
         for k in range(1, cap + 1)
     }
-
-
-def _exp_prefactor(times: dict, cap: int) -> LaurentSeries:
-    """E(z;s) = exp(-sum_a T_a z^{2a+1}/(2a+1)!!) to total s-weight cap."""
-    t = LaurentSeries(
-        {2 * a + 1: -p * rat(1, odd_double_factorial(a)) for a, p in times.items()}
-    )
-    acc = power = LaurentSeries({0: SPoly.const(1).truncate_weight(cap)})
-    for m in range(1, cap + 1):
-        power = power * t
-        if power.is_zero_to_truncation():
-            break
-        acc = acc + power * rat(1, factorial(m))
-    return acc
-
-
-def _ks_solve(rhs: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
-    """The pair (P, Q), P in C[z^2] and Q in z C[z^2], with
-    [P c + Q q]_{>=0} = [rhs]_{>=0}, solved from the top degree down: z^d c
-    (d even) or z^d q (d odd) takes the residual's z^d coefficient, and its
-    lower terms z^{d-3i} leave the residual."""
-    rest = rhs.truncate(0).coefficients  # a fresh dict
-    top = max(rest, default=0)
-    bases = wk.fz_c(-top), wk.fz_q(-top)
-    pair: tuple[dict, dict] = ({}, {})
-    for d in range(top, -1, -1):
-        r = rest.pop(d, None)
-        if r is not None:
-            pair[d % 2][d] = r
-            for e, v in bases[d % 2].coefficients.items():
-                if e and d + e >= 0:
-                    add_into(rest, d + e, r * -v)
-    return LaurentSeries(pair[0]), LaurentSeries(pair[1])
-
-
-def _lower_weights(grades: list, xs: list, low: int) -> LaurentSeries:
-    """sum_{e>=1} E_e X_{w-e} on the exponents >= low, where xs holds the
-    expansions X_0 .. X_{w-1} and grades[e] is E_e."""
-    terms = (g * x.truncate(low - _top(g)) for g, x in zip(grades[1:], xs[::-1]))
-    return sum(terms, LaurentSeries({}, low))
-
-
-def deformed_wave(times: dict, cap: int) -> DeformedWave:
-    """psi and psi_x at the time shift `times` = {a: T_a(s)}, as s-polynomial
-    pairs exact to total s-weight cap, by the triangular solve of the module
-    docstring, with their prefactor E.  Each T_a must vanish at s = 0 (E_0 = 1);
-    `kappa_times(cap)` gives the kappa-coupled wave."""
-    if cap < 0:
-        raise ValueError("negative weight cap")
-    for a, p in times.items():
-        if a < 0:
-            raise ValueError(f"time index must be non-negative, got {a}")
-        if () in p.terms:
-            raise ValueError(f"the shift of t_{a} has a constant term")
-    e = _exp_prefactor(times, cap)
-    grades: list = [{} for _ in range(cap + 1)]  # E_w: {z-exponent: {mono: c}}
-    for z_exp, c in e.coefficients.items():
-        for mono, v in c.terms.items():
-            grades[monomial_weight(mono)].setdefault(z_exp, {})[mono] = v
-    grades = [LaurentSeries({z: SPoly(t) for z, t in g.items()}) for g in grades]
-    # [z^-1] of A_w needs each E_e X_{w-e} down to z^{-deg E_e - 1}
-    low = -_top(e) - 1
-    # the (P_w, Q_w) of psi and of psi_x, from c and z q at weight 0, and
-    # their expansions X_w = P_w c + Q_w q and Y_w
-    one, zero = LaurentSeries({0: SPoly.const(1)}), LaurentSeries.zero()
-    a_pairs, b_pairs = [(one, zero)], [(zero, one.shift(1))]
-    xs, ys = ([pair_series(ps[0], low)] for ps in (a_pairs, b_pairs))
-    for _ in range(cap):
-        known = _lower_weights(grades, xs, -1)
-        a_pairs.append(_ks_solve(-known))
-        xs.append(pair_series(a_pairs[-1], low))
-        # [B_w]_{>=0} is [z^-1] A_w, less what the lower weights give
-        a_1 = LaurentSeries({0: known.coefficient(-1) + xs[-1].coefficient(-1)})
-        b_pairs.append(_ks_solve(a_1 - _lower_weights(grades, ys, 0)))
-        ys.append(pair_series(b_pairs[-1], low))
-    # the sums hold no term above the cap; a capped 1 records it on each
-    capped = SPoly.const(1).truncate_weight(cap)
-    psi, psi_x = (
-        tuple(sum(s, zero) * capped for s in zip(*ps)) for ps in (a_pairs, b_pairs)
-    )
-    variables = frozenset(
-        j + 1 for p in times.values() for m in p.terms for j, x in enumerate(m) if x
-    )
-    return DeformedWave(psi, psi_x, e, variables)
-
-
-def _top(*series: LaurentSeries) -> int:
-    """Largest exponent stored in any of the exact series, at least 0."""
-    return max([0, *(e for s in series for e in s.coefficients)])
-
-
-def pair_series(pair: tuple, low: int) -> LaurentSeries:
-    """Expand a (P, Q) pair into the Laurent series P c + Q q down to `low`:
-    `dw.psi` gives psi(z; T(s)), `dw.pair("A")` A(z;s) and
-    `dw.component(lam)` its s_lam part."""
-    p, q = pair
-    base_low = low - _top(p, q)
-    return (p * wk.fz_c(base_low) + q * wk.fz_q(base_low)).truncate(low)
 
 
 # ---------------------------------------------------------------------------
@@ -360,41 +198,6 @@ def f_kappa_1(dw: DeformedWave, low: int) -> dict:
     g = b.derivative() * a.substitute_negate() - a.derivative() * b.substitute_negate()
     f = (g - g.substitute_negate()).shift(-1) * rat(1, 4)
     return {e: c for e in range(low, _top(f) + 1) if (c := f.coefficient(e))}
-
-
-def m_kappa_matrix(dw: DeformedWave, floor: int) -> list[list[dict]]:
-    """M(z; T(s)) with kappa couplings as {y-exponent: s-polynomial} dicts,
-    from the deformed wave `dw` and exact to its weight cap.
-
-    M^kappa = G M G^-1 with G = [[a, -b], [-c', d]], where psi = a c + b z q
-    and psi_x = c' c + d z q (see the module docstring), so each entry is a
-    quadratic form of a, b, c', d in the entries h, f, e of M, read once
-    down to the depth the products need.  The even-power check below guards
-    the premise that the pairs' P are even and their Q odd.
-    """
-    (a, bz), (cp, dz) = dw.psi, dw.psi_x  # cp is c'
-    b, d = bz.shift(-1), dz.shift(-1)
-    # the (f, h, e) coefficients of M^kappa_11, M^kappa_12 and M^kappa_21
-    forms = (
-        (a * cp, a * d + b * cp, -(b * d)),
-        (a * a, a * b * 2, -(b * b)),
-        (-(cp * cp), cp * d * -2, d * d),
-    )
-    top = _top(*(p for form in forms for p in form))
-    (h, f), (e, _) = wk.m_matrix_z(2 * floor - top)
-
-    def to_y(form):
-        series = form[0] * f + form[1] * h + form[2] * e
-        out = {}
-        for k in range(2 * floor, _top(series) + 1):
-            if v := series.coefficient(k):  # raises below the series' floor
-                if k % 2:
-                    raise ArithmeticError("odd power in an even matrix entry")
-                out[k // 2] = v
-        return out
-
-    m11, m12, m21 = map(to_y, forms)
-    return [[m11, m12], [m21, {k: -v for k, v in m11.items()}]]
 
 
 def f_kappa_n(
@@ -452,7 +255,7 @@ def mixed_correlator(lam, ks, *, verify: bool = False):
         return wk.correlator(ks, verify=verify)
     if mixed_genus(lam, ks) is None:
         return rat(0)
-    value = wk.reducer(wk.point_leaf(verify))
+    value = wk.reducer(wk.correlator_leaf(verify))
     total = rat(0)
     for mu in partitions_of(sum(lam)):
         lcoef = l_entry(lam, mu)

@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from kdvcorr import npoint, wk
-from kdvcorr.npoint import _window, npoint_window
+from kdvcorr.npoint import npoint_window
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 
 
@@ -123,8 +123,39 @@ def test_wide_correlators_with_tau_0_and_tau_1_match_dvv_oracle(psi):
 @pytest.mark.parametrize("ks", [(2, 2, 2, 2, 2, 2, 4), (2, 2, 2, 2, 2, 3, 3)])
 def test_width_seven_all_at_least_two_matches_dvv_oracle(psi, ks):
     # genus 4; no frozen table reaches a width-7 multiset with every index
-    # >= 2, so each is one point-window trace over its 360 cycle classes
+    # >= 2, so each is read from one shifted two-point trace
     assert wk.correlator(ks) == psi(ks)
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [(2, 2, 3, 3), (2, 3, 4, 5, 6), (2, 2, 2, 2, 3, 4), (2, 3, 3, 4, 5, 7),
+     (3, 3, 4, 4, 5, 5)],
+)
+def test_shifted_leaf_equals_point_leaf(ks):
+    # both routes, each under its verify pass, on multisets with every index
+    # >= 2 at widths 4 to 6, with repeated and distinct shifted indices
+    want = wk.point_leaf(True)(ks)
+    assert want and wk.shifted_leaf(True)(ks) == want
+
+
+def test_wide_correlator_is_one_shifted_two_point_trace(monkeypatch, psi):
+    # <tau_2^7 tau_6> (width 8): one width-2 trace at the points 2 and 6,
+    # over M(z; T(s)), where the point window has 2520 cycle classes
+    calls = []
+
+    def recording(n, windows, build, **kw):
+        calls.append((windows, build is wk.m_matrix, kw.get("verify")))
+        return npoint_window(n, windows, build, **kw)
+
+    monkeypatch.setattr(wk, "npoint_window", recording)
+    ks = (2,) * 7 + (6,)
+    assert wk.correlator(ks, verify=True) == psi(ks) == rat(59115119, 82944)
+    assert calls == [([(-3, -3), (-7, -7)], False, True)]
+    calls.clear()
+    # width 5 stays on its point window
+    assert wk.correlator((2, 3, 4, 5, 6)) == psi((2, 3, 4, 5, 6))
+    assert [len(w) for w, point, _ in calls if point] == [5]
 
 
 def _whole_box_entries(n, k_max, k_min):
@@ -161,9 +192,10 @@ def test_reduced_table_verify_and_workers(n, k_max):
     assert wk.n_point_table(n, k_max, workers=2).entries == want
 
 
-def test_table_starts_one_pool_and_shuts_it_down(monkeypatch):
-    # widths 4 and 5 have 3 and 12 cycle classes, so both boxes run pooled;
-    # widths 2 and 3 have one class each and are traced in this process
+def test_table_starts_no_pool_and_leaves_no_child(monkeypatch):
+    # widths 2 and 3 are point boxes of one cycle class each, and every wider
+    # multiset is read from one width-2 shifted trace, so no box needs a pool
+    # and workers=2 starts none
     pools = []
 
     class CountingPool(npoint.ProcessPoolExecutor):
@@ -173,29 +205,32 @@ def test_table_starts_one_pool_and_shuts_it_down(monkeypatch):
 
     monkeypatch.setattr(npoint, "ProcessPoolExecutor", CountingPool)
     pooled = wk.n_point_table(5, 4, workers=2, verify=True)
-    assert pools == [2]
+    assert pools == []
     assert multiprocessing.active_children() == []
     assert pooled.entries == wk.n_point_table(5, 4).entries
-    assert pools == [2]
 
 
 def test_table_traces_each_width_box_at_most_once(monkeypatch):
+    # one point box per width below 4, and one shifted width-2 trace, over
+    # M(z; T(s)) rather than M, for every wider multiset
     calls = []
 
     def recording(n, windows, build, **kw):
-        calls.append(windows)
-        return _window(n, windows, build, **kw)
+        calls.append((windows, build is wk.m_matrix))
+        return npoint_window(n, windows, build, **kw)
 
-    monkeypatch.setattr(wk, "_window", recording)
+    monkeypatch.setattr(wk, "npoint_window", recording)
     wk.n_point_table(5, 4)
-    assert calls and all(w == [(-5, -3)] * len(w) for w in calls), calls
-    assert len({len(w) for w in calls}) == len(calls)
+    assert sorted((len(w), point) for w, point in calls) == [
+        (2, False), (2, True), (3, True)
+    ], calls
+    assert all(w == [(-5, -3)] * len(w) for w, _ in calls), calls
     calls.clear()
     assert wk.n_point_table(4, 1).entries == _whole_box_entries(4, 1, 0)
     assert calls == []
 
 
-@pytest.mark.parametrize("n,k_max", [(5, 5), (6, 3)])
+@pytest.mark.parametrize("n,k_max", [(5, 5), (6, 3), (7, 3), (8, 3)])
 def test_wide_table_matches_dvv_oracle(psi, n, k_max):
     # the oracle also reduces tau_0 and tau_1 by string and dilaton, so it is
     # independent here only on the all->=2 entries; the whole-box test above

@@ -4,11 +4,13 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
 from kdvcorr import wk, wp
 from kdvcorr.partitions import (
+    DegreePoly,
     SPoly,
     l_entry,
     mult_factorial,
@@ -230,6 +232,24 @@ def _shifted_psi_numbers(a, m, windows, verify=False) -> dict:
     return out
 
 
+def _degree_shift_psi_numbers(indices, m, windows) -> dict:
+    """{(exps, b, c): <prod_j tau_{indices[j]}^{exps[j]} tau_b tau_c>} for
+    total degree sum(exps) <= m, read off the two-point function at the psi
+    shift t_{indices[j]} -> t_{indices[j]} + s_{j+1} over DegreePoly, cap m,
+    as prod exps[j]! [prod s_{j+1}^{exps[j]}]."""
+    shift = {a: DegreePoly.var(j + 1) for j, a in enumerate(indices)}
+    box = wp.f_kappa_n(2, windows, wp.deformed_wave(shift, m))
+    out = {}
+    for (e1, e2), poly in box.items():
+        assert poly.cap == m
+        b, c = -e1 - 1, -e2 - 1
+        norm = odd_double_factorial(b) * odd_double_factorial(c)
+        for mono, value in poly.terms.items():
+            exps = mono + (0,) * (len(indices) - len(mono))
+            out[(exps, b, c)] = value * prod(map(factorial, exps)) / norm
+    return out
+
+
 @pytest.mark.parametrize("a,m", [(0, 4), (1, 4), (2, 4), (3, 3)])
 def test_psi_time_shift_matches_dvv_oracle(psi, a, m):
     # the matrix-resolvent formula at t_a = s_1 against DVV, every
@@ -242,6 +262,19 @@ def test_psi_time_shift_matches_dvv_oracle(psi, a, m):
             assert got.get((j, b, c), 0) == want, (a, j, b, c)
             nonzero += bool(want)
     assert nonzero >= 35
+    # the degree-graded shift of t_a and t_{a+2} by s_1 and s_2 at degree cap
+    # m: every <tau_a^i tau_{a+2}^j tau_b tau_c> with i + j <= m, b, c <= 6
+    indices = (a, a + 2)
+    got = _degree_shift_psi_numbers(indices, m, [(-7, -1)] * 2)
+    assert all(sum(exps) <= m for exps, _, _ in got)
+    nonzero = 0
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            for b, c in combinations_with_replacement(range(7), 2):
+                want = psi([a] * i + [a + 2] * j + [b, c])
+                assert got.get(((i, j), b, c), 0) == want, (indices, i, j, b, c)
+                nonzero += bool(want)
+    assert nonzero >= 90, nonzero
 
 
 @pytest.mark.parametrize("a,m,b,c", [(2, 6, 4, 4), (2, 8, 3, 3)])
@@ -252,6 +285,43 @@ def test_wide_psi_numbers_from_the_time_shift_match_dvv_oracle(psi, a, m, b, c):
     got = _shifted_psi_numbers(a, m, windows, verify=True)[(m, b, c)]
     want = psi([a] * m + [b, c])
     assert want and got == want
+
+
+def test_degree_graded_shift_over_three_variables_matches_dvv_oracle(psi):
+    # a table-style shift of every index in [2, 4] at degree cap 4: each
+    # <tau_2^i tau_3^j tau_4^k tau_b tau_c> with b, c in [2, 4] (width <= 6)
+    got = _degree_shift_psi_numbers((2, 3, 4), 4, [(-5, -3)] * 2)
+    nonzero = 0
+    for degree in range(5):
+        for rest in combinations_with_replacement((2, 3, 4), degree):
+            exps = tuple(rest.count(a) for a in (2, 3, 4))
+            for b, c in combinations_with_replacement((2, 3, 4), 2):
+                want = psi([*rest, b, c])
+                assert got.get((exps, b, c), 0) == want, (rest, b, c)
+                nonzero += bool(want)
+    assert nonzero >= 60, nonzero
+
+
+def test_shift_mixing_two_rings_is_refused():
+    # one solve runs over one ring: an SPoly beside a DegreePoly, or a
+    # rational, names no ring to grade by
+    for times in (
+        {2: SPoly.var(1), 3: DegreePoly.var(2)},
+        {2: DegreePoly.var(1), 3: 1},
+    ):
+        with pytest.raises(TypeError, match="one ring"):
+            wp.deformed_wave(times, 2)
+
+
+@pytest.mark.parametrize("cap", [0, 2])
+def test_empty_shift_solves_over_spoly(cap):
+    # no polynomial names a ring, so the wave is the undeformed one over SPoly
+    dw = wp.deformed_wave({}, cap)
+    coeffs = [c for s in (*dw.psi, *dw.psi_x, dw.prefactor)
+              for c in s.coefficients.values()]
+    assert coeffs and all(type(c) is SPoly and c.cap == cap for c in coeffs)
+    assert dw.psi == (LaurentSeries({0: SPoly.const(1)}), ZERO)
+    assert dw.variables == frozenset()
 
 
 def test_empty_partition_falls_back_to_plain_correlator():
