@@ -14,8 +14,9 @@ CSV rows, text lines) and hands them to `_emit`, the one writer of results
 and the one reader of --format.  Values are exact rationals; JSON output
 renders numerator and denominator as decimal-digit strings because table
 entries overflow 64-bit integers.  Output is deterministic: equal invocations
-produce byte-identical files whatever the worker count.  Exit codes: 0
-success, 1 runtime or I/O failure, 2 usage.
+produce byte-identical files; every trace runs in one process, so the
+--workers count of `table` and `wp` is checked and has no effect.  Exit
+codes: 0 success, 1 runtime or I/O failure, 2 usage.
 """
 from __future__ import annotations
 
@@ -55,11 +56,11 @@ def _parse_indices(text: str, what: str, minimum: int = 0) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _workers(args) -> int:
-    """The --workers count, refused below 1 as a usage error."""
+def _check_workers(args) -> None:
+    """Refuse a --workers count below 1 as a usage error; every trace runs
+    in this process, so a valid count changes nothing."""
     if args.workers < 1:
         raise _UsageError("--workers must be at least 1")
-    return args.workers
 
 
 def _json_value(v) -> dict:
@@ -155,9 +156,8 @@ def _cmd_table(args) -> int:
         raise _UsageError("table width must be at least 2")
     if args.k_max < 0:
         raise _UsageError("k_max must be nonnegative")
-    table = wk.n_point_table(
-        args.n, args.k_max, verify=args.verify, workers=_workers(args)
-    )
+    _check_workers(args)
+    table = wk.n_point_table(args.n, args.k_max, verify=args.verify)
     records = [_tau_record(ks, wk.genus(ks), v) for ks, v in table.sorted_items()]
     objs, rows, lines = ([r[i] for r in records] for i in range(3))
     _emit(args, objs, _tau_header(args.n), rows, lines)
@@ -196,7 +196,8 @@ def _cmd_wp(args) -> int:
         raise _UsageError("need genus >= 0 and at least one point")
     if 3 * g - 3 + n < 0:
         raise _UsageError("the moduli space is empty for this (g, n)")
-    vol = wp.wp_volume(g, n, verify=args.verify, workers=_workers(args))
+    _check_workers(args)
+    vol = wp.wp_volume(g, n, verify=args.verify)
     entries = [
         (d, ks, vol.display_coefficient(d, ks), vol.volume_coefficient(d, ks))
         for (d, ks), _ in vol.sorted_items()
@@ -296,8 +297,8 @@ def _add_common(sub, *, verify: bool = False, workers: bool = False) -> None:
             "--workers",
             type=int,
             default=1,
-            help="worker processes for a trace of more than one cyclic class"
-            " (wp; every trace of a table has one, so it starts none)",
+            help="accepted for compatibility and checked (at least 1); every"
+            " trace runs in this process, so it has no effect",
         )
 
 

@@ -62,9 +62,7 @@ exponent tuples once, when the ordering's term returns.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from itertools import chain, islice, permutations, repeat
+from itertools import chain, islice, permutations
 from operator import itemgetter
 
 from .rationals import rat
@@ -283,22 +281,11 @@ def _class_term(cycle, mat, cap, low, exports, windows, n):
     }
 
 
-def _compute(n, windows, scale, zero, width, low, mat, exports, classes, pool=None):
-    cycles = [cyc for cyc, _ in classes]
+def _compute(n, windows, scale, zero, width, low, mat, exports, classes):
     cap = 0 if zero is None else zero.cap or 0
-    terms = (map if pool is None else pool.map)(
-        _class_term,
-        cycles,
-        repeat(mat),
-        repeat(cap),
-        repeat(low),
-        repeat(exports),
-        repeat(windows),
-        repeat(n),
-    )
     acc: dict = {}
-    for (cyc, weight), term in zip(classes, terms):
-        for key, c in term.items():
+    for cyc, weight in classes:
+        for key, c in _class_term(cyc, mat, cap, low, exports, windows, n).items():
             add_into(acc, key, -weight * c)
     den = scale**n
     if zero is None:
@@ -329,7 +316,6 @@ def npoint_window(
     mat_factory,
     *,
     verify: bool = False,
-    workers: int = 1,
 ):
     """Coefficients of the n-point function over a target exponent box.
 
@@ -348,8 +334,6 @@ def npoint_window(
     {(e_1, ..., e_n): coefficient} including only nonzero entries, each a
     rational, or a polynomial of the factory's class with that cap.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     windows = [tuple(w) for w in windows]
     if len(windows) != n:
         raise ValueError(f"{len(windows)} windows for {n} variables")
@@ -361,42 +345,29 @@ def npoint_window(
     windows = [windows[v] for v in order]
     floor, exports = budgets(windows)
     classes = cycle_classes(n)
-    # one pool serves the trace and the verify pass
-    with _pool(workers, n) as pool:
-        result = _compute(
-            n, windows, *_build_mat(mat_factory, floor, n), exports, classes, pool
+    result = _compute(n, windows, *_build_mat(mat_factory, floor, n), exports, classes)
+    if verify:
+        floor2, exports2 = budgets(windows, widen=4)
+        floor2 = min(floor2, 2 * floor)
+        exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
+        check = _compute(
+            n, windows, *_build_mat(mat_factory, floor2, n), exports2, classes
         )
-        if verify:
-            floor2, exports2 = budgets(windows, widen=4)
-            floor2 = min(floor2, 2 * floor)
-            exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
-            check = _compute(
-                n, windows, *_build_mat(mat_factory, floor2, n), exports2, classes,
-                pool,
+        if check != result:
+            changed = sum(
+                1
+                for key in set(check) | set(result)
+                if check.get(key) != result.get(key)
             )
-            if check != result:
-                changed = sum(
-                    1
-                    for key in set(check) | set(result)
-                    if check.get(key) != result.get(key)
-                )
-                raise TruncationInstability(
-                    f"widened truncation changed {changed} coefficients"
-                )
+            raise TruncationInstability(
+                f"widened truncation changed {changed} coefficients"
+            )
     if order != sorted(order):
         # entry j of a traced key is the exponent of the caller's variable
         # order[j], so the caller's variable v reads entry back[v]
         back = sorted(range(n), key=order.__getitem__)
         result = {tuple(key[j] for j in back): c for key, c in result.items()}
     return result
-
-
-def _pool(workers: int, n: int):
-    """A process pool for a trace of width n, or a null context where it
-    would have one worker: a pool may start all its workers at once, and any
-    beyond one per cyclic class would only idle."""
-    size = 1 if workers < 2 or n < 2 else min(workers, len(cycle_classes(n)))
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
 
 
 def _build_mat(mat_factory, floor, n):

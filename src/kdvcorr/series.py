@@ -30,7 +30,7 @@ used by every sparse dict in the package.  A sparse polynomial carries a
 weight cap, the counterpart of the floor `low`: only its terms of weight <=
 cap are known, and `cap=None` is the exact form.  Sums and products take the
 smaller cap of their operands and drop every term above it, so a cap set on
-a seed constant travels with all that is built from it, into pool workers too.
+a seed constant travels with all that is built from it.
 
 Every product of two series, and every product of two polynomials (the case
 of one exponent), runs through one multiply-accumulate kernel, `_product`.

@@ -82,7 +82,8 @@ reads each remaining multiset from a leaf, by one of two routes:
 
   with F_2 read as the point windows are.  Taking b and c as the two largest
   indices, one wave and one width-2 trace give every multiset of width n or
-  less over the shifted indices (_shifted_reader).
+  less over the shifted indices (_shifted_reader).  wp reads its volumes
+  from such a trace over SPoly with the same reader (_f2_reader).
 
 A single correlator (correlator_leaf) takes the point window below width 6
 and the shifted trace, which shifts the distinct indices of the rest, from
@@ -462,6 +463,22 @@ def point_leaf(verify: bool):
     return leaf
 
 
+def _f2_reader(coeffs: dict):
+    """A reader of the coefficients of F_2 that a width-2 trace at a time
+    shift gives: read(mono, b, c) is prod_j mono_j! [s^mono] F_2(b, c) over
+    (2b+1)!! (2c+1)!!, for b and c with their exponents in the traced
+    windows and a mono within the wave's cap."""
+
+    def read(mono, b, c):
+        poly = coeffs.get((-b - 1, -c - 1))
+        if poly is None:
+            return rat(0)
+        value = rat(poly.coefficient(mono)) * prod(map(factorial, mono))
+        return value / (odd_double_factorial(b) * odd_double_factorial(c))
+
+    return read
+
+
 def _shifted_reader(indices, cap: int, windows, verify: bool):
     """A reader of <tau_K> from one width-2 trace over `windows` of F_2 at the
     psi shift t_a -> t_a + s_{v(a)}, v numbering the sorted `indices` from 1,
@@ -474,19 +491,16 @@ def _shifted_reader(indices, cap: int, windows, verify: bool):
     coeffs = npoint_window(
         2, windows, lambda floor: m_kappa_matrix(dw, floor), verify=verify
     )
+    read = _f2_reader(coeffs)
 
-    def read(ks):
+    def reader(ks):
         *rest, b, c = ks
-        poly = coeffs.get((-b - 1, -c - 1))
-        if poly is None:
-            return rat(0)
         mono = [0] * len(v)
         for a in rest:
             mono[v[a]] += 1
-        value = rat(poly.coefficient(mono)) * prod(map(factorial, mono))
-        return value / (odd_double_factorial(b) * odd_double_factorial(c))
+        return read(mono, b, c)
 
-    return read
+    return reader
 
 
 def shifted_leaf(verify: bool):
@@ -534,7 +548,6 @@ def n_point_table(
     k_min: int = 0,
     *,
     verify: bool = False,
-    workers: int = 1,
 ) -> CorrelatorTable:
     """Every width-n correlator with all indices in [k_min, k_max].
 
@@ -543,16 +556,12 @@ def n_point_table(
     leaves [k_min, k_max].  A leaf of width 2 or 3 reads the box
     [k_lo, k_max]^m, and a wider one the shifted trace of the box
     [k_lo, k_max]^2 at the shift of every index in it, exact to degree n - 2;
-    each is traced once, when the first key that needs it does.  No box has
-    more than one cyclic class, so no pool starts: `workers` is checked, and
-    serves no trace.
+    each is traced once, when the first key that needs it does.
     """
     if n < 1:
         raise ValueError("width must be positive")
     if k_min < 0 or k_max < k_min:
         raise ValueError("bad index range")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     k_lo = max(k_min, 2)
 
     @cache

@@ -33,13 +33,21 @@ kappa couplings follow from the cyclic trace engine run over SPoly with
 M^kappa = M(z; T(s)) = G M G^-1 (wk's `m_kappa_matrix`, whose module
 docstring has the wave, G and the solve).  The one-point function reads the
 deformed wave A = E psi and B = E psi_x (`f_kappa_1`): psi alone gives it
-only up to the polynomial (log E)'.  The Weil-Petersson slice
-s = (s_1, 0, ...) is the one-variable shift T_{k+1} = -(-s_1)^k/k!, so
-`wp_volume` runs the whole route over polynomials in s_1 alone.  A psi shift
-t_a -> t_a + s_{v(a)} is graded by total degree instead (wk's DegreePoly
-route, where every s_j weighs 1): s_j weighs j only in SPoly, whose weight
-cap would keep every monomial up to weight sum_a v(a), where the psi numbers
-read only those of degree n - 2.
+only up to the polynomial (log E)'.
+
+The Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
+T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads n = 1 from the one-point
+function and n = 3 from the box [-dim-1, -1]^3 of F_3, over polynomials in
+s_1 alone; every other n from one width-2 trace of the box [-dim-1, -1]^2
+(read by wk's `_f2_reader`) with the psi shift t_a -> t_a + s_{a+2} on top:
+
+    <kappa_1^d tau_{K'} tau_b tau_c>
+        = d! prod_a m_a! [s_1^d prod_a s_{a+2}^{m_a}] F_2(b, c),
+
+b and c the two largest indices and m_a the multiplicity of a in K'.  Over
+SPoly s_{a+2} weighs a + 2, so the cap is dim + 2(n - 2).  n = 3 keeps its
+box, which was measured faster there; unlike wk's psi shift, grading by
+total degree was slower here.
 
 Time derivatives of the wave function stay inside the module
 span{psi, psi_x} over differential polynomials:
@@ -78,12 +86,18 @@ from .partitions import (
     l_entry,
     mult_factorial,
     negate_variables,
-    partition_to_monomial,
     partitions_of,
 )
 from .rationals import factorial, odd_double_factorial, rat
 from .series import LaurentSeries, add_into
-from .wk import DeformedWave, _top, deformed_wave, m_kappa_matrix, pair_series
+from .wk import (
+    DeformedWave,
+    _f2_reader,
+    _top,
+    deformed_wave,
+    m_kappa_matrix,
+    pair_series,
+)
 
 # ---------------------------------------------------------------------------
 # wave-pair flow machinery: a state (a, b) stands for a psi + b psi_x, with a
@@ -200,29 +214,15 @@ def f_kappa_1(dw: DeformedWave, low: int) -> dict:
     return {e: c for e in range(low, _top(f) + 1) if (c := f.coefficient(e))}
 
 
-def f_kappa_n(
-    n: int,
-    windows,
-    dw: DeformedWave,
-    *,
-    verify: bool = False,
-    workers: int = 1,
-) -> dict:
+def f_kappa_n(n: int, windows, dw: DeformedWave, *, verify: bool = False) -> dict:
     """n-point function with kappa couplings over a target exponent box, from
     the deformed wave `dw` and exact to its weight cap.
 
-    Returns {(e_1, ..., e_n): s-polynomial} in y-exponents, n >= 2.  The
-    matrices are built in this process, so pool workers receive them whole.
+    Returns {(e_1, ..., e_n): s-polynomial} in y-exponents, n >= 2.
     """
     if n < 2:
         raise ValueError("use f_kappa_1 for the one-point function")
-    return npoint_window(
-        n,
-        windows,
-        lambda fl: m_kappa_matrix(dw, fl),
-        verify=verify,
-        workers=workers,
-    )
+    return npoint_window(n, windows, lambda fl: m_kappa_matrix(dw, fl), verify=verify)
 
 
 # ---------------------------------------------------------------------------
@@ -336,48 +336,57 @@ class WpVolume:
         return sorted(self.entries.items())
 
 
-def wp_volume(
-    g: int,
-    n: int,
-    *,
-    verify: bool = False,
-    workers: int = 1,
-) -> WpVolume:
+def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n.
 
+    n = 1 reads the one-point form of the wave at s = (s_1, 0, ...), n = 3 the
+    trace of the box [-dim-1, -1]^3, and every other n one width-2 trace at
+    that slice with the psi shift on top (see the module docstring).
     `verify` re-checks the n >= 2 trace under widened budgets.  At n = 1 the
     volume is read from the one-point quadratic form, which has no truncation
     budget, so there is nothing to re-check.
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     dim = 3 * g - 3 + n
     out = WpVolume(g=g, n=n, entries={})
     if dim < 0:
         return out
-    # only the s_1^d terms are read, so the wave is built at s = (s_1, 0, ...)
-    dw = deformed_wave(_wp_times(dim), dim)
-    if n == 1:
-        coeffs = f_kappa_1(dw, -2 * dim - 2)
-        keys = {(k,): -2 * k - 2 for k in range(dim + 1)}
+    # only the s_1^d terms are read, so the wave is built at s = (s_1, 0, ...),
+    # with t_a -> t_a + s_{a+2} on top from n = 4 on: an index a of K' is at
+    # most b and c, and a + b + c <= dim
+    times = _wp_times(dim)
+    shifted = range(dim // 3 + 1) if n >= 4 else ()
+    for a in shifted:
+        add_into(times, a, SPoly.var(a + 2))
+    dw = deformed_wave(times, dim + 2 * (n - 2) if shifted else dim)
+    if n in (1, 3):
+        if n == 1:
+            # F_1 is even in z, so z^{-2k-2} is the y-exponent -k-1
+            f_1 = f_kappa_1(dw, -2 * dim - 2)
+            coeffs = {(e // 2,): c for e, c in f_1.items()}
+        else:
+            coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dw, verify=verify)
+
+        def value(d, ks):
+            sp = coeffs.get(tuple(-k - 1 for k in ks))
+            v = 0 if sp is None else sp.coefficient((d,))
+            return v and v * factorial(d) / prod(map(odd_double_factorial, ks))
+
     else:
-        coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dw, verify=verify, workers=workers)
-        keys = {
-            ks: tuple(-k - 1 for k in ks)
-            for ks in combinations_with_replacement(range(dim + 1), n)
-        }
-    for ks, key in keys.items():
+        read = _f2_reader(f_kappa_n(2, [(-dim - 1, -1)] * 2, dw, verify=verify))
+
+        def value(d, ks):
+            *rest, b, c = ks
+            mono = [d, *(0 for _ in shifted)]
+            for a in rest:
+                mono[a + 1] += 1
+            return read(mono, b, c)
+
+    for ks in combinations_with_replacement(range(dim + 1), n):
         d = dim - sum(ks)
-        sp = coeffs.get(key)
-        if d < 0 or sp is None:
-            continue
-        v = sp.coefficient(partition_to_monomial((1,) * d))
-        if v:
-            out.entries[(d, ks)] = (
-                v * factorial(d) / prod(odd_double_factorial(k) for k in ks)
-            )
+        if d >= 0 and (v := value(d, ks)):
+            out.entries[(d, ks)] = v
     return out
 
 

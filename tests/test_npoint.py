@@ -1,9 +1,7 @@
-"""Cyclic trace engine: windows, budgets, verification, worker determinism."""
+"""Cyclic trace engine: windows, budgets, verification."""
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -13,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvcorr import npoint, wk, wp
+from kdvcorr import wk, wp
 from kdvcorr.npoint import (
     _build_mat,
     _class_term,
@@ -121,12 +119,6 @@ def test_window_reaching_above_the_matrix_top_adds_nothing(n):
     assert below and npoint_window(n, [(-3, 2)] * n, wk.m_matrix, verify=True) == below
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_window_rejects_workers_below_one(workers):
-    with pytest.raises(ValueError, match="workers"):
-        npoint_window(2, [(-4, -3), (-4, -3)], wk.m_matrix, workers=workers)
-
-
 @pytest.mark.parametrize("n, count", [(2, 3), (3, 2)])
 def test_window_count_must_match_n(n, count):
     # one window per variable: an extra one is not dropped unread, and a
@@ -149,15 +141,6 @@ def test_verify_passes_on_consistent_data():
     a = npoint_window(2, [(-5, -1), (-5, -1)], wk.m_matrix)
     b = npoint_window(2, [(-5, -1), (-5, -1)], wk.m_matrix, verify=True)
     assert a == b
-
-
-def test_worker_counts_agree():
-    base = npoint_window(3, [(-5, -1)] * 3, wk.m_matrix)
-    for workers in (2, 4):
-        assert (
-            npoint_window(3, [(-5, -1)] * 3, wk.m_matrix, workers=workers)
-            == base
-        )
 
 
 def test_results_only_contain_window_keys():
@@ -227,88 +210,6 @@ def test_every_window_order_traces_alike(ring, windows):
     assert results[0]
     assert all(r == results[0] for r in results)
     assert len(deepest) == 1
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Stands in for the pool and runs map in-process, so no worker starts;
-    returns the sizes of the pools entered, in order."""
-    entered = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.size = max_workers
-
-        def __enter__(self):
-            entered.append(self.size)
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(npoint, "ProcessPoolExecutor", InlinePool)
-    return entered
-
-
-def test_pool_never_larger_than_class_count(inline_pool):
-    windows = [(-4, -1)] * 4
-    got = npoint_window(4, windows, wk.m_matrix, workers=64)
-    assert inline_pool == [3]  # n = 4 has 3 cycle classes
-    assert got == npoint_window(4, windows, wk.m_matrix)
-
-
-def test_verify_pass_uses_the_pool(inline_pool):
-    windows = [(-4, -1)] * 4
-    got = npoint_window(4, windows, wk.m_matrix, verify=True, workers=2)
-    assert inline_pool == [2]  # one pool serves the trace and the check
-    assert got == npoint_window(4, windows, wk.m_matrix)
-
-
-START_METHOD_SCRIPT = """
-import multiprocessing, sys
-from kdvcorr import wk, wp
-
-multiprocessing.set_start_method(sys.argv[1])
-assert wp.wp_volume(0, 4, workers=2, verify=True) == wp.wp_volume(0, 4)
-assert wk.n_point_table(5, 4, workers=2) == wk.n_point_table(5, 4)
-"""
-
-
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_workers_agree_with_serial_under_start_method(method, src_env):
-    # a spawned or forkserver worker imports kdvcorr afresh, so it sees no
-    # state of the parent process beyond the pickled matrices it receives
-    proc = subprocess.run(
-        [sys.executable, "-c", START_METHOD_SCRIPT, method],
-        capture_output=True,
-        text=True,
-        env=src_env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("n, windows", [(4, [(-5, -1)] * 4), (5, [(-4, -1)] * 5)])
-def test_process_pool_matches_serial(monkeypatch, n, windows):
-    # n = 4 and 5 have 3 and 12 cycle classes, so workers > 1 starts a pool
-    # that receives the integer-scaled matrices
-    pools = []
-
-    class CountingPool(npoint.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(npoint, "ProcessPoolExecutor", CountingPool)
-    serial = npoint_window(n, windows, wk.m_matrix, workers=1)
-    assert pools == []
-    pooled = npoint_window(n, windows, wk.m_matrix, workers=2)
-    assert pools == [2]
-    assert pooled == serial
-    assert serial
 
 
 def _unscaled_window(n, windows, mat_factory, correct=True):

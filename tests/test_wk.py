@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from kdvcorr import npoint, wk
+from kdvcorr import wk
 from kdvcorr.npoint import npoint_window
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 
@@ -98,9 +98,9 @@ def test_reduced_correlator_equals_direct_trace(n, k_max):
 def test_correlator_traces_only_indices_at_least_two(monkeypatch):
     calls = []
 
-    def recording(n, windows, build, *, verify=False, workers=1):
+    def recording(n, windows, build, *, verify=False):
         calls.append(([-lo - 1 for lo, _ in windows], verify))
-        return npoint_window(n, windows, build, verify=verify, workers=workers)
+        return npoint_window(n, windows, build, verify=verify)
 
     monkeypatch.setattr(wk, "npoint_window", recording)
     # fully reduced by string to the closed <tau_10>: nothing is traced
@@ -189,25 +189,13 @@ def test_reduced_table_equals_whole_box_trace(n, k_max, k_min):
 def test_reduced_table_verify_and_workers(n, k_max):
     want = _whole_box_entries(n, k_max, 0)
     assert wk.n_point_table(n, k_max, verify=True).entries == want
-    assert wk.n_point_table(n, k_max, workers=2).entries == want
 
 
-def test_table_starts_no_pool_and_leaves_no_child(monkeypatch):
-    # widths 2 and 3 are point boxes of one cycle class each, and every wider
-    # multiset is read from one width-2 shifted trace, so no box needs a pool
-    # and workers=2 starts none
-    pools = []
-
-    class CountingPool(npoint.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(npoint, "ProcessPoolExecutor", CountingPool)
-    pooled = wk.n_point_table(5, 4, workers=2, verify=True)
-    assert pools == []
+def test_table_starts_no_pool_and_leaves_no_child():
+    # every trace runs in this process
+    verified = wk.n_point_table(5, 4, verify=True)
     assert multiprocessing.active_children() == []
-    assert pooled.entries == wk.n_point_table(5, 4).entries
+    assert verified.entries == wk.n_point_table(5, 4).entries
 
 
 def test_table_traces_each_width_box_at_most_once(monkeypatch):
@@ -250,13 +238,6 @@ def test_table_input_validation():
         wk.n_point_table(2, 3, k_min=5)
     with pytest.raises(ValueError):
         wk.n_point_table(2, 3, k_min=-1)
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_table_rejects_workers_below_one(workers):
-    # refused before any box is traced, as a CLI --workers 0 is
-    with pytest.raises(ValueError, match="workers"):
-        wk.n_point_table(4, 5, workers=workers)
 
 
 def test_one_point_table_width():

@@ -467,7 +467,9 @@ def test_grouped_kappa_one_oracle_matches_set_partitions(oracles, psi, kappa1_nu
 
 
 @pytest.mark.parametrize(
-    "g,n", [(3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3), (1, 4), (4, 2), (2, 4)]
+    "g,n",
+    [(3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3), (1, 4), (4, 2), (2, 4), (1, 5),
+     (0, 6)],
 )
 def test_volume_matches_dvv_oracle(kappa1_number, g, n):
     # <kappa_1^d tau_K> on M_{g,n} by the grouped set-partition pushforward
@@ -482,6 +484,23 @@ def test_volume_matches_dvv_oracle(kappa1_number, g, n):
                 want[(d, ks)] = value
     assert want
     assert _volume(g, n).entries == want
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)])
+def test_shifted_volume_equals_the_whole_box_trace(g, n):
+    # the route that n >= 4 replaced: the box [-dim-1, -1]^n of F_n at the
+    # Weil-Petersson slice, read at the sorted keys
+    dim = 3 * g - 3 + n
+    dw = wp.deformed_wave(wp._wp_times(dim), dim)
+    coeffs = wp.f_kappa_n(n, [(-dim - 1, -1)] * n, dw)
+    want = {}
+    for ks in combinations_with_replacement(range(dim + 1), n):
+        d = dim - sum(ks)
+        sp = coeffs.get(tuple(-k - 1 for k in ks))
+        if d >= 0 and sp is not None and (v := sp.coefficient((d,))):
+            want[(d, ks)] = v * factorial(d) / prod(map(odd_double_factorial, ks))
+    assert want
+    assert wp.wp_volume(g, n).entries == want
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -567,7 +586,6 @@ def test_volume_below_stability_is_empty():
 def test_volume_workers_and_verify_agree():
     base = wp.wp_volume(1, 2)
     assert wp.wp_volume(1, 2, verify=True).entries == base.entries
-    assert wp.wp_volume(1, 2, workers=4).entries == base.entries
 
 
 def test_validation_errors():
@@ -585,13 +603,6 @@ def test_validation_errors():
         wp.kappa_linear(0, 0)  # off dimension too, but the index is checked first
     with pytest.raises(ValueError):
         wp.deformed_wave({}, -1)
-
-
-@pytest.mark.parametrize("g,n", [(1, 2), (1, 1)])
-def test_wp_volume_rejects_workers_below_one(g, n):
-    # (1, 1) reads the one-point form and traces nothing, and still refuses
-    with pytest.raises(ValueError, match="workers"):
-        wp.wp_volume(g, n, workers=0)
 
 
 def test_wp_volume_builds_one_wave_and_reads_m_once_per_matrix(monkeypatch):
@@ -646,7 +657,7 @@ def test_s1_wave_is_the_general_wave_at_s1(cap):
 
 
 def test_deformed_wave_and_kappa_matrix_carry_the_cap():
-    # pool workers see the cap only through the polynomials they receive
+    # the trace engine sees the cap only through the polynomials it receives
     dw = wp.deformed_wave(wp.kappa_times(3), 3)
     series = (*dw.psi, *dw.psi_x, *dw.pair("A"), *dw.pair("B"), dw.prefactor)
     coeffs = [c for s in series for c in s.coefficients.values()]
