@@ -78,17 +78,21 @@ reads each remaining multiset from a leaf, by one of two routes:
 - a shifted trace.  At the psi shift t_a -> t_a + s_{v(a)}, over DegreePoly
   and exact to degree n - 2,
 
-      <prod_a tau_a^{m_a} tau_b tau_c> = prod_a m_a! [prod_a s_{v(a)}^{m_a}] F_2(b, c),
+      <prod_a tau_a^{m_a} tau_b tau_c> = prod_a m_a! [prod_a s_{v(a)}^{m_a}] F_2(b, c).
 
-  with F_2 read as the point windows are.  Taking b and c as the two largest
-  indices, one wave and one width-2 trace give every multiset of width n or
-  less over the shifted indices (_shifted_reader).  wp reads its volumes
-  from such a trace over SPoly with the same reader (_f2_reader).
+  Taking b and c as the two largest indices, one wave and one width-2 trace
+  give every multiset of width n or less over the shifted indices
+  (_shifted_reader).
+
+Every traced number, wp's volumes included, is read by one reader (_entry):
+the coefficient at the key (-k_1 - 1, ..., -k_n - 1), its s^mono part times
+prod_j mono_j! when the trace ran at a shift, over prod_i (2 k_i + 1)!!.
 
 A single correlator (correlator_leaf) takes the point window below width 6
 and the shifted trace, which shifts the distinct indices of the rest, from
-width 6 up.  A table (n_point_table) traces its box [max(k_min, 2), k_max]^m
-at widths 2 and 3, and reads every wider multiset from one shifted trace over
+width 6 up.  A table (n_point_table) picks its route once: up to width 3 it
+traces the box [max(k_min, 2), k_max]^m once per leaf width m, and from
+width 4 up it reads every leaf, of width 2 to n, from one shifted trace over
 that box.  The crossover widths were measured: a shifted trace pays for a
 wave and for an M(z; T(s)) in several variables, which a narrow point window
 does not.
@@ -440,15 +444,18 @@ def _lower_terms(ks) -> list:
     ]
 
 
-def _read(coeffs: dict, ks):
-    """<tau_K> from traced coefficients: the entry at the exponent key
-    (-k_1 - 1, ..., -k_n - 1), in the order of ks, over prod (2 k_i + 1)!!.
-    The n-point function is symmetric, so any order of ks reads the same
-    entry of a box traced over one window per variable."""
-    v = rat(coeffs.get(tuple(-k - 1 for k in ks), 0))
-    for k in ks:
-        v = v / odd_double_factorial(k)
-    return v
+def _entry(coeffs: dict, ks, mono=()):
+    """A number read from traced coefficients: the entry at the exponent key
+    (-k_1 - 1, ..., -k_n - 1), in the order of ks, with a polynomial entry
+    taken at prod_j mono_j! [s^mono], over prod (2 k_i + 1)!!.  The n-point
+    function is symmetric, so any order of ks reads the same entry of a box
+    traced over one window per variable."""
+    v = coeffs.get(tuple(-k - 1 for k in ks))
+    if v is None:
+        return rat(0)
+    if mono:
+        v = v.coefficient(mono) * prod(map(factorial, mono))
+    return rat(v) / prod(map(odd_double_factorial, ks))
 
 
 def point_leaf(verify: bool):
@@ -458,25 +465,9 @@ def point_leaf(verify: bool):
 
     def leaf(ks):
         windows = [(-k - 1, -k - 1) for k in ks]
-        return _read(npoint_window(len(ks), windows, m_matrix, verify=verify), ks)
+        return _entry(npoint_window(len(ks), windows, m_matrix, verify=verify), ks)
 
     return leaf
-
-
-def _f2_reader(coeffs: dict):
-    """A reader of the coefficients of F_2 that a width-2 trace at a time
-    shift gives: read(mono, b, c) is prod_j mono_j! [s^mono] F_2(b, c) over
-    (2b+1)!! (2c+1)!!, for b and c with their exponents in the traced
-    windows and a mono within the wave's cap."""
-
-    def read(mono, b, c):
-        poly = coeffs.get((-b - 1, -c - 1))
-        if poly is None:
-            return rat(0)
-        value = rat(poly.coefficient(mono)) * prod(map(factorial, mono))
-        return value / (odd_double_factorial(b) * odd_double_factorial(c))
-
-    return read
 
 
 def _shifted_reader(indices, cap: int, windows, verify: bool):
@@ -486,21 +477,11 @@ def _shifted_reader(indices, cap: int, windows, verify: bool):
     largest indices b and c have their exponents in the windows, and whose
     rest K' has at most cap indices, all shifted: the module docstring's
     prod m_a! [prod s_{v(a)}^{m_a}] F_2(b, c) over (2b+1)!! (2c+1)!!."""
-    v = {a: j for j, a in enumerate(indices)}
-    dw = deformed_wave({a: DegreePoly.var(j + 1) for a, j in v.items()}, cap)
+    dw = deformed_wave({a: DegreePoly.var(j + 1) for j, a in enumerate(indices)}, cap)
     coeffs = npoint_window(
         2, windows, lambda floor: m_kappa_matrix(dw, floor), verify=verify
     )
-    read = _f2_reader(coeffs)
-
-    def reader(ks):
-        *rest, b, c = ks
-        mono = [0] * len(v)
-        for a in rest:
-            mono[v[a]] += 1
-        return read(mono, b, c)
-
-    return reader
+    return lambda ks: _entry(coeffs, ks[-2:], tuple(map(ks[:-2].count, indices)))
 
 
 def shifted_leaf(verify: bool):
@@ -516,8 +497,8 @@ def shifted_leaf(verify: bool):
     return leaf
 
 
-# the narrowest multiset, and the narrowest table box, that the shifted trace
-# reads faster than the point window (see the module docstring)
+# the narrowest multiset, and the narrowest table, that the shifted trace
+# reads faster than the point windows (see the module docstring)
 _SHIFTED_WIDTH = 6
 _SHIFTED_TABLE_WIDTH = 4
 
@@ -553,31 +534,35 @@ def n_point_table(
 
     Each multiset with a genus goes through the reduction, whose leaves lie
     in [k_lo, k_max], k_lo = max(k_min, 2): a string or dilaton step never
-    leaves [k_min, k_max].  A leaf of width 2 or 3 reads the box
-    [k_lo, k_max]^m, and a wider one the shifted trace of the box
-    [k_lo, k_max]^2 at the shift of every index in it, exact to degree n - 2;
-    each is traced once, when the first key that needs it does.
+    leaves [k_min, k_max].  A table of width 3 or less reads each width-m
+    leaf from the box [k_lo, k_max]^m, and a wider table reads every leaf
+    from one shifted trace of the box [k_lo, k_max]^2 at the shift of every
+    index in it, exact to degree n - 2; each trace runs once, when the first
+    key that needs it does.
     """
     if n < 1:
         raise ValueError("width must be positive")
     if k_min < 0 or k_max < k_min:
         raise ValueError("bad index range")
     k_lo = max(k_min, 2)
+    windows = [(-k_max - 1, -k_lo - 1)]
+    if n >= _SHIFTED_TABLE_WIDTH:
 
-    @cache
-    def box(m):
-        windows = [(-k_max - 1, -k_lo - 1)] * m
-        return npoint_window(m, windows, m_matrix, verify=verify)
+        @cache
+        def shifted():
+            return _shifted_reader(range(k_lo, k_max + 1), n - 2, windows * 2, verify)
 
-    @cache
-    def shifted():
-        windows = [(-k_max - 1, -k_lo - 1)] * 2
-        return _shifted_reader(range(k_lo, k_max + 1), n - 2, windows, verify)
-
-    def leaf(ks):
-        if len(ks) >= _SHIFTED_TABLE_WIDTH:
+        def leaf(ks):
             return shifted()(ks)
-        return _read(box(len(ks)), ks)
+
+    else:
+
+        @cache
+        def box(m):
+            return npoint_window(m, windows * m, m_matrix, verify=verify)
+
+        def leaf(ks):
+            return _entry(box(len(ks)), ks)
 
     value = reducer(leaf)
     table = CorrelatorTable(n=n, k_min=k_min, k_max=k_max)

@@ -11,8 +11,9 @@ extra negative powers from wider psi-correlator generating functions,
 
 expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|: each mu
 term is the psi correlator <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>, read
-from one wk.reducer with point leaves, so a multiset that several terms
-reduce to is traced once.  L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
+from one wk.reducer with the leaves of wk.correlator_leaf (a point window
+below width 6, a shifted two-point trace from width 6 up), so a multiset
+that several terms reduce to is traced once.  L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
 is read off the series of the shift T_{k+1} = -h_k(-s) that `kappa_times`
 gives, so route one is the Taylor expansion of F at the shift where route two
 solves the wave.
@@ -39,7 +40,8 @@ The Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
 T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads n = 1 from the one-point
 function and n = 3 from the box [-dim-1, -1]^3 of F_3, over polynomials in
 s_1 alone; every other n from one width-2 trace of the box [-dim-1, -1]^2
-(read by wk's `_f2_reader`) with the psi shift t_a -> t_a + s_{a+2} on top:
+with the psi shift t_a -> t_a + s_{a+2} on top.  wk's `_entry` reads every
+entry, as it reads the psi numbers:
 
     <kappa_1^d tau_{K'} tau_b tau_c>
         = d! prod_a m_a! [s_1^d prod_a s_{a+2}^{m_a}] F_2(b, c),
@@ -92,7 +94,7 @@ from .rationals import factorial, odd_double_factorial, rat
 from .series import LaurentSeries, add_into
 from .wk import (
     DeformedWave,
-    _f2_reader,
+    _entry,
     _top,
     deformed_wave,
     m_kappa_matrix,
@@ -360,32 +362,20 @@ def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     for a in shifted:
         add_into(times, a, SPoly.var(a + 2))
     dw = deformed_wave(times, dim + 2 * (n - 2) if shifted else dim)
-    if n in (1, 3):
-        if n == 1:
-            # F_1 is even in z, so z^{-2k-2} is the y-exponent -k-1
-            f_1 = f_kappa_1(dw, -2 * dim - 2)
-            coeffs = {(e // 2,): c for e, c in f_1.items()}
-        else:
-            coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dw, verify=verify)
-
-        def value(d, ks):
-            sp = coeffs.get(tuple(-k - 1 for k in ks))
-            v = 0 if sp is None else sp.coefficient((d,))
-            return v and v * factorial(d) / prod(map(odd_double_factorial, ks))
-
+    # the trace width w: the last w indices are read from F_w, the rest from
+    # the shift
+    w = n if n in (1, 3) else 2
+    if n == 1:
+        # F_1 is even in z, so z^{-2k-2} is the y-exponent -k-1
+        coeffs = {(e // 2,): c for e, c in f_kappa_1(dw, -2 * dim - 2).items()}
     else:
-        read = _f2_reader(f_kappa_n(2, [(-dim - 1, -1)] * 2, dw, verify=verify))
-
-        def value(d, ks):
-            *rest, b, c = ks
-            mono = [d, *(0 for _ in shifted)]
-            for a in rest:
-                mono[a + 1] += 1
-            return read(mono, b, c)
-
+        coeffs = f_kappa_n(w, [(-dim - 1, -1)] * w, dw, verify=verify)
     for ks in combinations_with_replacement(range(dim + 1), n):
         d = dim - sum(ks)
-        if d >= 0 and (v := value(d, ks)):
+        if d < 0:
+            continue
+        mono = (d, *map(ks[: n - w].count, shifted))
+        if v := _entry(coeffs, ks[n - w :], mono):
             out.entries[(d, ks)] = v
     return out
 

@@ -177,11 +177,16 @@ def _whole_box_entries(n, k_max, k_min):
     return entries
 
 
-@pytest.mark.parametrize("k_min", [0, 1])
-@pytest.mark.parametrize("n,k_max", [(2, 13), (3, 9), (4, 5), (5, 3)])
+@pytest.mark.parametrize("n,k_max,k_min", [
+    (2, 13, 0), (2, 13, 1), (3, 9, 0), (3, 9, 1), (4, 5, 0), (4, 5, 1),
+    (5, 3, 0), (5, 3, 1),
+    # the shift of a wide table starts above index 2
+    (4, 7, 3), (5, 5, 3),
+])
 def test_reduced_table_equals_whole_box_trace(n, k_max, k_min):
     want = _whole_box_entries(n, k_max, k_min)
-    assert any(ks[0] <= 1 for ks in want) and any(ks[0] >= 2 for ks in want)
+    assert any(ks[0] >= 2 for ks in want)
+    assert any(ks[0] <= 1 for ks in want) == (k_min <= 1)
     assert wk.n_point_table(n, k_max, k_min).entries == want
 
 
@@ -199,8 +204,9 @@ def test_table_starts_no_pool_and_leaves_no_child():
 
 
 def test_table_traces_each_width_box_at_most_once(monkeypatch):
-    # one point box per width below 4, and one shifted width-2 trace, over
-    # M(z; T(s)) rather than M, for every wider multiset
+    # a table of width 4 or more reads every leaf from one shifted width-2
+    # trace, over M(z; T(s)) rather than M; a narrower one traces one point
+    # box per leaf width
     calls = []
 
     def recording(n, windows, build, **kw):
@@ -209,10 +215,13 @@ def test_table_traces_each_width_box_at_most_once(monkeypatch):
 
     monkeypatch.setattr(wk, "npoint_window", recording)
     wk.n_point_table(5, 4)
+    assert calls == [([(-5, -3)] * 2, False)], calls
+    calls.clear()
+    wk.n_point_table(3, 9)
     assert sorted((len(w), point) for w, point in calls) == [
-        (2, False), (2, True), (3, True)
+        (2, True), (3, True)
     ], calls
-    assert all(w == [(-5, -3)] * len(w) for w, _ in calls), calls
+    assert all(w == [(-10, -3)] * len(w) for w, _ in calls), calls
     calls.clear()
     assert wk.n_point_table(4, 1).entries == _whole_box_entries(4, 1, 0)
     assert calls == []
