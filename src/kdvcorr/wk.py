@@ -71,36 +71,35 @@ same solve with the right side delta_{w0} z + [z^-1]A_w.
 Only multisets with every index >= 2 are traced: one memoized reduction
 (reducer) removes each tau_0 and tau_1 by the string and dilaton equations
 (_lower_terms), down to the closed one-point values and <tau_0^3> = 1, and
-reads each remaining multiset from a leaf, by one of two routes:
+reads each remaining multiset from a leaf.  Every leaf is read by one reader
+(_reader), which traces the width-w point function once over w windows at a
+psi shift t_a -> t_a + s_{v(a)} of some indices, over DegreePoly and exact
+to degree cap.  Taking b and c as the two largest indices,
 
-- a point window, the width-n trace of its own exponents (point_leaf), over
-  (n-1)!/2 cyclic classes;
-- a shifted trace.  At the psi shift t_a -> t_a + s_{v(a)}, over DegreePoly
-  and exact to degree n - 2,
+    <prod_a tau_a^{m_a} tau_b tau_c> = prod_a m_a! [prod_a s_{v(a)}^{m_a}] F_2(b, c),
 
-      <prod_a tau_a^{m_a} tau_b tau_c> = prod_a m_a! [prod_a s_{v(a)}^{m_a}] F_2(b, c).
+so at w = 2 one wave and one trace give every multiset of width cap + 2 or
+less over the shifted indices.  The empty shift is t = 0, where the reader
+traces M itself: a point window, the width-n trace of a multiset's own
+exponents over (n-1)!/2 cyclic classes, is the case with nothing shifted.
+Every traced number, wp's volumes included, is read by one function
+(_entry): the coefficient at the key (-k_1 - 1, ..., -k_n - 1), its s^mono
+part times prod_j mono_j! when the trace ran at a shift, over
+prod_i (2 k_i + 1)!!.
 
-  Taking b and c as the two largest indices, one wave and one width-2 trace
-  give every multiset of width n or less over the shifted indices
-  (_shifted_reader).
-
-Every traced number, wp's volumes included, is read by one reader (_entry):
-the coefficient at the key (-k_1 - 1, ..., -k_n - 1), its s^mono part times
-prod_j mono_j! when the trace ran at a shift, over prod_i (2 k_i + 1)!!.
-
-A single correlator (correlator_leaf) takes the point window below width 6
-and the shifted trace, which shifts the distinct indices of the rest, from
-width 6 up.  A table (n_point_table) picks its route once: up to width 3 it
-traces the box [max(k_min, 2), k_max]^m once per leaf width m, and from
-width 4 up it reads every leaf, of width 2 to n, from one shifted trace over
-that box.  The crossover widths were measured: a shifted trace pays for a
-wave and for an M(z; T(s)) in several variables, which a narrow point window
-does not.
+A single correlator (correlator_leaf) takes its point window below width 6
+(point_leaf) and from width 6 up its two largest indices at the shift of
+the distinct indices of the rest (shifted_leaf).  A table (n_point_table)
+traces the box [max(k_min, 2), k_max]^w: up to width 3 at the empty shift,
+once per leaf width w, and from width 4 up once at w = 2, shifting every
+index of the box, for every leaf of width 2 to n.  The crossover widths were
+measured: a shifted trace pays for a wave and for an M(z; T(s)) in several
+variables, which a narrow point window does not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -458,43 +457,41 @@ def _entry(coeffs: dict, ks, mono=()):
     return rat(v) / prod(map(odd_double_factorial, ks))
 
 
+def _reader(windows, indices=(), cap: int = 0, *, verify: bool):
+    """A reader of <tau_K> from one trace of the w = len(windows) point
+    function over `windows`.  With no `indices` it traces M itself and reads
+    a K of width w.  With `indices` it traces F_w over M(z; T(s)) at the psi
+    shift t_a -> t_a + s_{v(a)}, v numbering the sorted `indices` from 1,
+    over DegreePoly and exact to degree cap, and reads a sorted K whose last
+    w indices have their exponents in the windows and whose rest K', of at
+    most cap indices, is all shifted: prod m_a! [prod s_{v(a)}^{m_a}] F_w."""
+    w, build = len(windows), m_matrix
+    if indices:
+        times = {a: DegreePoly.var(j + 1) for j, a in enumerate(indices)}
+        build = partial(m_kappa_matrix, deformed_wave(times, cap))
+    coeffs = npoint_window(w, windows, build, verify=verify)
+    return lambda ks: _entry(coeffs, ks[-w:], tuple(map(ks[:-w].count, indices)))
+
+
+def _points(ks) -> list:
+    """The single-exponent window of each index, in the order of ks."""
+    return [(-k - 1, -k - 1) for k in ks]
+
+
 def point_leaf(verify: bool):
-    """The leaf that traces the point window of each multiset it is given:
-    one single-exponent window per index, in the order of ks, since
-    npoint_window picks the trace order itself."""
-
-    def leaf(ks):
-        windows = [(-k - 1, -k - 1) for k in ks]
-        return _entry(npoint_window(len(ks), windows, m_matrix, verify=verify), ks)
-
-    return leaf
-
-
-def _shifted_reader(indices, cap: int, windows, verify: bool):
-    """A reader of <tau_K> from one width-2 trace over `windows` of F_2 at the
-    psi shift t_a -> t_a + s_{v(a)}, v numbering the sorted `indices` from 1,
-    over DegreePoly and exact to degree cap.  It takes a sorted K whose two
-    largest indices b and c have their exponents in the windows, and whose
-    rest K' has at most cap indices, all shifted: the module docstring's
-    prod m_a! [prod s_{v(a)}^{m_a}] F_2(b, c) over (2b+1)!! (2c+1)!!."""
-    dw = deformed_wave({a: DegreePoly.var(j + 1) for j, a in enumerate(indices)}, cap)
-    coeffs = npoint_window(
-        2, windows, lambda floor: m_kappa_matrix(dw, floor), verify=verify
-    )
-    return lambda ks: _entry(coeffs, ks[-2:], tuple(map(ks[:-2].count, indices)))
+    """The leaf that traces the point window of each multiset it is given,
+    in the order of ks, since npoint_window picks the trace order itself."""
+    return lambda ks: _reader(_points(ks), verify=verify)(ks)
 
 
 def shifted_leaf(verify: bool):
     """The leaf that reads each multiset it is given from its own shifted
     trace: the point windows of its two largest indices, at the shift of the
-    distinct indices of the rest, exact to the degree the rest needs."""
-
-    def leaf(ks):
-        *rest, b, c = ks
-        windows = [(-b - 1, -b - 1), (-c - 1, -c - 1)]
-        return _shifted_reader(sorted(set(rest)), len(rest), windows, verify)(ks)
-
-    return leaf
+    distinct indices of the rest, exact to the degree the rest needs.  A
+    width-2 multiset has nothing to shift and traces M."""
+    return lambda ks: _reader(
+        _points(ks[-2:]), sorted(set(ks[:-2])), len(ks) - 2, verify=verify
+    )(ks)
 
 
 # the narrowest multiset, and the narrowest table, that the shifted trace
@@ -534,37 +531,24 @@ def n_point_table(
 
     Each multiset with a genus goes through the reduction, whose leaves lie
     in [k_lo, k_max], k_lo = max(k_min, 2): a string or dilaton step never
-    leaves [k_min, k_max].  A table of width 3 or less reads each width-m
-    leaf from the box [k_lo, k_max]^m, and a wider table reads every leaf
-    from one shifted trace of the box [k_lo, k_max]^2 at the shift of every
-    index in it, exact to degree n - 2; each trace runs once, when the first
-    key that needs it does.
+    leaves [k_min, k_max].  Each leaf is read from one trace of the box
+    [k_lo, k_max]^w: below width 4 the width-m leaf at w = m and the empty
+    shift, and from width 4 up every leaf at w = 2 and the shift of every
+    index in [k_lo, k_max], exact to degree n - 2.  Each trace runs once,
+    when the first key that needs it does.
     """
     if n < 1:
         raise ValueError("width must be positive")
     if k_min < 0 or k_max < k_min:
         raise ValueError("bad index range")
     k_lo = max(k_min, 2)
-    windows = [(-k_max - 1, -k_lo - 1)]
-    if n >= _SHIFTED_TABLE_WIDTH:
+    shift = range(k_lo, k_max + 1) if n >= _SHIFTED_TABLE_WIDTH else ()
 
-        @cache
-        def shifted():
-            return _shifted_reader(range(k_lo, k_max + 1), n - 2, windows * 2, verify)
+    @cache
+    def trace(w):
+        return _reader([(-k_max - 1, -k_lo - 1)] * w, shift, n - 2, verify=verify)
 
-        def leaf(ks):
-            return shifted()(ks)
-
-    else:
-
-        @cache
-        def box(m):
-            return npoint_window(m, windows * m, m_matrix, verify=verify)
-
-        def leaf(ks):
-            return _entry(box(len(ks)), ks)
-
-    value = reducer(leaf)
+    value = reducer(lambda ks: trace(2 if shift else len(ks))(ks))
     table = CorrelatorTable(n=n, k_min=k_min, k_max=k_max)
     for ks in combinations_with_replacement(range(k_min, k_max + 1), n):
         if genus(ks) is not None and (v := value(ks)):

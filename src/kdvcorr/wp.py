@@ -37,17 +37,17 @@ deformed wave A = E psi and B = E psi_x (`f_kappa_1`): psi alone gives it
 only up to the polynomial (log E)'.
 
 The Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
-T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads n = 1 from the one-point
-function and n = 3 from the box [-dim-1, -1]^3 of F_3, over polynomials in
-s_1 alone; every other n from one width-2 trace of the box [-dim-1, -1]^2
-with the psi shift t_a -> t_a + s_{a+2} on top.  wk's `_entry` reads every
-entry, as it reads the psi numbers:
+T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads the last w indices from F_w,
+w = n up to n = 3 and w = 2 from n = 4 up: n = 1 from the one-point
+function, n = 2 and 3 from the box [-dim-1, -1]^w of F_w, over polynomials
+in s_1 alone; when n > w, the rest from the psi shift t_a -> t_a + s_{a+2}
+on top.  wk's `_entry` reads every entry, as it reads the psi numbers:
 
     <kappa_1^d tau_{K'} tau_b tau_c>
         = d! prod_a m_a! [s_1^d prod_a s_{a+2}^{m_a}] F_2(b, c),
 
 b and c the two largest indices and m_a the multiplicity of a in K'.  Over
-SPoly s_{a+2} weighs a + 2, so the cap is dim + 2(n - 2).  n = 3 keeps its
+SPoly s_{a+2} weighs a + 2, so the cap is dim + 2(n - w).  n = 3 keeps its
 box, which was measured faster there; unlike wk's psi shift, grading by
 total degree was slower here.
 
@@ -341,9 +341,9 @@ class WpVolume:
 def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n.
 
-    n = 1 reads the one-point form of the wave at s = (s_1, 0, ...), n = 3 the
-    trace of the box [-dim-1, -1]^3, and every other n one width-2 trace at
-    that slice with the psi shift on top (see the module docstring).
+    n = 1 reads the one-point form of the wave at s = (s_1, 0, ...), n = 2
+    and 3 the trace of the box [-dim-1, -1]^n, and every n >= 4 one width-2
+    trace at that slice with the psi shift on top (see the module docstring).
     `verify` re-checks the n >= 2 trace under widened budgets.  At n = 1 the
     volume is read from the one-point quadratic form, which has no truncation
     budget, so there is nothing to re-check.
@@ -354,17 +354,16 @@ def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     out = WpVolume(g=g, n=n, entries={})
     if dim < 0:
         return out
-    # only the s_1^d terms are read, so the wave is built at s = (s_1, 0, ...),
-    # with t_a -> t_a + s_{a+2} on top from n = 4 on: an index a of K' is at
-    # most b and c, and a + b + c <= dim
+    # the trace width w: the last w indices are read from F_w, the rest K'
+    # from the shift.  Only the s_1^d terms are read, so the wave is built at
+    # s = (s_1, 0, ...), with t_a -> t_a + s_{a+2} on top when n > w: an index
+    # a of K' is at most b and c, and a + b + c <= dim
+    w = n if n <= 3 else 2
     times = _wp_times(dim)
-    shifted = range(dim // 3 + 1) if n >= 4 else ()
+    shifted = range(dim // 3 + 1) if n > w else ()
     for a in shifted:
         add_into(times, a, SPoly.var(a + 2))
-    dw = deformed_wave(times, dim + 2 * (n - 2) if shifted else dim)
-    # the trace width w: the last w indices are read from F_w, the rest from
-    # the shift
-    w = n if n in (1, 3) else 2
+    dw = deformed_wave(times, dim + 2 * (n - w))
     if n == 1:
         # F_1 is even in z, so z^{-2k-2} is the y-exponent -k-1
         coeffs = {(e // 2,): c for e, c in f_kappa_1(dw, -2 * dim - 2).items()}

@@ -130,11 +130,12 @@ def test_width_seven_all_at_least_two_matches_dvv_oracle(psi, ks):
 @pytest.mark.parametrize(
     "ks",
     [(2, 2, 3, 3), (2, 3, 4, 5, 6), (2, 2, 2, 2, 3, 4), (2, 3, 3, 4, 5, 7),
-     (3, 3, 4, 4, 5, 5)],
+     (3, 3, 4, 4, 5, 5), (4, 4), (2, 3), (2, 2, 2), (3, 4, 5)],
 )
 def test_shifted_leaf_equals_point_leaf(ks):
     # both routes, each under its verify pass, on multisets with every index
-    # >= 2 at widths 4 to 6, with repeated and distinct shifted indices
+    # >= 2 at widths 2 to 6, with repeated and distinct shifted indices; a
+    # width-2 multiset has nothing to shift
     want = wk.point_leaf(True)(ks)
     assert want and wk.shifted_leaf(True)(ks) == want
 
