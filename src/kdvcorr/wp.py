@@ -37,19 +37,13 @@ deformed wave A = E psi and B = E psi_x (`f_kappa_1`): psi alone gives it
 only up to the polynomial (log E)'.
 
 The Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
-T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads the last w indices from F_w,
-w = n up to n = 3 and w = 2 from n = 4 up: n = 1 from the one-point
-function, n = 2 and 3 from the box [-dim-1, -1]^w of F_w, over polynomials
-in s_1 alone; when n > w, the rest from the psi shift t_a -> t_a + s_{a+2}
-on top.  wk's `_entry` reads every entry, as it reads the psi numbers:
-
-    <kappa_1^d tau_{K'} tau_b tau_c>
-        = d! prod_a m_a! [s_1^d prod_a s_{a+2}^{m_a}] F_2(b, c),
-
-b and c the two largest indices and m_a the multiplicity of a in K'.  Over
-SPoly s_{a+2} weighs a + 2, so the cap is dim + 2(n - w).  n = 3 keeps its
-box, which was measured faster there; unlike wk's psi shift, grading by
-total degree was slower here.
+T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads n = 1 from the one-point function
+at it and n = 2 and 3 from the box [-dim-1, -1]^n of F_n, and from n = 4 up
+d! times route one at lam = (1^d), one reduction per volume.  In process on
+2 cores, route one read (2,4), (3,4) and (4,4) in 0.005, 0.05 and 0.21 s,
+against 0.58, 3.2 and 26 s for a width-2 trace at the slice with a psi shift
+on top; the box won at n <= 2 from genus 4 up ((6,2) 0.59 s against 8.9 s)
+and at (7,3) (39.6 s against 45.8 s).
 
 Time derivatives of the wave function stay inside the module
 span{psi, psi_x} over differential polynomials:
@@ -257,7 +251,12 @@ def mixed_correlator(lam, ks, *, verify: bool = False):
         return wk.correlator(ks, verify=verify)
     if mixed_genus(lam, ks) is None:
         return rat(0)
-    value = wk.reducer(wk.correlator_leaf(verify))
+    return _route_one(wk.reducer(wk.correlator_leaf(verify)), lam, ks)
+
+
+def _route_one(value, lam, ks):
+    """<kappa_lam tau_K>/m(lam)! of a sorted partition lam: the correlators
+    <tau_{mu+1} tau_K> read from `value`, a wk.reducer, weighed by L_{lam,mu}."""
     total = rat(0)
     for mu in partitions_of(sum(lam)):
         lcoef = l_entry(lam, mu)
@@ -338,15 +337,19 @@ class WpVolume:
         return sorted(self.entries.items())
 
 
+# the narrowest volume that route one was measured faster at (module docstring)
+_ROUTE_ONE_WIDTH = 4
+
+
 def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n.
 
     n = 1 reads the one-point form of the wave at s = (s_1, 0, ...), n = 2
-    and 3 the trace of the box [-dim-1, -1]^n, and every n >= 4 one width-2
-    trace at that slice with the psi shift on top (see the module docstring).
-    `verify` re-checks the n >= 2 trace under widened budgets.  At n = 1 the
-    volume is read from the one-point quadratic form, which has no truncation
-    budget, so there is nothing to re-check.
+    and 3 the trace of the box [-dim-1, -1]^n, and every n >= 4 route one
+    (see the module docstring).  `verify` re-checks the box, or each traced
+    psi leaf, under widened budgets.  At n = 1 the volume is read from the
+    one-point quadratic form, which has no truncation budget, so there is
+    nothing to re-check.
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
@@ -354,27 +357,24 @@ def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     out = WpVolume(g=g, n=n, entries={})
     if dim < 0:
         return out
-    # the trace width w: the last w indices are read from F_w, the rest K'
-    # from the shift.  Only the s_1^d terms are read, so the wave is built at
-    # s = (s_1, 0, ...), with t_a -> t_a + s_{a+2} on top when n > w: an index
-    # a of K' is at most b and c, and a + b + c <= dim
-    w = n if n <= 3 else 2
-    times = _wp_times(dim)
-    shifted = range(dim // 3 + 1) if n > w else ()
-    for a in shifted:
-        add_into(times, a, SPoly.var(a + 2))
-    dw = deformed_wave(times, dim + 2 * (n - w))
-    if n == 1:
-        # F_1 is even in z, so z^{-2k-2} is the y-exponent -k-1
-        coeffs = {(e // 2,): c for e, c in f_kappa_1(dw, -2 * dim - 2).items()}
+    if n >= _ROUTE_ONE_WIDTH:
+        value = wk.reducer(wk.correlator_leaf(verify))
+
+        def read(ks, d):
+            return factorial(d) * _route_one(value, (1,) * d, ks)
     else:
-        coeffs = f_kappa_n(w, [(-dim - 1, -1)] * w, dw, verify=verify)
+        dw = deformed_wave(_wp_times(dim), dim)
+        if n == 1:
+            # F_1 is even in z, so z^{-2k-2} is the y-exponent -k-1
+            coeffs = {(e // 2,): c for e, c in f_kappa_1(dw, -2 * dim - 2).items()}
+        else:
+            coeffs = f_kappa_n(n, [(-dim - 1, -1)] * n, dw, verify=verify)
+
+        def read(ks, d):
+            return _entry(coeffs, ks, (d,))
     for ks in combinations_with_replacement(range(dim + 1), n):
         d = dim - sum(ks)
-        if d < 0:
-            continue
-        mono = (d, *map(ks[: n - w].count, shifted))
-        if v := _entry(coeffs, ks[n - w :], mono):
+        if d >= 0 and (v := read(ks, d)):
             out.entries[(d, ks)] = v
     return out
 

@@ -140,6 +140,14 @@ def test_shifted_leaf_equals_point_leaf(ks):
     assert want and wk.shifted_leaf(True)(ks) == want
 
 
+def test_entry_reads_an_absent_key_as_zero():
+    # a trace drops its zero coefficients, so a missing key is a zero number,
+    # with or without a polynomial part to read
+    coeffs = {(-3, -3): rat(4)}
+    assert wk._entry(coeffs, (2, 2)) == rat(4, 225)
+    assert wk._entry(coeffs, (2, 3)) == wk._entry(coeffs, (3, 2), (1,)) == 0
+
+
 def test_wide_correlator_is_one_shifted_two_point_trace(monkeypatch, psi):
     # <tau_2^7 tau_6> (width 8): one width-2 trace at the points 2 and 6,
     # over M(z; T(s)), where the point window has 2520 cycle classes

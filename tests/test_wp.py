@@ -469,11 +469,12 @@ def test_grouped_kappa_one_oracle_matches_set_partitions(oracles, psi, kappa1_nu
 @pytest.mark.parametrize(
     "g,n",
     [(3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3), (1, 4), (4, 2), (2, 4), (1, 5),
-     (0, 6)],
+     (0, 6), (3, 4), (4, 4), (2, 5), (0, 7), (3, 5)],
 )
 def test_volume_matches_dvv_oracle(kappa1_number, g, n):
     # <kappa_1^d tau_K> on M_{g,n} by the grouped set-partition pushforward
-    # over DVV, a route that shares no code with the deformed wave
+    # over DVV, a route that shares no code with the deformed wave or with
+    # the reduction of route one
     dim = 3 * g - 3 + n
     want = {}
     for ks in combinations_with_replacement(range(dim + 1), n):
@@ -484,12 +485,14 @@ def test_volume_matches_dvv_oracle(kappa1_number, g, n):
                 want[(d, ks)] = value
     assert want
     assert _volume(g, n).entries == want
+    if (g, n) == (4, 4):
+        assert wp.wp_volume(g, n, verify=True).entries == want
 
 
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)])
-def test_shifted_volume_equals_the_whole_box_trace(g, n):
-    # the route that n >= 4 replaced: the box [-dim-1, -1]^n of F_n at the
-    # Weil-Petersson slice, read at the sorted keys
+def test_route_one_volume_equals_the_whole_box_trace(g, n):
+    # route one, which reads n >= 4, against route two's box [-dim-1, -1]^n
+    # of F_n at the Weil-Petersson slice, read at the sorted keys
     dim = 3 * g - 3 + n
     dw = wp.deformed_wave(wp._wp_times(dim), dim)
     coeffs = wp.f_kappa_n(n, [(-dim - 1, -1)] * n, dw)
@@ -624,6 +627,30 @@ def test_wp_volume_builds_one_wave_and_reads_m_once_per_matrix(monkeypatch):
     assert calls == {"deformed_wave": 1, "m_matrix_z": 2, "m_kappa_matrix": 2}
     monkeypatch.undo()
     assert vol.entries == wp.wp_volume(2, 2).entries
+
+
+def test_wp_volume_route_is_picked_by_width(monkeypatch):
+    # n >= 4 reads route one and builds no wave; n <= 3 builds one wave at
+    # the Weil-Petersson slice and reads its box
+    want = {n: wp.wp_volume(1, n).entries for n in (3, 4)}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("route two at n >= 4")
+
+    monkeypatch.setattr(wp, "deformed_wave", refused)
+    monkeypatch.setattr(wp, "f_kappa_n", refused)
+    assert wp.wp_volume(1, 4).entries == want[4]
+    monkeypatch.undo()
+    waves = []
+    build = wp.deformed_wave
+
+    def recording(times, cap):
+        waves.append((times, cap))
+        return build(times, cap)
+
+    monkeypatch.setattr(wp, "deformed_wave", recording)
+    assert wp.wp_volume(1, 3).entries == want[3]
+    assert waves == [(wp._wp_times(3), 3)]
 
 
 def _s1_slice(coeffs: dict) -> dict:
