@@ -88,13 +88,15 @@ part times prod_j mono_j! when the trace ran at a shift, over
 prod_i (2 k_i + 1)!!.
 
 A single correlator (correlator_leaf) takes its point window below width 6
-(point_leaf) and from width 6 up its two largest indices at the shift of
-the distinct indices of the rest (shifted_leaf).  A table (n_point_table)
-traces the box [max(k_min, 2), k_max]^w: up to width 3 at the empty shift,
-once per leaf width w, and from width 4 up once at w = 2, shifting every
-index of the box, for every leaf of width 2 to n.  The crossover widths were
-measured: a shifted trace pays for a wave and for an M(z; T(s)) in several
-variables, which a narrow point window does not.
+(point_leaf) and from width 6 up its two largest indices at the shift of the
+distinct indices of the rest (shifted_leaf).  The solve is graded by degree,
+so the multisets one leaf reads at one shifted set share a wave and an
+M(z; T(s)), each cut to its own degree and floor (_shift_matrix).  A table
+(n_point_table) traces the box [max(k_min, 2), k_max]^w: up to width 3 at
+the empty shift, once per leaf width w, and from width 4 up once at w = 2,
+shifting every index of the box, for every leaf of width 2 to n.  The
+crossover widths were measured: a shifted trace pays for a wave and for an
+M(z; T(s)) in several variables, which a narrow point window does not.
 """
 from __future__ import annotations
 
@@ -457,20 +459,43 @@ def _entry(coeffs: dict, ks, mono=()):
     return rat(v) / prod(map(odd_double_factorial, ks))
 
 
-def _reader(windows, indices=(), cap: int = 0, *, verify: bool):
+def _reader(windows, build=m_matrix, indices=(), *, verify: bool):
     """A reader of <tau_K> from one trace of the w = len(windows) point
-    function over `windows`.  With no `indices` it traces M itself and reads
-    a K of width w.  With `indices` it traces F_w over M(z; T(s)) at the psi
-    shift t_a -> t_a + s_{v(a)}, v numbering the sorted `indices` from 1,
-    over DegreePoly and exact to degree cap, and reads a sorted K whose last
-    w indices have their exponents in the windows and whose rest K', of at
-    most cap indices, is all shifted: prod m_a! [prod s_{v(a)}^{m_a}] F_w."""
-    w, build = len(windows), m_matrix
-    if indices:
-        times = {a: DegreePoly.var(j + 1) for j, a in enumerate(indices)}
-        build = partial(m_kappa_matrix, deformed_wave(times, cap))
+    function over `windows` and the matrix factory `build`.  With no
+    `indices` the factory is M itself and the reader reads a K of width w.
+    With `indices` it is M(z; T(s)) at their psi shift (_shift_matrix), exact
+    to some degree cap, and the reader reads a sorted K whose last w indices
+    have their exponents in the windows and whose rest K', of at most cap
+    indices, is all shifted: prod m_a! [prod s_{v(a)}^{m_a}] F_w."""
+    w = len(windows)
     coeffs = npoint_window(w, windows, build, verify=verify)
     return lambda ks: _entry(coeffs, ks[-w:], tuple(map(ks[:-w].count, indices)))
+
+
+def _shift_matrix(indices, cap: int):
+    """M(z; T(s)) at the psi shift t_a -> t_a + s_{v(a)}, v numbering the
+    sorted `indices` from 1, over DegreePoly: a factory build(floor, degree)
+    of the matrix complete down to floor and exact to a degree <= cap
+    (cap when not given).  The solve is graded by degree, so the wave at cap
+    cut to a lower degree is the wave at that degree: the factory solves one
+    wave at cap, builds M at the deepest floor asked for so far, and cuts it
+    to each call's floor and degree."""
+    wave = deformed_wave({a: DegreePoly.var(j + 1) for j, a in enumerate(indices)}, cap)
+    held_floor, held = 0, None
+
+    def build(floor, degree=cap):
+        nonlocal held_floor, held
+        if held is None or floor < held_floor:
+            held_floor, held = floor, m_kappa_matrix(wave, floor)
+        if floor == held_floor and degree == cap:
+            return held
+        return [
+            [{e: p for e, c in ent.items()
+              if e >= floor and (p := c.truncate_weight(degree))} for ent in row]
+            for row in held
+        ]
+
+    return build
 
 
 def _points(ks) -> list:
@@ -484,14 +509,42 @@ def point_leaf(verify: bool):
     return lambda ks: _reader(_points(ks), verify=verify)(ks)
 
 
+def _shift_degree(ks, indices) -> int:
+    """The most indices that the rest of a sorted multiset of the weight of
+    ks, sum_i (k_i - 1), holds when its distinct indices are `indices` = S
+    and its two largest are >= max S: each a in S once, and the weight the
+    two largest leave, sum_i (k_i - 1) + 2 - 2 max S - sum_S (a - 1), spent on
+    copies of min S >= 2.  It is at least len(ks) - 2, and one number for
+    every leaf of one genus at S."""
+    spare = sum(ks) - len(ks) + 2 - 2 * indices[-1] - sum(indices) + len(indices)
+    return len(indices) + spare // (indices[0] - 1)
+
+
 def shifted_leaf(verify: bool):
-    """The leaf that reads each multiset it is given from its own shifted
-    trace: the point windows of its two largest indices, at the shift of the
-    distinct indices of the rest, exact to the degree the rest needs.  A
-    width-2 multiset has nothing to shift and traces M."""
-    return lambda ks: _reader(
-        _points(ks[-2:]), sorted(set(ks[:-2])), len(ks) - 2, verify=verify
-    )(ks)
+    """The leaf that reads each multiset it is given from a shifted trace of
+    its own: the point windows of its two largest indices, over M(z; T(s))
+    at the shift of S, the distinct indices of the rest, cut to the degree
+    the rest needs.  The multisets given to one leaf share one factory
+    (_shift_matrix) per S, so one wave and one M(z; T(s)) at a time.  The
+    first multiset at S builds it at its own degree, which is all that a
+    single correlator needs; a wider one at S rebuilds it once, at the
+    degree _shift_degree gives, which holds every later multiset of its
+    genus.  A width-2 multiset has nothing to shift and traces M."""
+    shared: dict = {}
+
+    def leaf(ks):
+        indices = tuple(sorted(set(ks[:-2])))
+        if not indices:
+            return _reader(_points(ks), verify=verify)(ks)
+        degree = len(ks) - 2
+        held = shared.get(indices)
+        if held is None or held[0] < degree:
+            cap = degree if held is None else _shift_degree(ks, indices)
+            held = shared[indices] = cap, _shift_matrix(indices, cap)
+        cut = partial(held[1], degree=degree)
+        return _reader(_points(ks[-2:]), cut, indices, verify=verify)(ks)
+
+    return leaf
 
 
 # the narrowest multiset, and the narrowest table, that the shifted trace
@@ -546,7 +599,8 @@ def n_point_table(
 
     @cache
     def trace(w):
-        return _reader([(-k_max - 1, -k_lo - 1)] * w, shift, n - 2, verify=verify)
+        build = _shift_matrix(shift, n - 2) if shift else m_matrix
+        return _reader([(-k_max - 1, -k_lo - 1)] * w, build, shift, verify=verify)
 
     value = reducer(lambda ks: trace(2 if shift else len(ks))(ks))
     table = CorrelatorTable(n=n, k_min=k_min, k_max=k_max)

@@ -12,8 +12,9 @@ extra negative powers from wider psi-correlator generating functions,
 expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|: each mu
 term is the psi correlator <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>, read
 from one wk.reducer with the leaves of wk.correlator_leaf (a point window
-below width 6, a shifted two-point trace from width 6 up), so a multiset
-that several terms reduce to is traced once.  L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
+below width 6, a shifted two-point trace from width 6 up, with one wave per
+shifted index set), so a multiset that several terms reduce to is traced
+once.  L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
 is read off the series of the shift T_{k+1} = -h_k(-s) that `kappa_times`
 gives, so route one is the Taylor expansion of F at the shift where route two
 solves the wave.
@@ -37,13 +38,18 @@ deformed wave A = E psi and B = E psi_x (`f_kappa_1`): psi alone gives it
 only up to the polynomial (log E)'.
 
 The Weil-Petersson slice s = (s_1, 0, ...) is the one-variable shift
-T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads n = 1 from the one-point function
-at it and n = 2 and 3 from the box [-dim-1, -1]^n of F_n, and from n = 4 up
-d! times route one at lam = (1^d), one reduction per volume.  In process on
-2 cores, route one read (2,4), (3,4) and (4,4) in 0.005, 0.05 and 0.21 s,
-against 0.58, 3.2 and 26 s for a width-2 trace at the slice with a psi shift
-on top; the box won at n <= 2 from genus 4 up ((6,2) 0.59 s against 8.9 s)
-and at (7,3) (39.6 s against 45.8 s).
+T_{k+1} = -(-s_1)^k/k!.  `wp_volume` reads n <= 2 from genus _BOX_GENUS = 4
+up at it, n = 1 from the one-point function and n = 2 from the box
+[-dim-1, -1]^2 of F_2, and every other volume as d! times route one at
+lam = (1^d), one reduction per volume.  The leaves of route one depend on
+the genus alone, and from genus 4 up many are wide enough for a shifted
+trace, so its cost hardly grows with n; the box grows steeply with n.
+Cold, in process on 2 cores, route one against the box read (2,2) 2-3 ms
+against 18-20 ms, (3,3) 0.025-0.032 s against 0.27-0.28 s, (5,3) 0.58-0.64 s
+against 4.6-4.7 s and (7,3) 11-12 s against 40 s.  At n <= 2 the box is
+about even at genus 4, (4,1) 0.10-0.11 s against 0.067-0.076 s and (4,2)
+0.10-0.12 s against 0.12-0.13 s, and wins from genus 5 up: (5,2)
+0.45-0.51 s against 0.26-0.28 s and (6,2) 2.4-2.6 s against 0.54-0.73 s.
 
 Time derivatives of the wave function stay inside the module
 span{psi, psi_x} over differential polynomials:
@@ -337,19 +343,20 @@ class WpVolume:
         return sorted(self.entries.items())
 
 
-# the narrowest volume that route one was measured faster at (module docstring)
-_ROUTE_ONE_WIDTH = 4
+# the genus from which n <= 2 reads the box: measured against route one, even
+# at genus 4 and faster from genus 5 up (see the module docstring)
+_BOX_GENUS = 4
 
 
 def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     """All <kappa_1^d tau_{k_1} ... tau_{k_n}> with d + sum k = 3g - 3 + n.
 
-    n = 1 reads the one-point form of the wave at s = (s_1, 0, ...), n = 2
-    and 3 the trace of the box [-dim-1, -1]^n, and every n >= 4 route one
-    (see the module docstring).  `verify` re-checks the box, or each traced
-    psi leaf, under widened budgets.  At n = 1 the volume is read from the
-    one-point quadratic form, which has no truncation budget, so there is
-    nothing to re-check.
+    From genus _BOX_GENUS up, n = 1 reads the one-point form of the wave at
+    s = (s_1, 0, ...) and n = 2 the trace of the box [-dim-1, -1]^2; every
+    other volume is d! times route one (see the module docstring).  `verify`
+    re-checks the box, or each traced psi leaf, under widened budgets.  The
+    one-point form has no truncation budget, so at n = 1 from genus
+    _BOX_GENUS up there is nothing to re-check.
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
@@ -357,7 +364,7 @@ def wp_volume(g: int, n: int, *, verify: bool = False) -> WpVolume:
     out = WpVolume(g=g, n=n, entries={})
     if dim < 0:
         return out
-    if n >= _ROUTE_ONE_WIDTH:
+    if n > 2 or g < _BOX_GENUS:
         value = wk.reducer(wk.correlator_leaf(verify))
 
         def read(ks, d):

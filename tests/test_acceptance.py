@@ -224,11 +224,13 @@ def test_criterion_06_wp_volume_displays():
             want = {key: _rat(value) for key, value in want_str.items()}
             got = {key: vol.display_coefficient(*key) for key in vol.entries}
             assert got == want, (g, n)
-        # the disputed coefficient, pinned a second time through the
-        # repeated-kappa_1 trace route
+        # the disputed coefficient, pinned a second time through the other
+        # pipeline: wp_volume(2, 2) goes by route one, so read it here from
+        # the two-point trace over the wave at the Weil-Petersson slice
         vol = wp.wp_volume(2, 2)
-        entry = wp.mixed_correlator((1,) * 5, (0, 0)) * factorial(5)
-        assert vol.entries[(5, (0, 0))] == entry
+        dw = wp.deformed_wave(wp._wp_times(5), 5)
+        box = wp.f_kappa_n(2, [(-1, -1)] * 2, dw)
+        assert vol.entries[(5, (0, 0))] == wk._entry(box, (0, 0), (5,))
         assert vol.display_coefficient(5, (0, 0)) == rat(787, 15360)
 
 

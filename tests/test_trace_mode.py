@@ -26,9 +26,10 @@ tracer = tracing.Tracer()
 tracer.install({"npoint": npoint, "wk": wk, "wp": wp, "diffpoly": diffpoly,
                 "partitions": partitions, "series": series,
                 "selftest": selftest, "cli": cli})
+box = str(wp._BOX_GENUS)  # the lowest genus whose n <= 2 volumes read the box
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (
-        ["wp", "1", "2"], ["wp", "2", "1"], ["selftest", "--depth", "6"],
+        ["wp", box, "2"], ["wp", box, "1"], ["selftest", "--depth", "6"],
         ["table", "4", "3"],
         ["kappa", "3,1,1", "0,0", "--verify"])]
 print(json.dumps({"codes": codes, "metrics": tracer.metrics()}))
@@ -53,8 +54,9 @@ def test_traced_cli_runs_and_counts():
     for name in ("wp.wave_flow_pair_calls", "wp.m_kappa_matrix_calls",
                  "diffpoly.omega_terms", "diffpoly.flow_derivative_calls",
                  "npoint.window_calls", "wk.extract_s", "wp.mixed_correlator_s",
-                 # wp 2 1 reaches the s_1 wave through the wrapped module
-                 # globals: deformed_wave, then f_kappa_1 (n = 1)
+                 # the box volumes reach the s_1 wave through the wrapped
+                 # module globals: deformed_wave, then f_kappa_n (n = 2) and
+                 # f_kappa_1 (n = 1)
                  "wp.deformed_wave_calls", "wp.f_kappa_1_s",
                  "partitions.spoly_mul_calls"):
         assert metrics.get(name, 0) > 0, (name, metrics.get(name))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import prod
 
 import pytest
@@ -489,13 +489,22 @@ def test_volume_matches_dvv_oracle(kappa1_number, g, n):
         assert wp.wp_volume(g, n, verify=True).entries == want
 
 
-@pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)])
+@pytest.mark.parametrize(
+    "g,n",
+    [(0, 4), (1, 4), (0, 5), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 1), (2, 1),
+     (3, 1)],
+)
 def test_route_one_volume_equals_the_whole_box_trace(g, n):
-    # route one, which reads n >= 4, against route two's box [-dim-1, -1]^n
-    # of F_n at the Weil-Petersson slice, read at the sorted keys
+    # route one, which reads every volume below genus _BOX_GENUS, against
+    # route two's box [-dim-1, -1]^n of F_n at the Weil-Petersson slice, read
+    # at the sorted keys; at n = 1 the box is the one-point form
+    assert g < wp._BOX_GENUS
     dim = 3 * g - 3 + n
     dw = wp.deformed_wave(wp._wp_times(dim), dim)
-    coeffs = wp.f_kappa_n(n, [(-dim - 1, -1)] * n, dw)
+    if n == 1:
+        coeffs = {(e // 2,): c for e, c in wp.f_kappa_1(dw, -2 * dim - 2).items()}
+    else:
+        coeffs = wp.f_kappa_n(n, [(-dim - 1, -1)] * n, dw)
     want = {}
     for ks in combinations_with_replacement(range(dim + 1), n):
         d = dim - sum(ks)
@@ -524,6 +533,48 @@ def test_l0_ties_one_point_to_two_point_volumes(g):
             for k in range(1, d + 2)
         )
         assert lhs == rhs, (g, m)
+
+
+def _volume_polynomial(g: int, n: int) -> dict:
+    """V_{g,n} with pi^2 a formal P and x_i = L_i^2, as {(d, exps):
+    coefficient of P^d prod x_i^exps_i}, from
+
+        V_{g,n}(L) = sum (2 pi^2)^d/d! <kappa_1^d prod tau_{a_i}>
+                     prod L_i^{2 a_i}/(2^{a_i} a_i!)."""
+    out = {}
+    for (d, ks), v in _volume(g, n).entries.items():
+        c = v * 2**d / (factorial(d) * prod(2**k * factorial(k) for k in ks))
+        for exps in set(permutations(ks)):
+            out[(d, exps)] = c
+    return out
+
+
+@pytest.mark.parametrize(
+    "g,n",
+    sorted({(g, n) for g in range(1, 5) for n in (1, 2, 3)}
+           | {(wp._BOX_GENUS, 1), (wp._BOX_GENUS, 2)}),
+)
+def test_do_norbury_string_and_dilaton(g, n):
+    # Do-Norbury (arXiv:math/0603406) tie V_{g,n+1} at L_{n+1} = 2 pi i,
+    # that is x_{n+1} = -4P, to V_{g,n}:
+    #   V_{g,n+1}(L, 2 pi i)          = sum_k int_0^{L_k} L_k V_{g,n}(L) dL_k,
+    #   dV_{g,n+1}/dL_{n+1}(L, 2 pi i) = 2 pi i (2g - 2 + n) V_{g,n}(L),
+    # where int_0^L L x^m dL = x^{m+1}/(2(m+1)).  The pairs cross every route
+    # boundary: n <= 2 reads the box from genus _BOX_GENUS up, and every
+    # other volume route one
+    low, high = _volume_polynomial(g, n), _volume_polynomial(g, n + 1)
+    string, dilaton, integral = {}, {}, {}
+    for (d, exps), c in high.items():
+        e = exps[-1]
+        add_into(string, (d + e, exps[:-1]), c * (-4) ** e)
+        if e:
+            add_into(dilaton, (d + e - 1, exps[:-1]), 2 * e * c * (-4) ** (e - 1))
+    for (d, exps), c in low.items():
+        for i, e in enumerate(exps):
+            raised = exps[:i] + (e + 1,) + exps[i + 1:]
+            add_into(integral, (d, raised), c / (2 * (e + 1)))
+    assert low and string == integral
+    assert dilaton == {key: (2 * g - 2 + n) * c for key, c in low.items()}
 
 
 @pytest.mark.parametrize(
@@ -609,8 +660,8 @@ def test_validation_errors():
 
 
 def test_wp_volume_builds_one_wave_and_reads_m_once_per_matrix(monkeypatch):
-    # the build and the verify build of M^kappa read one wave, and each reads
-    # the entries h, f, e of M once
+    # an n = 2 box volume: the build and the verify build of M^kappa read
+    # one wave, and each reads the entries h, f, e of M once
     calls = {"deformed_wave": 0, "m_matrix_z": 0, "m_kappa_matrix": 0}
 
     def counted(name, fn):
@@ -623,23 +674,28 @@ def test_wp_volume_builds_one_wave_and_reads_m_once_per_matrix(monkeypatch):
     for name in calls:
         module = wk if name == "m_matrix_z" else wp
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    vol = wp.wp_volume(2, 2, verify=True)
+    vol = wp.wp_volume(wp._BOX_GENUS, 2, verify=True)
     assert calls == {"deformed_wave": 1, "m_matrix_z": 2, "m_kappa_matrix": 2}
     monkeypatch.undo()
-    assert vol.entries == wp.wp_volume(2, 2).entries
+    assert vol.entries == _volume(wp._BOX_GENUS, 2).entries
 
 
 def test_wp_volume_route_is_picked_by_width(monkeypatch):
-    # n >= 4 reads route one and builds no wave; n <= 3 builds one wave at
-    # the Weil-Petersson slice and reads its box
-    want = {n: wp.wp_volume(1, n).entries for n in (3, 4)}
+    # below genus _BOX_GENUS every volume reads route one, and a genus-2
+    # leaf is too narrow for a shifted trace, so none builds a wave; from
+    # _BOX_GENUS up n <= 2 builds one wave at the Weil-Petersson slice and
+    # reads its box
+    box = (wp._BOX_GENUS, 1)
+    want = {gn: _volume(*gn).entries for gn in ((1, 3), (2, 1), (2, 2), box)}
 
     def refused(*args, **kwargs):
-        raise AssertionError("route two at n >= 4")
+        raise AssertionError("a wave on route one below width 6")
 
-    monkeypatch.setattr(wp, "deformed_wave", refused)
+    for module in (wp, wk):
+        monkeypatch.setattr(module, "deformed_wave", refused)
     monkeypatch.setattr(wp, "f_kappa_n", refused)
-    assert wp.wp_volume(1, 4).entries == want[4]
+    for g, n in ((1, 3), (2, 1), (2, 2)):
+        assert wp.wp_volume(g, n).entries == want[(g, n)]
     monkeypatch.undo()
     waves = []
     build = wp.deformed_wave
@@ -649,8 +705,49 @@ def test_wp_volume_route_is_picked_by_width(monkeypatch):
         return build(times, cap)
 
     monkeypatch.setattr(wp, "deformed_wave", recording)
-    assert wp.wp_volume(1, 3).entries == want[3]
-    assert waves == [(wp._wp_times(3), 3)]
+    monkeypatch.setattr(wk, "deformed_wave", recording)
+    dim = 3 * box[0] - 2
+    assert wp.wp_volume(*box).entries == want[box]
+    assert waves == [(wp._wp_times(dim), dim)]
+
+
+def test_route_one_builds_a_wave_per_shift_set_not_per_leaf(monkeypatch):
+    # a genus-5 volume reads its leaves of width >= 6 from shifted traces;
+    # the leaves that shift the same set S of indices share a wave: the first
+    # builds it at its own degree, and a wider one rebuilds it once, at the
+    # largest degree a genus-5 leaf at S can need
+    leaves, waves = [], []
+    leaf, build = wk.shifted_leaf, wk.deformed_wave
+
+    def recording_leaf(verify):
+        read = leaf(verify)
+
+        def recorded(ks):
+            leaves.append(ks)
+            return read(ks)
+
+        return recorded
+
+    def recording_wave(times, cap):
+        waves.append((tuple(times), cap))
+        return build(times, cap)
+
+    monkeypatch.setattr(wk, "shifted_leaf", recording_leaf)
+    monkeypatch.setattr(wk, "deformed_wave", recording_wave)
+    assert wp.wp_volume(5, 3).entries
+    degrees: dict = {}
+    for ks in leaves:
+        degrees.setdefault(tuple(sorted(set(ks[:-2]))), []).append(len(ks) - 2)
+    caps: dict = {}
+    for shift, cap in waves:
+        caps.setdefault(shift, []).append(cap)
+    assert caps.keys() == degrees.keys()
+    for shift, got in caps.items():
+        first, *rest = degrees[shift]
+        top = wk._shift_degree((2,) * 12, shift)  # weight 3g - 3 at genus 5
+        assert got == ([first, top] if max(rest, default=0) > first else [first])
+        assert max(rest, default=0) <= top
+    assert len(leaves) > 4 * len(degrees) and len(waves) < 2 * len(degrees)
 
 
 def _s1_slice(coeffs: dict) -> dict:
