@@ -23,8 +23,9 @@ function reads the result:
 
     X_p = 4^p (2p+1)!! Omega_p:  X_0 = u,
         X_p = (X'' + 4 u X) + int 4 u X'   with X = X_{p-1},
-        every antiderivative division exact; omega(p) divides X_p by
-        4^p (2p+1)!!.
+        4 u X formed by raising each monomial's u exponent, with no
+        product, and every antiderivative division exact; omega(p)
+        divides X_p by 4^p (2p+1)!!.
     Y_k = 2^k chi_k:  Y_1 = -2u,
         Y_k = -(d_x Y_{k-1} + sum_{a=1}^{k-2} Y_a Y_{k-1-a}), each product
         Y_a Y_b with a != b formed once and doubled.
@@ -177,7 +178,13 @@ def _read(s: LaurentSeries, scale: int) -> LaurentSeries:
 
 
 _U = DiffPoly.jet(0)
-_U4 = 4 * _U
+
+
+def _times_4u(x: DiffPoly) -> DiffPoly:
+    """4 u x for an exact x with no constant term (X_p and its derivatives):
+    each monomial's u_0 exponent raised by one and each coefficient times 4,
+    with no product formed."""
+    return x._make({(m[0] + 1, *m[1:]): 4 * c for m, c in x.terms.items()})
 
 
 @cache
@@ -193,7 +200,7 @@ def _omega_x(p: int) -> DiffPoly:
     if p == 0:
         return _U
     d, e = _omega_pieces(p - 1)
-    return e + formal_antiderivative(_U4 * d)
+    return e + formal_antiderivative(_times_4u(d))
 
 
 @cache
@@ -208,7 +215,7 @@ def _omega_pieces(p: int) -> tuple[DiffPoly, DiffPoly]:
     """(d_x X_p, d_x^2 X_p + 4 u X_p): the pieces of X_p that the recursion
     for X_{p+1}, Theta and the WP flow coefficients share."""
     d = _omega_x_dx(p)
-    return d, d.d_x() + _U4 * _omega_x(p)
+    return d, d.d_x() + _times_4u(_omega_x(p))
 
 
 @cache

@@ -20,9 +20,9 @@ exports of the larger ones, each export being capped by its own window and
 by y^1, the top term of M.  That yields one matrix floor per pass (the
 deepest any variable needs) and per-edge expansion caps, fixed by the
 windows alone, under which every retained coefficient is exact; each pass
-calls the matrix factory once, and verify=True recomputes with widened
-budgets and insists on equality.  The n-point function is symmetric in its
-variables, so the magnitude order is free, but the budgets are not: a
+reads the factory's matrix at its floor, and verify=True recomputes with
+widened budgets and insists on equality.  The n-point function is symmetric
+in its variables, so the magnitude order is free, but the budgets are not: a
 variable's depth sinks by the exports of every larger variable, and each
 export grows as its window deepens.  So callers give the windows in any
 order, and npoint_window traces them shallowest first (largest lo first)
@@ -39,6 +39,11 @@ polynomial product, and `_compute` divides each accumulated key by L^n once
 (the trace is linear in each of its n matrix factors) and unpacks a
 polynomial key's monomials (`series._unpack`) back into the ring's class and
 weight cap.  A rational is the case with no monomial.
+The read is a constant of the factory and the floor (`_read_mat`): it is
+made on the first pass at a floor and reused by every later one, main or
+verify, so the factory is called at most once per floor.  The reads are
+held per factory, weakly: a module function's last for the process, and a
+closure's go when the closure does.
 Every variable reads that matrix: a term deeper than its own variable needs
 is still a true coefficient of M, and the key ranges drop each product that
 uses one (none reaches the box).
@@ -64,6 +69,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice, permutations
 from operator import itemgetter
+from weakref import WeakKeyDictionary
 
 from .rationals import rat
 from .series import _NO_CAP, _factor, _scaled, _unpack, add_into
@@ -327,10 +333,13 @@ def npoint_window(
     smallest (see budgets), and every key is mapped back to the order given.
     mat_factory(floor) must return the 2x2 matrix M as {exponent: coefficient}
     dicts in y, complete down to `floor`, with no term above y^1 (else
-    ValueError); it is called once per pass.  Its coefficients are
-    rationals, or SparsePoly polynomials of one class (else TypeError), whose
-    variables the trace packs into key fields; a capped polynomial ring
-    keeps its smallest cap, and no term above it is formed.  Returns
+    ValueError), and the same matrix at a floor for as long as the factory
+    lives: it is called at most once per floor, and every later pass at that
+    floor, in this call or another, reuses its read (_read_mat).  Its
+    coefficients are rationals, or SparsePoly polynomials of one class (else
+    TypeError), whose variables the trace packs into key fields; a capped
+    polynomial ring keeps its smallest cap, and no term above it is formed.
+    Returns
     {(e_1, ..., e_n): coefficient} including only nonzero entries, each a
     rational, or a polynomial of the factory's class with that cap.
     """
@@ -345,13 +354,13 @@ def npoint_window(
     windows = [windows[v] for v in order]
     floor, exports = budgets(windows)
     classes = cycle_classes(n)
-    result = _compute(n, windows, *_build_mat(mat_factory, floor, n), exports, classes)
+    result = _compute(n, windows, *_read_mat(mat_factory, floor, n), exports, classes)
     if verify:
         floor2, exports2 = budgets(windows, widen=4)
         floor2 = min(floor2, 2 * floor)
         exports2 = [max(e2, 2 * e1) for e1, e2 in zip(exports, exports2)]
         check = _compute(
-            n, windows, *_build_mat(mat_factory, floor2, n), exports2, classes
+            n, windows, *_read_mat(mat_factory, floor2, n), exports2, classes
         )
         if check != result:
             changed = sum(
@@ -368,6 +377,29 @@ def npoint_window(
         back = sorted(range(n), key=order.__getitem__)
         result = {tuple(key[j] for j in back): c for key, c in result.items()}
     return result
+
+
+# factory -> {floor: (n, read)}, the reads of every factory still alive
+_READS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _read_mat(mat_factory, floor, n):
+    """`_build_mat` of the factory at `floor`, made on the first pass at that
+    floor and returned to every later one.  A read with no monomial field
+    (width 0) serves any n, and one with fields every n up to its own, since
+    they are wide enough for the product of that many terms; a wider pass
+    reads again.  A held read is shared, so only ever read.  A factory that
+    takes no weak reference is read on every pass."""
+    try:
+        reads = _READS.setdefault(mat_factory, {})
+    except TypeError:
+        return _build_mat(mat_factory, floor, n)
+    held = reads.get(floor)
+    if held is not None and (held[0] >= n or not held[1][2]):
+        return held[1]
+    read = _build_mat(mat_factory, floor, n)
+    reads[floor] = n, read
+    return read
 
 
 def _build_mat(mat_factory, floor, n):

@@ -82,6 +82,10 @@ so at w = 2 one wave and one trace give every multiset of width cap + 2 or
 less over the shifted indices.  The empty shift is t = 0, where the reader
 traces M itself: a point window, the width-n trace of a multiset's own
 exponents over (n-1)!/2 cyclic classes, is the case with nothing shifted.
+A point leaf looks m_matrix up when it runs, and npoint_window reads a
+factory's matrix into ints once per floor for as long as the factory lives:
+M is read once per floor for the process, and every later query's point
+leaves reuse the reads.
 Every traced number, wp's volumes included, is read by one function
 (_entry): the coefficient at the key (-k_1 - 1, ..., -k_n - 1), its s^mono
 part times prod_j mono_j! when the trace ran at a shift, over
@@ -459,10 +463,11 @@ def _entry(coeffs: dict, ks, mono=()):
     return rat(v) / prod(map(odd_double_factorial, ks))
 
 
-def _reader(windows, build=m_matrix, indices=(), *, verify: bool):
+def _reader(windows, build, indices=(), *, verify: bool):
     """A reader of <tau_K> from one trace of the w = len(windows) point
     function over `windows` and the matrix factory `build`.  With no
-    `indices` the factory is M itself and the reader reads a K of width w.
+    `indices` the factory is M itself (m_matrix, looked up when the leaf
+    runs) and the reader reads a K of width w.
     With `indices` it is M(z; T(s)) at their psi shift (_shift_matrix), exact
     to some degree cap, and the reader reads a sorted K whose last w indices
     have their exponents in the windows and whose rest K', of at most cap
@@ -506,7 +511,7 @@ def _points(ks) -> list:
 def point_leaf(verify: bool):
     """The leaf that traces the point window of each multiset it is given,
     in the order of ks, since npoint_window picks the trace order itself."""
-    return lambda ks: _reader(_points(ks), verify=verify)(ks)
+    return lambda ks: _reader(_points(ks), m_matrix, verify=verify)(ks)
 
 
 def _shift_degree(ks, indices) -> int:
@@ -535,7 +540,7 @@ def shifted_leaf(verify: bool):
     def leaf(ks):
         indices = tuple(sorted(set(ks[:-2])))
         if not indices:
-            return _reader(_points(ks), verify=verify)(ks)
+            return _reader(_points(ks), m_matrix, verify=verify)(ks)
         degree = len(ks) - 2
         held = shared.get(indices)
         if held is None or held[0] < degree:

@@ -15,6 +15,7 @@ from kdvcorr import wk, wp
 from kdvcorr.npoint import (
     _build_mat,
     _class_term,
+    _read_mat,
     budgets,
     cycle_classes,
     npoint_window,
@@ -171,6 +172,66 @@ def test_factory_called_once_per_pass(verify, calls):
     got = npoint_window(4, windows, counting, verify=verify)
     assert len(floors) == calls
     assert got == npoint_window(4, windows, wk.m_matrix)
+
+
+def test_factory_read_once_per_floor_across_calls():
+    # the int read of a floor is held for the factory: a second window at
+    # the same floors calls it no more, and a new floor once
+    floors = []
+
+    def counting(floor):
+        floors.append(floor)
+        return wk.m_matrix(floor)
+
+    windows = [(-4, -1), (-5, -2), (-3, -1), (-6, -3)]
+    first = npoint_window(4, windows, counting, verify=True)
+    assert npoint_window(4, windows, counting, verify=True) == first
+    assert len(floors) == 2
+    assert npoint_window(2, [(-4, -3), (-5, -5)], counting) == npoint_window(
+        2, [(-4, -3), (-5, -5)], wk.m_matrix
+    )
+    assert len(floors) == 3 == len(set(floors))
+    # a rational read has no monomial field, so it serves any width
+    deepest = min(floors)
+    assert _read_mat(counting, deepest, 7) is _read_mat(counting, deepest, 2)
+    assert len(floors) == 3
+
+
+def test_polynomial_read_serves_every_narrower_pass():
+    # packed monomial fields wide enough for n terms hold fewer; a wider
+    # pass at a held floor reads again
+    calls = []
+    s1 = _capped_s1_factory(8)
+
+    def counting(floor):
+        calls.append(floor)
+        return s1(floor)
+
+    windows = [(-6, -1), (-5, -2)]
+    floor = budgets(windows)[0]
+    wide = _read_mat(counting, floor, 4)
+    assert _read_mat(counting, floor, 2) is wide
+    assert npoint_window(2, windows, counting) == npoint_window(2, windows, s1)
+    assert calls == [floor]
+    assert _read_mat(counting, floor, 8)[2] > wide[2]
+    assert calls == [floor, floor]
+
+
+def test_factory_without_a_weak_reference_is_read_every_pass():
+    class Slotted:
+        __slots__ = ("floors",)
+
+        def __init__(self):
+            self.floors = []
+
+        def __call__(self, floor):
+            self.floors.append(floor)
+            return wk.m_matrix(floor)
+
+    build, windows = Slotted(), [(-4, -1), (-5, -2)]
+    first = npoint_window(2, windows, build)
+    assert npoint_window(2, windows, build) == first
+    assert len(build.floors) == 2 == 2 * len(set(build.floors))
 
 
 def _s1_m_matrix():

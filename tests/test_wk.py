@@ -5,12 +5,15 @@ tests/test_acceptance.py (criteria 01-03).
 """
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import weakref
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
 
-from kdvcorr import wk
+from kdvcorr import wk, wp
 from kdvcorr.npoint import npoint_window
 from kdvcorr.rationals import factorial, odd_double_factorial, rat
 
@@ -165,6 +168,80 @@ def test_wide_correlator_is_one_shifted_two_point_trace(monkeypatch, psi):
     # width 5 stays on its point window
     assert wk.correlator((2, 3, 4, 5, 6)) == psi((2, 3, 4, 5, 6))
     assert [len(w) for w, point, _ in calls if point] == [5]
+
+
+def test_repeated_correlators_read_m_once_per_floor(monkeypatch, psi):
+    # each reduction traces its leaves afresh, but M is read into ints once
+    # per floor: the second query, main and verify passes alike, reuses the
+    # reads of the first and calls the factory no more.  The point leaves
+    # reach m_matrix as the module holds it when they run
+    floors = []
+    m_matrix = wk.m_matrix
+
+    def counting(floor):
+        floors.append(floor)
+        return m_matrix(floor)
+
+    monkeypatch.setattr(wk, "m_matrix", counting)
+    ks = (0, 0, 2, 3, 4, 6)
+    assert wk.correlator(ks, verify=True) == psi(ks)
+    first = list(floors)
+    assert wk.correlator(ks, verify=True) == psi(ks)
+    assert len(first) > 2 and floors == first
+    assert len(set(floors)) == len(floors)
+
+
+def test_a_patched_m_matrix_leaves_no_read_behind(monkeypatch, psi):
+    # a wrong or a refused M reaches the point leaves while it is patched in,
+    # and the reads made with it go with it: the real M, read at the same
+    # floors before and after, still gives the right numbers
+    ks = (0, 1, 2, 3, 5)
+    assert wk.correlator(ks, verify=True) == psi(ks)
+    m_matrix = wk.m_matrix
+
+    def wrong(floor):
+        # M_21 doubled at y^-5, its genus-two term
+        m = m_matrix(floor)
+        if -5 in m[1][0]:
+            m[1][0][-5] *= 2
+        return m
+
+    def steep(floor):
+        m = m_matrix(floor)
+        m[1][0][2] = rat(1)
+        return m
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wk, "m_matrix", wrong)
+        assert wk.correlator(ks) != psi(ks)
+        patch.setattr(wk, "m_matrix", steep)
+        with pytest.raises(ValueError, match="above y"):
+            wk.correlator(ks, verify=True)
+    assert wk.m_matrix is m_matrix
+    assert wk.correlator(ks, verify=True) == wk.correlator(ks) == psi(ks)
+
+
+def test_read_factories_go_with_their_callers(monkeypatch):
+    # npoint_window holds its reads per factory, weakly: once a wide
+    # correlator and a kappa trace return, no M(z; T(s)) factory, and so no
+    # wave, is left alive
+    factories = []
+
+    def recording(n, windows, build, **kw):
+        factories.append(weakref.ref(build))
+        if isinstance(build, partial):
+            factories.append(weakref.ref(build.func))
+        return npoint_window(n, windows, build, **kw)
+
+    monkeypatch.setattr(wk, "npoint_window", recording)
+    monkeypatch.setattr(wp, "npoint_window", recording)
+    assert wk.correlator((2,) * 7 + (6,), verify=True) == rat(59115119, 82944)
+    dw = wp.deformed_wave(wp.kappa_times(3), 3)
+    assert wp.f_kappa_n(2, [(-5, -1)] * 2, dw, verify=True)
+    del dw
+    gc.collect()
+    assert len(factories) == 3
+    assert all(ref() is None for ref in factories)
 
 
 def _whole_box_entries(n, k_max, k_min):

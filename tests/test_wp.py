@@ -552,7 +552,8 @@ def _volume_polynomial(g: int, n: int) -> dict:
 @pytest.mark.parametrize(
     "g,n",
     sorted({(g, n) for g in range(1, 5) for n in (1, 2, 3)}
-           | {(wp._BOX_GENUS, 1), (wp._BOX_GENUS, 2)}),
+           | {(wp._BOX_GENUS, 1), (wp._BOX_GENUS, 2)})
+    + [(g, 4) for g in range(1, 5)],
 )
 def test_do_norbury_string_and_dilaton(g, n):
     # Do-Norbury (arXiv:math/0603406) tie V_{g,n+1} at L_{n+1} = 2 pi i,
