@@ -38,12 +38,12 @@ monomial, int) term per monomial, so the trace runs with no gcd and no
 polynomial product, and `_compute` divides each accumulated key by L^n once
 (the trace is linear in each of its n matrix factors) and unpacks a
 polynomial key's monomials (`series._unpack`) back into the ring's class and
-weight cap.  A rational is the case with no monomial.
-The read is a constant of the factory and the floor (`_read_mat`): it is
-made on the first pass at a floor and reused by every later one, main or
-verify, so the factory is called at most once per floor.  The reads are
-held per factory, weakly: a module function's last for the process, and a
-closure's go when the closure does.
+weight cap.  A rational is the constant monomial: its read has no field.
+A read with no field is a constant of the factory and the floor
+(`_read_mat`), made on the first pass at a floor and reused by every later
+one, main or verify, and held per factory, weakly: a module function's
+reads last for the process, and a closure's go when the closure does.  A
+read with fields is sized for its pass's n and made for that pass alone.
 Every variable reads that matrix: a term deeper than its own variable needs
 is still a true coefficient of M, and the key ranges drop each product that
 uses one (none reaches the box).
@@ -334,11 +334,12 @@ def npoint_window(
     mat_factory(floor) must return the 2x2 matrix M as {exponent: coefficient}
     dicts in y, complete down to `floor`, with no term above y^1 (else
     ValueError), and the same matrix at a floor for as long as the factory
-    lives: it is called at most once per floor, and every later pass at that
-    floor, in this call or another, reuses its read (_read_mat).  Its
-    coefficients are rationals, or SparsePoly polynomials of one class (else
-    TypeError), whose variables the trace packs into key fields; a capped
-    polynomial ring keeps its smallest cap, and no term above it is formed.
+    lives.  Its coefficients are rationals, or SparsePoly polynomials of one
+    class (else TypeError), whose variables the trace packs into key fields;
+    a capped polynomial ring keeps its smallest cap, and no term above it is
+    formed.  A rational factory that takes a weak reference is called at
+    most once per floor, in this call or another; any other, once per pass
+    (_read_mat).
     Returns
     {(e_1, ..., e_n): coefficient} including only nonzero entries, each a
     rational, or a polynomial of the factory's class with that cap.
@@ -379,63 +380,56 @@ def npoint_window(
     return result
 
 
-# factory -> {floor: (n, read)}, the reads of every factory still alive
+# factory -> {floor: read}, the field-free reads of every factory still alive
 _READS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _read_mat(mat_factory, floor, n):
-    """`_build_mat` of the factory at `floor`, made on the first pass at that
-    floor and returned to every later one.  A read with no monomial field
-    (width 0) serves any n, and one with fields every n up to its own, since
-    they are wide enough for the product of that many terms; a wider pass
-    reads again.  A held read is shared, so only ever read.  A factory that
-    takes no weak reference is read on every pass."""
+    """`_build_mat` of the factory at `floor`.  A read with no monomial field
+    (width 0: rationals, or polynomials that are all constants) is the same
+    for every n, so it is held and returned to every later pass at that
+    floor; a read with fields is made for its pass and dropped.  A held read
+    is shared, so only ever read.  A factory that takes no weak reference is
+    read on every pass."""
     try:
         reads = _READS.setdefault(mat_factory, {})
     except TypeError:
         return _build_mat(mat_factory, floor, n)
-    held = reads.get(floor)
-    if held is not None and (held[0] >= n or not held[1][2]):
-        return held[1]
-    read = _build_mat(mat_factory, floor, n)
-    reads[floor] = n, read
+    read = reads.get(floor)
+    if read is None:
+        read = _build_mat(mat_factory, floor, n)
+        if not read[2]:
+            reads[floor] = read
     return read
 
 
 def _build_mat(mat_factory, floor, n):
     """(L, zero, width, low, mat): the factory's matrix at `floor`, cut at
-    the floor and read by the series kernel's reader (`series._factor`) into
-    int terms (e, m, c L) for an n-point pass, where L is the lcm of the
-    denominators and m the packed monomial of a polynomial term.
+    the floor and read by the series kernel's reader (`series._factor` and
+    `_scaled`) into int terms (e, m, c L) for an n-point pass, where L is the
+    lcm of the denominators and m a packed monomial: each monomial of a
+    coefficient of y^e is one term.
 
-    Rational coefficients give zero None and no monomial: c of y^e is the
-    one term (e, 0, c L).  Over SparsePoly coefficients of one class (else
-    TypeError), zero is an empty polynomial of that class at the smallest
-    cap, each monomial of a coefficient of y^e is one term, packed by
-    `series._scaled` at `width` bits a variable, wide enough for the product
-    of n terms, into the `low` bits of a key (0 when every monomial is the
-    constant); a term above the cap is dropped, and an uncapped ring weighs
-    every term 0.  Each entry of mat is a list of (weight, terms) groups by
-    rising weight, with its terms sorted by exponent.  One matrix serves
-    every variable of the pass.  The budgets assume no term above y^1, so
-    one raises ValueError."""
+    Over SparsePoly coefficients of one class (else TypeError), zero is an
+    empty polynomial of that class at the smallest cap, and each monomial is
+    packed at `width` bits a variable, wide enough for the product of n
+    terms, into the `low` bits of a key; a term above the cap is dropped,
+    and an uncapped ring weighs every term 0.  A rational is the constant
+    monomial of an uncapped ring of no class: zero is None, width and low
+    are 0, and c of y^e is the one term (e, 0, c L).  Each entry of mat is a
+    list of (weight, terms) groups by rising weight, with its terms sorted
+    by exponent.  One matrix serves every variable of the pass.  The budgets
+    assume no term above y^1, so one raises ValueError."""
     ent = mat_factory(floor)
     if any(e > 1 for row in ent for it in row for e in it):
         raise ValueError("matrix factory returned a term above y^1")
     cut = [sorted(t for t in it.items() if t[0] >= floor) for row in ent for it in row]
     scale, _, proto, top, cap, rows = _factor(chain.from_iterable(cut), None)
-    if proto is None:
-        # rationals: one group of weight 0 per entry, and no monomial
-        groups = [
-            [(0, [(e, 0, c.numerator * (scale // c.denominator)) for e, c in it])]
-            if it else []
-            for it in cut
-        ]
-        return scale, None, 0, 0, [groups[:2], groups[2:]]
-    zero = proto._make({}, None if cap == _NO_CAP else cap)
+    zero = None if proto is None else proto._make({}, None if cap == _NO_CAP else cap)
     # a key's exponents are sums of n terms' exponents, which never go below 0
     width = (n * top).bit_length()
-    rows = iter(_scaled(rows, scale, width, None if zero.cap is None else zero._weight))
+    weight = None if cap == _NO_CAP else proto._weight
+    rows = iter(_scaled(rows, scale, width, weight))
     groups, top_key = [], 0
     for it in cut:
         by_weight: dict = {}

@@ -2,8 +2,8 @@
 
 Each check re-derives one identity that the library's correctness rests on,
 using at least two independent code paths, and compares exactly.  The
-optional fault injection flips one coefficient before comparing, proving the
-harness actually fails when a value is wrong.
+optional fault injection reports a failure on `correlator-spots` after that
+check's comparisons pass, proving the harness reports a failed check.
 """
 from __future__ import annotations
 

@@ -83,9 +83,9 @@ less over the shifted indices.  The empty shift is t = 0, where the reader
 traces M itself: a point window, the width-n trace of a multiset's own
 exponents over (n-1)!/2 cyclic classes, is the case with nothing shifted.
 A point leaf looks m_matrix up when it runs, and npoint_window reads a
-factory's matrix into ints once per floor for as long as the factory lives:
-M is read once per floor for the process, and every later query's point
-leaves reuse the reads.
+rational factory's matrix into ints once per floor for as long as the
+factory lives: M is read once per floor for the process, and every later
+query's point leaves reuse the reads.
 Every traced number, wp's volumes included, is read by one function
 (_entry): the coefficient at the key (-k_1 - 1, ..., -k_n - 1), its s^mono
 part times prod_j mono_j! when the trace ran at a shift, over

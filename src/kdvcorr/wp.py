@@ -12,9 +12,11 @@ extra negative powers from wider psi-correlator generating functions,
 expanded in the region |w_1| > ... > |w_l| > |z_1| > ... > |z_n|: each mu
 term is the psi correlator <tau_{mu_1+1} ... tau_{mu_l+1} tau_k...>, read
 from one wk.reducer with the leaves of wk.correlator_leaf (a point window
-below width 6, a shifted two-point trace from width 6 up, with one wave per
-shifted index set), so a multiset that several terms reduce to is traced
-once.  L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
+below width 6, a shifted two-point trace from width 6 up, with at most two
+waves per shifted index set: one at the degree of its first leaf, and one
+rebuilt at the degree that holds every later leaf of the genus), so a
+multiset that several terms reduce to is traced once.
+L_{lam,mu} = m(lam)! [s_lam] prod_i h_{mu_i}(s)
 is read off the series of the shift T_{k+1} = -h_k(-s) that `kappa_times`
 gives, so route one is the Taylor expansion of F at the shift where route two
 solves the wave.

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kdvcorr import wk, wp
 from kdvcorr.npoint import (
+    _READS,
     _build_mat,
     _class_term,
     _read_mat,
@@ -197,9 +198,10 @@ def test_factory_read_once_per_floor_across_calls():
     assert len(floors) == 3
 
 
-def test_polynomial_read_serves_every_narrower_pass():
-    # packed monomial fields wide enough for n terms hold fewer; a wider
-    # pass at a held floor reads again
+def test_polynomial_read_is_made_for_its_pass():
+    # packed monomial fields are sized for their pass's n, so a read with
+    # fields is not held: the same windows traced again call the factory
+    # on every pass, and the factory leaves no read behind
     calls = []
     s1 = _capped_s1_factory(8)
 
@@ -208,13 +210,12 @@ def test_polynomial_read_serves_every_narrower_pass():
         return s1(floor)
 
     windows = [(-6, -1), (-5, -2)]
-    floor = budgets(windows)[0]
-    wide = _read_mat(counting, floor, 4)
-    assert _read_mat(counting, floor, 2) is wide
-    assert npoint_window(2, windows, counting) == npoint_window(2, windows, s1)
-    assert calls == [floor]
-    assert _read_mat(counting, floor, 8)[2] > wide[2]
-    assert calls == [floor, floor]
+    first = npoint_window(2, windows, counting, verify=True)
+    assert first == npoint_window(2, windows, s1, verify=True)
+    assert npoint_window(2, windows, counting, verify=True) == first
+    assert len(calls) == 4 and calls[:2] == calls[2:]
+    assert calls[0] == budgets(windows)[0]
+    assert not _READS.get(counting)
 
 
 def test_factory_without_a_weak_reference_is_read_every_pass():
